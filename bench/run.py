@@ -5,8 +5,10 @@
 Run from the root of a source checkout; the program is imported from
 ./src.  --workload is one of ideals, complexes, theta_trees, cli_small, or
 "all" to run each in turn.  With --trace 0 the run measures the end-to-end
-metrics; with --trace 1 it installs the per-layer wrappers (tracing.py) and
-measures the per-layer metrics instead.  Every report is checked by the
+metrics, with every time scaled to a reference host speed (host_probe);
+with --trace 1 it installs the per-layer wrappers (tracing.py) and
+measures the per-layer metrics instead.  The run and its children are
+pinned to one CPU.  Every report is checked by the
 independent checks in checks.py.  For each workload the run prints one line
 per metric, then, as its last line, a JSON object with the keys correct,
 attempted, failed and metrics.  See bench/README.md.
@@ -23,6 +25,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import tracing
 import workloads
@@ -32,9 +35,11 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join("bench", ".work")
 
-SETUP_REPEATS = 11     # timed set-ups per run, after one untimed warm-up
+SETUPS_PER_ROUND = 2   # timed set-ups in each round of the measuring loop
 IMPORT_REPEATS = 5     # fresh-interpreter imports per traced run
-MIN_SAMPLES = 3        # timed passes and batches per run, whatever --seconds says
+MIN_SAMPLES = 3        # timed rounds per run, whatever --seconds says
+PROBE_REF_S = 0.0036   # host_probe's time at the reference host speed
+EDGE_PROBES = 5        # host probes on each side of a timed subprocess
 
 END_TO_END = {"setup_s": "s", "pass_s": "s", "batch_s": "s", "peak_rss_mb": "MB"}
 
@@ -64,6 +69,46 @@ def run_batch(manifest, out_path):
     return int(code), float(wall), int(rss_kib) / 1024.0, out
 
 
+def _keywords(a, b=1, *, c=2):
+    return a + b + c
+
+
+def host_probe():
+    """Wall time of a fixed mix of interpreter work that does not touch logcy.
+
+    The shared host this benchmark was tuned on changes speed by up to 1.7x
+    every few seconds, so raw wall times of the same code spread by 20-40%
+    between runs.  Only the host's speed moves the probe's time.  Every
+    timed interval is scaled by PROBE_REF_S / (probe time next to it),
+    giving seconds at the reference host speed.  The host slows different
+    kinds of work by different amounts, so the probe has four parts of
+    about equal time, each like some of logcy's work: int-keyed dict
+    updates, Fraction arithmetic, string keys and keyword calls, and
+    allocating and sorting tuples.
+    """
+    start = time.perf_counter()
+    counts = {}
+    for i in range(5000):
+        key = i % 997
+        counts[key] = counts.get(key, 0) + i * 3
+    total = Fraction(0)
+    for i in range(1, 120):
+        total += Fraction(i, i + 3) * Fraction(3, i + 7)
+    options = {}
+    for i in range(1200):
+        key = f"--opt{i % 37}"
+        parts = key.split("t")
+        options[key] = _keywords(len(parts), b=i, c=len(key))
+        options.setdefault(parts[0], []).append(i)
+    rows = [(i, i * 2, (i % 5,)) for i in range(1000)]
+    rows.sort(key=lambda row: (row[2], -row[0]))
+    return time.perf_counter() - start
+
+
+def _edge_probe():
+    return statistics.fmean(host_probe() for _ in range(EDGE_PROBES))
+
+
 def one_pass(cli, jobs):
     """Every job once, one at a time, through the calls `logcy` main makes."""
     codes, texts = [], []
@@ -83,10 +128,33 @@ def _more(done, start, seconds):
 
 
 def _timed_pass(cli, jobs):
+    """One pass with each job timed between two host probes; returns (wall
+    seconds, seconds at the reference speed, codes, texts)."""
     gc.collect()  # every pass starts from the same collector state
-    start = time.perf_counter()
-    codes, texts = one_pass(cli, jobs)
-    return time.perf_counter() - start, codes, texts
+    codes, texts = [], []
+    wall = scaled = 0.0
+    before = host_probe()
+    with contextlib.redirect_stderr(io.StringIO()):  # argparse usage text
+        for job in jobs:
+            start = time.perf_counter()
+            code, report = cli.run(job["args"])
+            text = cli.render_report(report)
+            seconds = time.perf_counter() - start
+            after = host_probe()
+            wall += seconds
+            scaled += seconds * 2 * PROBE_REF_S / (before + after)
+            before = after
+            codes.append(code)
+            texts.append(text)
+    return wall, scaled, codes, texts
+
+
+def _scaled(measure):
+    """Run measure() between host probes; returns (its result, the factor
+    that turns its seconds into seconds at the reference speed)."""
+    before = _edge_probe()
+    result = measure()
+    return result, 2 * PROBE_REF_S / (before + _edge_probe())
 
 
 class Run:
@@ -134,37 +202,51 @@ class Run:
         self.check_seconds = time.perf_counter() - start
 
 
-def measure_setup(run):
-    """Median wall time of a fresh interpreter importing logcy and writing
-    the workload's inputs and manifest (bench/workloads.py's own timer)."""
+def set_up(run):
+    """One fresh interpreter importing logcy and writing the workload's
+    inputs and manifest; returns bench/workloads.py's own timer."""
     argv = [sys.executable, os.path.join(HERE, "workloads.py"), "--workload", run.workload,
             "--seed", str(run.seed), "--dir", run.dir]
-    samples = []
-    for attempt in range(SETUP_REPEATS + 1):
-        code, out = _run_child(argv)
-        if code != 0:
-            raise RuntimeError("input set-up failed")
-        if attempt:
-            samples.append(float(out.decode().split()[-1]))
-    return statistics.median(samples)
+    code, out = _run_child(argv)
+    if code != 0:
+        raise RuntimeError("input set-up failed")
+    return float(out.decode().split()[-1])
+
+
+def _batch_scaled(walls, edge_factors, pass_walls, pass_scaled):
+    """Batch times at the reference speed.  A batch is 1-2.5 s long and the
+    host can change speed inside it, which its edge probes alone miss; so
+    its factor is the mean of its edge-probe factor and the factors of the
+    passes just before and (but for the last batch) just after it."""
+    around = [scaled / wall for scaled, wall in zip(pass_scaled, pass_walls)]
+    return [wall * (edge + statistics.fmean(around[i:i + 2])) / 2
+            for i, (wall, edge) in enumerate(zip(walls, edge_factors))]
+
+
+def _median_line(name, samples):
+    return f"# {name} {statistics.median(samples):.4f} median of {[round(x, 4) for x in samples]}"
 
 
 def end_to_end(run, cli):
-    setup_s = measure_setup(run)
+    set_up(run)  # untimed warm-up: the first import may compile logcy's bytecode
     run.jobs = workloads.build(run.workload, run.seed, run.dir)
     run.reference_pass(cli)
     manifest = os.path.join(run.dir, "manifest.json")
     batch_out = os.path.join(run.dir, "batch.out")
-    pass_times, batch_times, rss = [], [], []
+    walls = {"pass_s": [], "batch_s": [], "setup_s": []}
+    scaled = {"pass_s": [], "batch_s": [], "setup_s": []}
+    rss, batch_factors = [], []
     start = time.perf_counter()
-    # passes and batches alternate, so host drift during the run weighs on both
-    while _more(len(pass_times), start, run.seconds):
-        seconds, codes, texts = _timed_pass(cli, run.jobs)
-        pass_times.append(seconds)
+    # passes, batches and set-ups alternate, so host drift weighs on all three
+    while _more(len(scaled["pass_s"]), start, run.seconds):
+        wall, seconds, codes, texts = _timed_pass(cli, run.jobs)
+        walls["pass_s"].append(wall)
+        scaled["pass_s"].append(seconds)
         run.tally(codes)
         run.same_as_reference(codes, texts, "pass")
-        code, seconds, peak, out = run_batch(manifest, batch_out)
-        batch_times.append(seconds)
+        (code, wall, peak, out), factor = _scaled(lambda: run_batch(manifest, batch_out))
+        walls["batch_s"].append(wall)
+        batch_factors.append(factor)
         rss.append(peak)
         entries = json.loads(out)["result"]["jobs"] if out.strip() else []
         run.tally([entry["exit"] for entry in entries] or [None] * len(run.jobs))
@@ -172,12 +254,20 @@ def end_to_end(run, cli):
             run.batch = (out, code)
         elif out != run.batch[0]:
             run.problems.append("batch: output bytes differ between batch runs")
-    run.samples = len(pass_times)
-    print(f"# pass_s samples {[round(x, 4) for x in pass_times]}\n"
-          f"# batch_s samples {[round(x, 4) for x in batch_times]}", file=sys.stderr)
+        for _ in range(SETUPS_PER_ROUND):
+            wall, factor = _scaled(lambda: set_up(run))
+            walls["setup_s"].append(wall)
+            scaled["setup_s"].append(wall * factor)
+    scaled["batch_s"] = _batch_scaled(walls["batch_s"], batch_factors,
+                                      walls["pass_s"], scaled["pass_s"])
+    run.samples = len(scaled["pass_s"])
+    for name in scaled:
+        print(_median_line(f"{name} at reference speed", scaled[name]), file=sys.stderr)
+        print(_median_line(f"{name} wall", walls[name]), file=sys.stderr)
     run.verify()
-    return {"setup_s": setup_s, "pass_s": statistics.median(pass_times),
-            "batch_s": statistics.median(batch_times), "peak_rss_mb": statistics.median(rss)}
+    metrics = {name: statistics.median(samples) for name, samples in scaled.items()}
+    metrics["peak_rss_mb"] = statistics.median(rss)
+    return metrics
 
 
 def measure_import():
@@ -201,7 +291,7 @@ def per_layer(run, cli):
         start = time.perf_counter()
         while _more(len(per_pass), start, run.seconds):
             tracer.reset()
-            seconds, codes, texts = _timed_pass(cli, run.jobs)
+            _, seconds, codes, texts = _timed_pass(cli, run.jobs)
             run.tally(codes)
             run.same_as_reference(codes, texts, "traced pass")
             metrics = tracer.metrics()
@@ -265,6 +355,9 @@ def main(argv=None):
         return 2
     sys.path.insert(0, SRC)
     os.chdir(ROOT)
+    # One CPU for this process and every child: the host probes then measure
+    # the speed of the CPU that the timed work runs on.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     names = workloads.WORKLOADS if args.workload == "all" else [args.workload]
     if any(name not in workloads.WORKLOADS for name in names):
         parser.error(f"--workload must be one of {', '.join(workloads.WORKLOADS)} or all")
