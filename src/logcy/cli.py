@@ -4,16 +4,15 @@ Every leaf subcommand reads JSON inputs, computes exactly, and prints one
 deterministic JSON report: rationals as "p/q" strings, keys sorted, no
 timestamps.  Exit codes: 0 for any computed verdict (including false ones),
 2 for input errors, 3 for unsupported structure.  The batch subcommand runs
-a manifest of independent jobs on a bounded worker pool, reporting in
-manifest order regardless of completion order.
+a manifest of independent jobs one after another in the calling thread and
+reports them in manifest order.  The argument parser is built once per
+process and shared by every job.
 """
 
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import energy as energy_mod
@@ -334,6 +333,9 @@ def _cmd_energy(args, inputs):
             return {"weight": format_rational(energy_mod.chord_weight(params, chord))}
         return {"action": format_rational(energy_mod.chord_action_approx(params, chord))}
     if args.energy_op == "monotone":
+        for name in ("fromWeight", "toWeight"):
+            if name not in data:
+                raise InputError(f'monotone energy input needs "{name}"')
         ok = energy_mod.filtration_monotone_check(
             params, parse_rational(data["fromWeight"]), parse_rational(data["toWeight"]))
         return {"monotone": ok}
@@ -402,15 +404,6 @@ def _cmd_example(args, inputs):
     raise InputError(f"unknown example operation {args.example_op!r}")
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("LOGCY_WORKERS", "")
-    try:
-        workers = int(raw) if raw else 4
-    except ValueError:
-        raise InputError(f"LOGCY_WORKERS must be an integer, got {raw!r}") from None
-    return max(1, min(workers, max(n_jobs, 1)))
-
-
 def _cmd_batch(args, inputs):
     data, digest = _read_json(_require(args, "manifest"))
     inputs["manifest"] = {"path": args.manifest, "sha256": digest}
@@ -425,15 +418,7 @@ def _cmd_batch(args, inputs):
         if argv and argv[0] == "batch":
             raise InputError(f"job {idx}: nested batch jobs are not supported")
         job_args.append(argv)
-
-    def run_job(argv):
-        return run(argv)
-
-    if job_args:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(job_args))) as pool:
-            results = list(pool.map(run_job, job_args))
-    else:
-        results = []
+    results = [run(argv) for argv in job_args]
     reports = [{"args": argv, "exit": code, "report": report}
                for argv, (code, report) in zip(job_args, results)]
     worst = max((code for code, _ in results), default=EXIT_OK)
@@ -519,6 +504,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on first use and reused by every later job."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 _HANDLERS = {
     "complex": _cmd_complex,
     "sr": _cmd_sr,
@@ -540,9 +536,8 @@ def _command_name(args) -> str:
 
 def run(argv):
     """Execute one subcommand; returns (exit_code, report dict)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit:
         return EXIT_INPUT, {"error": {"type": "usage", "message": "unrecognized arguments"}}
     command = _command_name(args)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateChordError, InputError
-from .rationals import format_rational, parse_rational, parse_rational_vector
+from .rationals import parse_rational, parse_rational_vector
 
 
 @dataclass(frozen=True)
@@ -204,6 +204,3 @@ def filtration_monotone_check(params: EnergyParameters, from_weight, to_weight) 
     the source level (the combinatorial shadow of nonnegative energy)."""
     return Fraction(to_weight) <= Fraction(from_weight)
 
-
-def format_value(q: Fraction) -> str:
-    return format_rational(q)

@@ -38,34 +38,6 @@ def rank_int_bareiss(matrix) -> int:
     return rank
 
 
-def rank_fraction(matrix) -> int:
-    """Rank of a matrix with Fraction entries by Gaussian elimination."""
-    if not matrix or not matrix[0]:
-        return 0
-    a = [[Fraction(x) for x in row] for row in matrix]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if a[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def rank_mod_p(matrix, p: int) -> int:
     """Rank of an integer matrix over the prime field F_p."""
     if not matrix or not matrix[0]:

@@ -1,180 +1,212 @@
 """Buchberger's algorithm, normal forms, weighted Hilbert functions, and the
 Jacobian smoothness certificate.
 
-Pair selection is the normal strategy (smallest lcm in the active order, ties
-by pair index); both the coprime-leading-term and the chain criterion are
-applied.  The same division and S-polynomial routines optionally carry
-cofactor traces so that a unit found in an ideal comes with an explicit
-combination over the input generators, replayable exactly.
+Pair selection is the normal strategy: critical pairs sit in a heap keyed
+once, when the pair is made, by (order key of the lcm, i, j), so the
+smallest lcm in the active order comes first and ties go to the smaller
+pair index.  Both the coprime-leading-term and the chain criterion are
+applied; the chain criterion looks up the set of pairs still pending.  Each
+basis element's leading monomial and inverse leading coefficient are
+computed once, when it joins the basis.
+
+Division works in place on term dicts.  The dividend's monomials sit in a
+heap, each keyed once when it appears, so every step takes the largest one
+without rescanning the dividend; a divisor's multiple is added to the dict
+term by term.  Polynomial objects are built only for results.  The same
+division and S-polynomial routines optionally carry cofactor traces (term
+dicts updated in step with the dividend), so that a unit found in an ideal
+comes with an explicit combination over the input generators, replayable
+exactly.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import floor
+from operator import add, le, neg, sub
 
 from .errors import InputError, UnsupportedStructureError
 from .poly import Polynomial, WeightedOrder, unit_order
 
 
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+class _Element:
+    """A divisor in term-dict form: its terms, leading monomial, inverse
+    leading coefficient, the terms below the leading one, and its cofactors
+    over the generator list (term dicts, or None when untraced)."""
 
+    __slots__ = ("terms", "lead", "inv_lc", "tail", "cofactors")
 
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_quot(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-class _Traced:
-    """A polynomial with cofactors over the original generator list."""
-
-    __slots__ = ("poly", "cofactors")
-
-    def __init__(self, poly, cofactors):
-        self.poly = poly
+    def __init__(self, terms, lead, field, cofactors=None):
+        self.terms = terms
+        self.lead = lead
+        self.inv_lc = field.invert(terms[lead])
+        self.tail = [(e, c) for e, c in terms.items() if e != lead]
         self.cofactors = cofactors
 
-    def sub_term_mul(self, other, exps, coeff):
-        shifted = other.poly.mul_term(exps, coeff)
-        poly = self.poly - shifted
-        cof = None
-        if self.cofactors is not None:
-            cof = [a - b.mul_term(exps, coeff)
-                   for a, b in zip(self.cofactors, other.cofactors)]
-        return _Traced(poly, cof)
 
-    def scale(self, coeff):
-        cof = None
-        if self.cofactors is not None:
-            cof = [c.scale(coeff) for c in self.cofactors]
-        return _Traced(self.poly.scale(coeff), cof)
+def _element(poly, order, cofactors=None):
+    return _Element(poly.terms, poly.leading(order)[0], poly.field, cofactors)
 
 
-def _reduce(traced, basis, order):
-    """Full division: returns the traced remainder, no term of which is
-    divisible by any basis leading term."""
-    field = traced.poly.field
-    rem_terms = {}
-    work = traced
-    while work.poly.terms:
-        exps, coeff = work.poly.leading(order)
-        hit = None
-        for g in basis:
-            g_exps, g_coeff = g.poly.leading(order)
-            if _mono_divides(g_exps, exps):
-                hit = (g, g_exps, g_coeff)
-                break
-        if hit is None:
-            rem_terms[exps] = coeff
-            stripped = Polynomial(work.poly.vars, field,
-                                  {e: c for e, c in work.poly.terms.items() if e != exps})
-            work = _Traced(stripped, work.cofactors)
+def _heap_entry(key, exps):
+    """Heap entry of a monomial; order-larger monomials pop first."""
+    weight, degree, _ = key(exps)
+    return (-weight, -degree, tuple(map(neg, exps)), exps)
+
+
+def _add_shifted(target, terms, shift, coeff, field, fresh=None):
+    """target += coeff * x^shift * terms, in place; terms is an iterable of
+    (exponents, coefficient) pairs and coeff is nonzero.  Monomials new to
+    target are appended to the list fresh, when one is given."""
+    fadd, fmul, is_zero = field.add, field.mul, field.is_zero
+    for exps, c in terms:
+        m = tuple(map(add, exps, shift))
+        value = fmul(c, coeff)
+        old = target.get(m)
+        if old is None:
+            if fresh is not None:
+                fresh.append(m)
         else:
-            g, g_exps, g_coeff = hit
-            factor = field.mul(coeff, field.invert(g_coeff))
-            work = work.sub_term_mul(g, _mono_quot(exps, g_exps), factor)
-    remainder = Polynomial(traced.poly.vars, field, rem_terms)
-    return _Traced(remainder, work.cofactors)
+            value = fadd(old, value)
+            if is_zero(value):
+                del target[m]
+                continue
+        target[m] = value
 
 
-def _s_polynomial(f, g, order):
-    f_exps, f_coeff = f.poly.leading(order)
-    g_exps, g_coeff = g.poly.leading(order)
-    field = f.poly.field
-    lcm = _mono_lcm(f_exps, g_exps)
-    left = _Traced(f.poly.mul_term(_mono_quot(lcm, f_exps), field.invert(f_coeff)),
-                   None if f.cofactors is None else
-                   [c.mul_term(_mono_quot(lcm, f_exps), field.invert(f_coeff))
-                    for c in f.cofactors])
-    return left.sub_term_mul(g, _mono_quot(lcm, g_exps), field.invert(g_coeff))
+def _reduce(terms, cofactors, divisors, order, field):
+    """Full division of the term dict `terms`, which is consumed.
+
+    Returns the remainder as a term dict in descending order, so its first
+    key is its leading monomial; no remainder term is divisible by a
+    divisor's leading monomial.  Each step divides by the first divisor
+    whose leading monomial divides the current leading term.  cofactors (a
+    list of term dicts, or None) is updated in place alongside.
+    """
+    key = order.key
+    heap = [_heap_entry(key, e) for e in terms]
+    heapify(heap)
+    rem = {}
+    while heap:
+        exps = heappop(heap)[3]
+        coeff = terms.pop(exps, None)
+        if coeff is None:
+            continue  # cancelled earlier, or a second entry of a stripped term
+        for g in divisors:
+            if all(map(le, g.lead, exps)):
+                break
+        else:
+            rem[exps] = coeff
+            continue
+        shift = tuple(map(sub, exps, g.lead))
+        factor = field.neg(field.mul(coeff, g.inv_lc))
+        # every new term is below exps, so a stripped monomial never returns
+        fresh = []
+        _add_shifted(terms, g.tail, shift, factor, field, fresh)
+        for m in fresh:
+            heappush(heap, _heap_entry(key, m))
+        if cofactors is not None:
+            for cof, g_cof in zip(cofactors, g.cofactors):
+                _add_shifted(cof, g_cof.items(), shift, factor, field)
+    return rem
+
+
+def _s_polynomial(f, g, field):
+    """S-polynomial of two elements: (term dict, cofactor dicts or None)."""
+    lcm = tuple(map(max, f.lead, g.lead))
+    f_shift = tuple(map(sub, lcm, f.lead))
+    g_shift = tuple(map(sub, lcm, g.lead))
+    g_coeff = field.neg(g.inv_lc)
+    terms = {}
+    _add_shifted(terms, f.tail, f_shift, f.inv_lc, field)
+    _add_shifted(terms, g.tail, g_shift, g_coeff, field)
+    cofactors = None
+    if f.cofactors is not None:
+        cofactors = []
+        for f_cof, g_cof in zip(f.cofactors, g.cofactors):
+            cof = {}
+            _add_shifted(cof, f_cof.items(), f_shift, f.inv_lc, field)
+            _add_shifted(cof, g_cof.items(), g_shift, g_coeff, field)
+            cofactors.append(cof)
+    return terms, cofactors
 
 
 def _buchberger(gens, order, with_trace):
+    """Reduced basis as (term dict, cofactor dicts or None) pairs, largest
+    leading monomial first."""
     field = gens[0].field
-    variables = gens[0].vars
-    unit = Polynomial.constant(variables, 1, field)
-    zero = Polynomial.zero(variables, field)
-
+    one = {(0,) * len(gens[0].vars): field.one}
     basis = []
     for idx, g in enumerate(gens):
         if g.is_zero():
             continue
         cof = None
         if with_trace:
-            cof = [unit if j == idx else zero for j in range(len(gens))]
-        basis.append(_Traced(g, cof))
+            cof = [dict(one) if j == idx else {} for j in range(len(gens))]
+        basis.append(_element(g, order, cof))
     if not basis:
         return []
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    key = order.key
+    leads = [g.lead for g in basis]
+    heap = []      # (order key of the lcm, i, j); the key's last entry is the lcm
+    pending = set()
 
-    def lcm_key(pair):
-        i, j = pair
-        lcm = _mono_lcm(basis[i].poly.leading(order)[0], basis[j].poly.leading(order)[0])
-        return (order.key(lcm), pair)
+    def add_pairs(j):
+        for i in range(j):
+            heappush(heap, (key(tuple(map(max, leads[i], leads[j]))), i, j))
+            pending.add((i, j))
 
-    while pairs:
-        i, j = min(pairs, key=lcm_key)
-        pairs.discard((i, j))
-        lt_i = basis[i].poly.leading(order)[0]
-        lt_j = basis[j].poly.leading(order)[0]
-        lcm = _mono_lcm(lt_i, lt_j)
+    for j in range(1, len(basis)):
+        add_pairs(j)
+
+    while heap:
+        lcm_key, i, j = heappop(heap)
+        pending.discard((i, j))
+        lcm = lcm_key[2]
         # coprime leading terms: S-polynomial reduces to zero
-        if lcm == tuple(a + b for a, b in zip(lt_i, lt_j)):
+        if not any(map(min, leads[i], leads[j])):
             continue
         # chain criterion: an already-processed third element divides the lcm
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not _mono_divides(basis[k].poly.leading(order)[0], lcm):
-                continue
-            if (tuple(sorted((i, k))) not in pairs
-                    and tuple(sorted((j, k))) not in pairs):
-                skip = True
-                break
-        if skip:
+        if any(k != i and k != j and all(map(le, lead_k, lcm))
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, lead_k in enumerate(leads)):
             continue
-        remainder = _reduce(_s_polynomial(basis[i], basis[j], order), basis, order)
-        if remainder.poly.is_zero():
+        terms, cofactors = _s_polynomial(basis[i], basis[j], field)
+        rem = _reduce(terms, cofactors, basis, order, field)
+        if not rem:
             continue
-        new_index = len(basis)
-        basis.append(remainder)
-        pairs.update((idx, new_index) for idx in range(new_index))
+        basis.append(_Element(rem, next(iter(rem)), field, cofactors))
+        leads.append(basis[-1].lead)
+        add_pairs(len(basis) - 1)
 
-    return _minimal_reduced(basis, order, with_trace)
+    return _minimal_reduced(basis, order, field)
 
 
-def _minimal_reduced(basis, order, with_trace):
+def _minimal_reduced(basis, order, field):
     # drop elements whose leading term another element divides
+    leads = [g.lead for g in basis]
     kept = []
-    leads = [g.poly.leading(order)[0] for g in basis]
-    for i, g in enumerate(basis):
-        lt = leads[i]
-        redundant = False
-        for j, other in enumerate(leads):
-            if i == j:
-                continue
-            if _mono_divides(other, lt) and (other != lt or j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
-    # interreduce and normalize to monic leading coefficients
+    for i, lt in enumerate(leads):
+        if not any(j != i and all(map(le, other, lt)) and (other != lt or j < i)
+                   for j, other in enumerate(leads)):
+            kept.append(basis[i])
+    # interreduce against the other kept elements and make leading
+    # coefficients 1; kept leading terms divide no other, so each survives
     reduced = []
+    fmul = field.mul
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        rem = _reduce(g, others, order) if others else g
-        if rem.poly.is_zero():
-            continue
-        field = rem.poly.field
-        lc = rem.poly.leading(order)[1]
-        reduced.append(rem.scale(field.invert(lc)))
-    reduced.sort(key=lambda g: order.key(g.poly.leading(order)[0]), reverse=True)
-    return reduced
+        cofactors = None if g.cofactors is None else [dict(c) for c in g.cofactors]
+        terms = _reduce(dict(g.terms), cofactors, others, order, field)
+        inv = field.invert(terms[g.lead])
+        reduced.append((g.lead, {e: fmul(c, inv) for e, c in terms.items()},
+                        None if cofactors is None else
+                        [{e: fmul(c, inv) for e, c in cof.items()} for cof in cofactors]))
+    reduced.sort(key=lambda item: order.key(item[0]), reverse=True)
+    return [(terms, cofactors) for _, terms, cofactors in reduced]
 
 
 def groebner_basis(gens, order: WeightedOrder, with_trace=False):
@@ -193,26 +225,30 @@ def groebner_basis(gens, order: WeightedOrder, with_trace=False):
     for g in gens[1:]:
         if g.vars != gens[0].vars or g.field != field:
             raise InputError("generators live in different rings")
-    traced = _buchberger(gens, order, with_trace)
+    variables = gens[0].vars
+    reduced = _buchberger(gens, order, with_trace)
+    basis = [Polynomial(variables, field, terms) for terms, _ in reduced]
     if with_trace:
-        return [t.poly for t in traced], [list(t.cofactors) for t in traced]
-    return [t.poly for t in traced]
+        return basis, [[Polynomial(variables, field, c) for c in cofactors]
+                       for _, cofactors in reduced]
+    return basis
 
 
 def reduce_modulo(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
     """Remainder of f under full division by an arbitrary polynomial list."""
-    live = [_Traced(g, None) for g in basis if not g.is_zero()]
+    live = [_element(g, order) for g in basis if not g.is_zero()]
     if not live:
         return f
-    return _reduce(_Traced(f, None), live, order).poly
+    return Polynomial(f.vars, f.field, _reduce(dict(f.terms), None, live, order, f.field))
 
 
 def is_groebner(basis, order: WeightedOrder) -> bool:
     """Check that every S-polynomial of the basis reduces to zero."""
     basis = [g for g in basis if not g.is_zero()]
-    for i, j in combinations(range(len(basis)), 2):
-        s = _s_polynomial(_Traced(basis[i], None), _Traced(basis[j], None), order)
-        if not reduce_modulo(s.poly, basis, order).is_zero():
+    live = [_element(g, order) for g in basis]
+    for f, g in combinations(live, 2):
+        terms, _ = _s_polynomial(f, g, basis[0].field)
+        if _reduce(terms, None, live, order, basis[0].field):
             return False
     return True
 
@@ -280,10 +316,10 @@ def hilbert_function_up_to(ideal: Ideal, order: WeightedOrder, bound) -> dict:
     from the map.  For inhomogeneous ideals this is filtration-level
     counting: the w entry is dim F_w / F_{w-1} of the quotient.
     """
-    bound = Fraction(bound)
-    weights = order.weights
+    weights = order.int_weights
     if len(weights) != len(ideal.vars):
         raise InputError("order weight count does not match the variable count")
+    top = floor(Fraction(bound) * order.scale)  # the walk is in scaled weights
     basis = ideal.groebner(order)
     leads = [g.leading(order)[0] for g in basis]
     counts = {}
@@ -292,16 +328,16 @@ def hilbert_function_up_to(ideal: Ideal, order: WeightedOrder, bound) -> dict:
     def walk(idx, exps, weight):
         if idx == nvars:
             counts.setdefault(weight, 0)
-            if not any(_mono_divides(l, exps) for l in leads):
+            if not any(all(map(le, lead, exps)) for lead in leads):
                 counts[weight] += 1
             return
         e = 0
-        while weight + weights[idx] * e <= bound:
+        while weight + weights[idx] * e <= top:
             walk(idx + 1, exps + (e,), weight + weights[idx] * e)
             e += 1
 
-    walk(0, (), Fraction(0))
-    return counts
+    walk(0, (), 0)
+    return {Fraction(weight, order.scale): n for weight, n in counts.items()}
 
 
 @dataclass(frozen=True)

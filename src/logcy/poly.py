@@ -8,6 +8,8 @@ order used here is a total order refining the weight filtration.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import InputError
 from .fields import QQ, LaurentParameterRing
@@ -15,20 +17,31 @@ from .rationals import format_rational
 
 
 class WeightedOrder:
-    """Monomial order: weighted degree first, then total degree, then lex."""
+    """Monomial order: weighted degree first, then total degree, then lex.
 
-    __slots__ = ("weights",)
+    The weights are scaled once to integers by the lcm of their denominators,
+    so comparison keys are integer tuples.  The scale is positive, so the
+    order is the same as under the rational weights.
+    """
+
+    __slots__ = ("weights", "int_weights", "scale")
 
     def __init__(self, weights):
         self.weights = tuple(Fraction(w) for w in weights)
         if any(w <= 0 for w in self.weights):
             raise InputError("monomial order weights must be positive")
+        self.scale = lcm(*(w.denominator for w in self.weights))
+        self.int_weights = tuple(int(w * self.scale) for w in self.weights)
+
+    def int_degree(self, exps) -> int:
+        """Weighted degree times scale, an integer."""
+        return sum(map(mul, self.int_weights, exps))
 
     def weighted_degree(self, exps) -> Fraction:
-        return sum((w * e for w, e in zip(self.weights, exps)), Fraction(0))
+        return Fraction(self.int_degree(exps), self.scale)
 
     def key(self, exps):
-        return (self.weighted_degree(exps), sum(exps), exps)
+        return (self.int_degree(exps), sum(exps), exps)
 
     def __eq__(self, other):
         return isinstance(other, WeightedOrder) and other.weights == self.weights
@@ -185,14 +198,14 @@ class Polynomial:
     def weighted_degree(self, order: WeightedOrder) -> Fraction:
         if not self.terms:
             raise InputError("the zero polynomial has no weighted degree")
-        return max(order.weighted_degree(e) for e in self.terms)
+        return Fraction(max(map(order.int_degree, self.terms)), order.scale)
 
     def top_weight_form(self, order: WeightedOrder) -> "Polynomial":
         """Sum of the terms of maximal weighted degree."""
-        top = self.weighted_degree(order)
+        top = self.weighted_degree(order) * order.scale
         return Polynomial(self.vars, self.field,
                           {e: c for e, c in self.terms.items()
-                           if order.weighted_degree(e) == top})
+                           if order.int_degree(e) == top})
 
     def derivative(self, name) -> "Polynomial":
         if name not in self.vars:

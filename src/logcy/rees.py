@@ -14,7 +14,7 @@ from math import lcm
 
 from .errors import InputError
 from .fields import QQ
-from .groebner import Ideal, groebner_basis, hilbert_function_up_to, ideals_equal
+from .groebner import Ideal, hilbert_function_up_to, ideals_equal
 from .poly import Polynomial, WeightedOrder, parse_polynomial
 from .rationals import format_rational, parse_rational
 
@@ -42,12 +42,17 @@ class WeightedPresentation:
                 raise InputError("zero relations are not allowed")
             rels.append(rel)
         self.relations = tuple(rels)
+        self._ideal = None
 
     def order(self) -> WeightedOrder:
         return WeightedOrder(self.weights)
 
     def ideal(self) -> Ideal:
-        return Ideal(self.relations, self.vars, self.field)
+        """The relation ideal; one object per presentation, so its Groebner
+        basis cache is shared by every caller."""
+        if self._ideal is None:
+            self._ideal = Ideal(self.relations, self.vars, self.field)
+        return self._ideal
 
     def hilbert_up_to(self, bound) -> dict:
         return hilbert_function_up_to(self.ideal(), self.order(), bound)
@@ -105,7 +110,7 @@ PRESENTATION_SCHEMA = {
 
 def _reduced_basis(pres: WeightedPresentation):
     order = pres.order()
-    basis = groebner_basis(pres.relations, order)
+    basis = pres.ideal().groebner(order)
     if len(basis) == 1 and basis[0].total_degree() == 0:
         raise InputError("the relations generate the unit ideal; "
                          "the filtration is not positive on this quotient")

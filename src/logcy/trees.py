@@ -198,6 +198,13 @@ class LogPssTree:
         }
 
 
+def _entry_key(entry, key, where):
+    try:
+        return entry[key]
+    except KeyError:
+        raise InputError(f"tree JSON {where} missing key {key!r}") from None
+
+
 def tree_from_json(data) -> LogPssTree:
     if not isinstance(data, dict):
         raise InputError("tree JSON must be an object")
@@ -211,11 +218,11 @@ def tree_from_json(data) -> LogPssTree:
         raise InputError(f"tree JSON missing key {exc}") from None
     k_prime = data.get("kPrime", 0)
     vertices = {}
-    for entry in vertex_entries:
-        vertices[entry["id"]] = frozenset(entry.get("depth", []))
+    for idx, entry in enumerate(vertex_entries):
+        vertices[_entry_key(entry, "id", f"vertex {idx}")] = frozenset(entry.get("depth", []))
     edges = []
-    for entry in edge_entries:
-        a, b = entry["a"], entry["b"]
+    for idx, entry in enumerate(edge_entries):
+        a, b = _entry_key(entry, "a", f"edge {idx}"), _entry_key(entry, "b", f"edge {idx}")
         contact_map = entry.get("contact", {})
         forward = contact_map.get(f"{a}->{b}")
         backward = contact_map.get(f"{b}->{a}")
@@ -226,7 +233,8 @@ def tree_from_json(data) -> LogPssTree:
                 raise InputError(f"edge {a}-{b} contact vectors are not antisymmetric")
         vec = tuple(forward) if forward is not None else tuple(-x for x in backward)
         edges.append(TreeEdge(a, b, frozenset(entry.get("depthE", [])), vec))
-    legs = [(entry["vertex"], entry.get("label")) for entry in data.get("legs", [])]
+    legs = [(_entry_key(entry, "vertex", f"leg {idx}"), entry.get("label"))
+            for idx, entry in enumerate(data.get("legs", []))]
     return LogPssTree(k, vertices, edges, root, legs, deg, k_prime)
 
 

@@ -276,3 +276,49 @@ def test_out_flag_writes_file(fixtures, tmp_path):
 
 def test_render_report_trailing_newline():
     assert render_report({"a": 1}).endswith("\n")
+
+
+def _bad_input_job(tmp_path, fixtures, kind):
+    """argv of a job whose input lacks a required key, and that key."""
+    if kind == "energy-monotone":
+        path = tmp_path / "monotone.json"
+        path.write_text(json.dumps({"toWeight": "1"}))
+        return ["energy", "monotone", "--params", fixtures["params.json"],
+                "--input", str(path)], "fromWeight"
+    path = tmp_path / "no_id_tree.json"
+    path.write_text(json.dumps({"k": 1, "root": 0, "deg_x0": 0,
+                                "vertices": [{"depth": []}], "edges": []}))
+    return ["tree", "vdim", "--tree", str(path)], "id"
+
+
+@pytest.mark.parametrize("kind", ["energy-monotone", "tree-vdim"])
+def test_missing_key_is_an_input_error(fixtures, tmp_path, kind):
+    argv, key = _bad_input_job(tmp_path, fixtures, kind)
+    code, report = run(argv)
+    assert code == EXIT_INPUT
+    assert report["error"]["type"] == "input"
+    assert key in report["error"]["message"]
+
+
+@pytest.mark.parametrize("kind", ["energy-monotone", "tree-vdim"])
+def test_missing_key_job_does_not_sink_its_batch(fixtures, tmp_path, kind):
+    argv, key = _bad_input_job(tmp_path, fixtures, kind)
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logcy.cli", "batch", "--manifest", str(manifest)],
+        capture_output=True)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    jobs = json.loads(proc.stdout)["result"]["jobs"]
+    assert [job["exit"] for job in jobs] == [EXIT_INPUT, EXIT_OK]
+    assert key in jobs[0]["report"]["error"]["message"]
+    assert jobs[1]["report"] == run(sibling)[1]
+
+
+def test_usage_error_reports_repeat_with_the_shared_parser(fixtures):
+    bad = ["complex", "homology", "--faces", fixtures["cycle.json"], "--bogus"]
+    first = run(bad)
+    run(["complex", "homology", "--faces", fixtures["cycle.json"]])
+    assert run(bad) == first == (EXIT_INPUT, {"error": {
+        "type": "usage", "message": "unrecognized arguments"}})

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcy.errors import InputError, UnsupportedStructureError
 from logcy.fields import QQ, LaurentParameterRing, PrimeField
@@ -208,3 +210,91 @@ def test_ideals_equal():
 def test_reduce_modulo_empty_basis():
     f = poly("x + y")
     assert reduce_modulo(f, [], unit_order(2)) == f
+
+
+# -- standard systems against sympy's reduced bases ----------------------------------
+
+CYCLIC4 = ("a", "b", "c", "d"), ["a + b + c + d", "a*b + b*c + c*d + d*a",
+                                 "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]
+CYCLIC5 = ("a", "b", "c", "d", "e"), ["a + b + c + d + e",
+                                      "a*b + b*c + c*d + d*e + e*a",
+                                      "a*b*c + b*c*d + c*d*e + d*e*a + e*a*b",
+                                      "a*b*c*d + b*c*d*e + c*d*e*a + d*e*a*b + e*a*b*c",
+                                      "a*b*c*d*e - 1"]
+KATSURA3 = ("u0", "u1", "u2", "u3"), ["u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+                                      "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+                                      "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+                                      "2*u0*u2 + u1^2 + 2*u1*u3 - u2"]
+
+
+def _monic_set(term_dicts, order, field):
+    """Basis elements as sets of (exponents, coefficient) with leading coefficient 1."""
+    out = set()
+    for terms in term_dicts:
+        coeffs = {e: field.from_fraction(c) for e, c in terms.items()}
+        inv = field.invert(coeffs[max(coeffs, key=order.key)])
+        out.add(frozenset((e, field.mul(c, inv)) for e, c in coeffs.items()))
+    return out
+
+
+def _sympy_grlex_basis(names, texts, modulus=None):
+    import sympy
+    symbols = sympy.symbols(names)
+    local = dict(zip(names, symbols))
+    exprs = [sympy.sympify(text, locals=local) for text in texts]
+    options = {"order": "grlex"} if modulus is None else {"order": "grlex", "modulus": modulus}
+    basis = sympy.groebner(exprs, *symbols, **options)
+    return [{tuple(int(e) for e in exps): Fraction(str(sympy.Rational(c)))
+             for exps, c in g.as_dict().items()}
+            for g in basis.polys]
+
+
+@pytest.mark.parametrize("system,modulus", [
+    (CYCLIC4, None), (KATSURA3, None), (CYCLIC5, None), (CYCLIC4, 32003),
+], ids=["cyclic4-Q", "katsura3-Q", "cyclic5-Q", "cyclic4-F32003"])
+def test_standard_systems_match_sympy_grlex(system, modulus):
+    names, texts = system
+    field = QQ if modulus is None else PrimeField(modulus)
+    order = unit_order(len(names))
+    ours = groebner_basis([poly(t, names, field) for t in texts], order)
+    assert all(g.leading(order)[1] == field.one for g in ours)
+    theirs = _sympy_grlex_basis(names, texts, modulus)
+    assert len(ours) == len(theirs)
+    assert (_monic_set([g.terms for g in ours], order, field)
+            == _monic_set(theirs, order, field))
+
+
+def test_cyclic4_cofactors_replay():
+    names, texts = CYCLIC4
+    gens = [poly(t, names) for t in texts]
+    order = unit_order(len(names))
+    basis, traces = groebner_basis(gens, order, with_trace=True)
+    assert basis == groebner_basis(gens, order)
+    for element, cofactors in zip(basis, traces):
+        assert len(cofactors) == len(gens)
+        total = Polynomial.zero(names, QQ)
+        for c, g in zip(cofactors, gens):
+            total = total + c * g
+        assert total == element
+
+
+def _rational_key(weights, exps):
+    """Order key with the weighted degree summed in Fractions."""
+    return (sum((w * e for w, e in zip(weights, exps)), Fraction(0)), sum(exps), exps)
+
+
+_weights = st.lists(st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_order_key_sorts_like_rational_key(data):
+    weights = data.draw(_weights)
+    exps = st.tuples(*[st.integers(0, 6)] * len(weights))
+    monomials = data.draw(st.lists(exps, min_size=2, max_size=12, unique=True))
+    order = WeightedOrder(weights)
+    assert (sorted(monomials, key=order.key)
+            == sorted(monomials, key=lambda e: _rational_key(order.weights, e)))
+    for e in monomials:
+        assert order.weighted_degree(e) == _rational_key(order.weights, e)[0]
