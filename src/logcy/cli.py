@@ -116,10 +116,6 @@ def _parse_face(text: str):
         raise InputError(f"malformed face {text!r}; expected comma-separated integers") from None
 
 
-def _presentation_json(pres) -> dict:
-    return pres.to_json()
-
-
 # -- handler implementations -------------------------------------------------------
 
 
@@ -166,7 +162,7 @@ def _cmd_sr(args, inputs):
         if args.use_kappa:
             weights = [config.kappa[v - 1] for v in cx.vertices]
         pres = sr_presentation(cx, weights)
-        return {"presentation": _presentation_json(pres)}
+        return {"presentation": pres.to_json()}
     raise InputError(f"unknown sr operation {args.sr_op!r}")
 
 
@@ -185,20 +181,20 @@ def _cmd_ring(args, inputs):
 
     if args.ring_op == "gr":
         graded = associated_graded(pres)
-        payload = {"presentation": _presentation_json(graded)}
+        payload = {"presentation": graded.to_json()}
         if args.bound is not None:
             payload["levels"] = _levels(graded.hilbert_up_to(parse_rational(args.bound)))
         return payload
     if args.ring_op == "rees":
         family = rees_algebra(pres)
-        return {"presentation": _presentation_json(family.presentation),
+        return {"presentation": family.presentation.to_json(),
                 "rescale": family.rescale}
     if args.ring_op == "fiber":
         family = rees_algebra(pres)
         value = parse_rational(_require(args, "t"))
         fiber = fiber_at(family, value)
         return {"t": format_rational(value),
-                "presentation": _presentation_json(fiber)}
+                "presentation": fiber.to_json()}
     if args.ring_op == "smooth":
         codim = int(_require(args, "codim"))
         smooth, cert = jacobian_smooth(pres.ideal(), codim)
@@ -233,7 +229,7 @@ def _cmd_ring_degenerate(args, inputs, pres):
     theta_counts = graded_dimension(config, bound)
 
     payload = {
-        "gr": _presentation_json(graded),
+        "gr": graded.to_json(),
         "specialFiberMatchesGr": special_ok,
         "grLevels": _levels(hilbert_gr),
         "genericFiberLevels": _levels(hilbert_generic),
@@ -317,6 +313,8 @@ def _cmd_energy(args, inputs):
         orbit_payload = data.get("x0")
         if orbit_payload is None:
             raise InputError('pss energy needs the output orbit "x0"')
+        if not isinstance(orbit_payload, dict) or "v" not in orbit_payload:
+            raise InputError('pss energy input "x0" must be an object with a winding vector "v"')
         orbit = energy_mod.OrbitLabel(tuple(orbit_payload["v"]),
                                       orbit_payload.get("component", 0))
         approx = energy_mod.pss_energy_approx(params, vector(data), orbit)
@@ -351,7 +349,7 @@ def _cmd_example(args, inputs):
             parse_rational(args.kappa1) if args.kappa1 else min(Fraction(2), Fraction(2 * n - 1, 2)),
             parse_rational(args.kappa2) if args.kappa2 else Fraction(1))
         pres = mirror.conic_bundle_presentation(fixture)
-        payload = {"presentation": _presentation_json(pres)}
+        payload = {"presentation": pres.to_json()}
         if args.smooth:
             verdicts = mirror.conic_bundle_smooth_check(fixture, n_max=n)
             payload["smooth"] = {str(dim): ok for dim, (ok, _) in sorted(verdicts.items())}
@@ -361,7 +359,7 @@ def _cmd_example(args, inputs):
             sr_fixture = mirror.conic_bundle_sr_fixture(fixture)
             gr_levels = graded.hilbert_up_to(bound)
             sr_levels = sr_fixture.hilbert_up_to(bound)
-            payload["gr"] = _presentation_json(graded)
+            payload["gr"] = graded.to_json()
             payload["grLevels"] = _levels(gr_levels)
             payload["srFixtureLevels"] = _levels(sr_levels)
             payload["grMatchesFixture"] = gr_levels == sr_levels
@@ -394,7 +392,7 @@ def _cmd_example(args, inputs):
             quotient_levels = fixture.presentation.hilbert_up_to(bound)
             theta_levels = graded_dimension(mirror.appendix_c_configuration(), bound)
             return {
-                "presentation": _presentation_json(fixture.presentation),
+                "presentation": fixture.presentation.to_json(),
                 "hypersurface": fixture.hypersurface.to_string(),
                 "quotientLevels": _levels(quotient_levels),
                 "thetaLevels": _levels(theta_levels),

@@ -1,12 +1,70 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
-Matrices are lists of row lists.  Integer matrices are handled by
-fraction-free (Bareiss) elimination; rational matrices fall back to
-Fraction Gaussian elimination.  Everything here is deterministic and
-side-effect free.
+One sparse kernel, `rank`, computes every rank and nullity: rows are
+`{column: value}` dicts, reduced one at a time against stored pivot rows
+(the incremental row echelon form of `sdm_irref` in sympy's sparse domain
+matrices).  Values are plain ints, kept reduced mod p over F_p; over Q a
+Fraction appears only when a pivot is not +-1.  `rank_mod_p` and
+`nullspace_dimension` feed dense matrices to it.  `rank_int_bareiss` stays
+dense fraction-free elimination on purpose: it is the independent second
+route of the rank-nullity cross-check in `trees.obstruction_dim`.
+Everything here is deterministic and side-effect free.
 """
 
 from fractions import Fraction
+
+from .fields import PrimeField, QQ
+
+
+def rank(rows, field) -> int:
+    """Rank of the span of sparse rows (`{column: value}` dicts) over QQ or F_p.
+
+    Each incoming row is reduced by the stored pivot row at its smallest
+    column until it vanishes or leads at a column with no pivot; it is then
+    stored there, scaled to leading value 1.
+    """
+    p = field.p if isinstance(field, PrimeField) else None
+    pivots = {}
+    for row in rows:
+        if p is None:
+            row = {c: v for c, v in row.items() if v}
+        else:
+            row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = row[lead]
+                if p is not None:
+                    inv = pow(scale, -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                elif scale == -1:
+                    row = {c: -v for c, v in row.items()}
+                elif scale != 1:
+                    inv = Fraction(1, scale)
+                    row = {c: v * inv for c, v in row.items()}
+                pivots[lead] = row
+                break
+            factor = row[lead]
+            if p is None:
+                for c, v in pivot.items():
+                    x = row.get(c, 0) - factor * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+            else:
+                for c, v in pivot.items():
+                    x = (row.get(c, 0) - factor * v) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+    return len(pivots)
+
+
+def _sparse_rows(matrix):
+    return ({c: v for c, v in enumerate(row) if v} for row in matrix)
 
 
 def rank_int_bareiss(matrix) -> int:
@@ -40,64 +98,9 @@ def rank_int_bareiss(matrix) -> int:
 
 def rank_mod_p(matrix, p: int) -> int:
     """Rank of an integer matrix over the prime field F_p."""
-    if not matrix or not matrix[0]:
-        return 0
-    a = [[x % p for x in row] for row in matrix]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if a[r][col] % p != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = pow(a[rank][col], p - 2, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] % p != 0:
-                factor = a[r][col]
-                a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return rank(_sparse_rows(matrix), PrimeField(p))
 
 
 def nullspace_dimension(matrix, ncols: int) -> int:
-    """Dimension of the rational kernel, computed from a free-column count.
-
-    Runs a full reduced row echelon pass and counts the columns that never
-    acquire a pivot, so it is an independent route to nullity (used to
-    cross-check rank-nullity identities rather than derive them).
-    """
-    if ncols == 0:
-        return 0
-    if not matrix:
-        return ncols
-    a = [[Fraction(x) for x in row] for row in matrix]
-    rows = len(a)
-    pivot_cols = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if a[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    return ncols - len(pivot_cols)
+    """Dimension of the rational kernel of a matrix with ncols columns."""
+    return ncols - rank(_sparse_rows(matrix), QQ)

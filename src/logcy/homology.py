@@ -1,7 +1,8 @@
 """Exact reduced simplicial homology and the Gorenstein criterion.
 
-Betti numbers come from exact ranks of boundary matrices: fraction-free
-elimination over the rationals, modular elimination over prime fields.
+Betti numbers come from exact ranks of the boundary maps, each built as one
+sparse +-1 vector per face and ranked by the sparse kernel `exactlin.rank`
+over Q or F_p.
 The Gorenstein verdict for a Stanley-Reisner ring checks that the complex
 and all of its face links have the reduced homology of spheres of the
 correct dimension and that no vertex's star swallows the whole complex.
@@ -11,8 +12,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .complexes import SimplicialComplex
 from .errors import InputError
-from .exactlin import rank_int_bareiss, rank_mod_p
-from .fields import PrimeField, QQ
+from .exactlin import rank
+from .fields import QQ
 
 
 @dataclass(frozen=True)
@@ -36,31 +37,16 @@ class BettiTable:
         return {str(d): self.rank(d) for d in self.degrees()}
 
 
-def _boundary_matrix(cx: SimplicialComplex, dim: int):
-    """Matrix of the boundary map from dim-faces to (dim-1)-faces.
+def _boundary_vectors(top, bottom):
+    """The boundary map from the faces `top` to the faces `bottom`, as sparse vectors.
 
-    Rows are indexed by (dim-1)-faces, columns by dim-faces; the reduced
-    complex includes the empty face in degree -1, so the degree-0 boundary
-    is the augmentation.
+    Faces are sorted vertex tuples.  Each top face gives the vector
+    {index of (face minus its k-th vertex): (-1)^k}, a column of the boundary
+    matrix.
     """
-    top = cx.faces_of_dim(dim)
-    bottom = cx.faces_of_dim(dim - 1)
-    index = {f: i for i, f in enumerate(bottom)}
-    matrix = [[0] * len(top) for _ in bottom]
-    for col, face in enumerate(top):
-        verts = sorted(face)
-        for drop, v in enumerate(verts):
-            sub = frozenset(verts) - {v}
-            matrix[index[sub]][col] = (-1) ** drop
-    return matrix
-
-
-def _rank(matrix, coeff_field) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    if isinstance(coeff_field, PrimeField):
-        return rank_mod_p(matrix, coeff_field.p)
-    return rank_int_bareiss(matrix)
+    index = {face: i for i, face in enumerate(bottom)}
+    return ({index[face[:k] + face[k + 1:]]: -1 if k % 2 else 1 for k in range(len(face))}
+            for face in top)
 
 
 def reduced_homology(cx: SimplicialComplex, coeff_field=QQ) -> BettiTable:
@@ -72,15 +58,16 @@ def reduced_homology(cx: SimplicialComplex, coeff_field=QQ) -> BettiTable:
     if cx.is_void:
         raise InputError("homology of the void complex is undefined")
     d = cx.dim()
-    ranks = []
-    boundary_rank = {}
-    for j in range(-1, d + 2):
-        boundary_rank[j] = _rank(_boundary_matrix(cx, j), coeff_field)
-    for j in range(-1, d + 1):
-        n_faces = len(cx.faces_of_dim(j))
-        kernel = n_faces - boundary_rank[j]
-        ranks.append(kernel - boundary_rank[j + 1])
-    return BettiTable(coeff_field.name, -1, tuple(ranks))
+    faces = [[] for _ in range(d + 2)]  # faces[n]: the faces with n vertices
+    for face in cx.faces:
+        faces[len(face)].append(tuple(sorted(face)))
+    for group in faces:
+        group.sort()
+    # boundary[n]: rank of the boundary of the faces with n vertices
+    boundary = [0] + [rank(_boundary_vectors(faces[n], faces[n - 1]), coeff_field)
+                      for n in range(1, d + 2)] + [0]
+    betti = tuple(len(faces[n]) - boundary[n] - boundary[n + 1] for n in range(d + 2))
+    return BettiTable(coeff_field.name, -1, betti)
 
 
 def local_homology_at_face(cx: SimplicialComplex, face, coeff_field=QQ) -> BettiTable:

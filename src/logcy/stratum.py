@@ -68,11 +68,8 @@ class DivisorConfiguration:
     def _register_map(self, src, dst, assign):
         if not dst <= src:
             raise InputError(f"map target {sorted(dst)} is not a subset of {sorted(src)}")
-        if len(src - dst) == 1:
-            self._adjacent_maps[(src, dst)] = assign
-        else:
-            # non-adjacent maps are accepted but verified against composition
-            self._adjacent_maps[(src, dst)] = assign
+        # non-adjacent maps are accepted too and verified against composition
+        self._adjacent_maps[(src, dst)] = assign
 
     def _validate(self):
         if not self.strata[frozenset()]:

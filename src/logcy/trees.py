@@ -198,6 +198,16 @@ class LogPssTree:
         }
 
 
+def _objects(entries, name):
+    """(JSON path, entry) for each entry of the tree JSON list `name`; each must be an object."""
+    if not isinstance(entries, list):
+        raise InputError(f"tree JSON {name} must be a list")
+    for idx, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InputError(f"tree JSON {name}[{idx}] must be an object")
+        yield f"{name}[{idx}]", entry
+
+
 def _entry_key(entry, key, where):
     try:
         return entry[key]
@@ -218,11 +228,11 @@ def tree_from_json(data) -> LogPssTree:
         raise InputError(f"tree JSON missing key {exc}") from None
     k_prime = data.get("kPrime", 0)
     vertices = {}
-    for idx, entry in enumerate(vertex_entries):
-        vertices[_entry_key(entry, "id", f"vertex {idx}")] = frozenset(entry.get("depth", []))
+    for where, entry in _objects(vertex_entries, "vertices"):
+        vertices[_entry_key(entry, "id", where)] = frozenset(entry.get("depth", []))
     edges = []
-    for idx, entry in enumerate(edge_entries):
-        a, b = _entry_key(entry, "a", f"edge {idx}"), _entry_key(entry, "b", f"edge {idx}")
+    for where, entry in _objects(edge_entries, "edges"):
+        a, b = _entry_key(entry, "a", where), _entry_key(entry, "b", where)
         contact_map = entry.get("contact", {})
         forward = contact_map.get(f"{a}->{b}")
         backward = contact_map.get(f"{b}->{a}")
@@ -233,8 +243,8 @@ def tree_from_json(data) -> LogPssTree:
                 raise InputError(f"edge {a}-{b} contact vectors are not antisymmetric")
         vec = tuple(forward) if forward is not None else tuple(-x for x in backward)
         edges.append(TreeEdge(a, b, frozenset(entry.get("depthE", [])), vec))
-    legs = [(_entry_key(entry, "vertex", f"leg {idx}"), entry.get("label"))
-            for idx, entry in enumerate(data.get("legs", []))]
+    legs = [(_entry_key(entry, "vertex", where), entry.get("label"))
+            for where, entry in _objects(data.get("legs", []), "legs")]
     return LogPssTree(k, vertices, edges, root, legs, deg, k_prime)
 
 

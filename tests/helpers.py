@@ -165,6 +165,24 @@ def random_tree(rng: random.Random, k_max=3, max_vertices=6):
     return tree
 
 
+def boundary_matrix(cx, dim):
+    """Dense matrix of the boundary map from dim-faces to (dim-1)-faces.
+
+    Rows are indexed by (dim-1)-faces, columns by dim-faces, both in
+    `faces_of_dim` order; the empty face sits in degree -1, so the degree-0
+    boundary is the augmentation.
+    """
+    top = cx.faces_of_dim(dim)
+    bottom = cx.faces_of_dim(dim - 1)
+    index = {f: i for i, f in enumerate(bottom)}
+    matrix = [[0] * len(top) for _ in bottom]
+    for col, face in enumerate(top):
+        verts = sorted(face)
+        for drop, v in enumerate(verts):
+            matrix[index[frozenset(verts) - {v}]][col] = (-1) ** drop
+    return matrix
+
+
 def smith_diagonal(matrix):
     """Diagonal of the Smith normal form of an integer matrix (nonzero part)."""
     if not matrix or not matrix[0]:

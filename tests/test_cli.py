@@ -278,20 +278,34 @@ def test_render_report_trailing_newline():
     assert render_report({"a": 1}).endswith("\n")
 
 
+_TREE = {"k": 1, "root": 0, "deg_x0": 0, "vertices": [{"id": 0, "depth": []}], "edges": []}
+
+# kind -> (group, op, input flag, input JSON, text the error message must name)
+_BAD_INPUTS = {
+    "energy-monotone": ("energy", "monotone", "--input", {"toWeight": "1"}, "fromWeight"),
+    "energy-pss-x0-without-v": ("energy", "pss", "--input",
+                                {"x0": {"component": 1}, "v": [1]}, "x0"),
+    "tree-vdim": ("tree", "vdim", "--tree",
+                  dict(_TREE, vertices=[{"depth": []}]), "id"),
+    "tree-vertex-not-object": ("tree", "vdim", "--tree", dict(_TREE, vertices=[5]),
+                               "vertices[0]"),
+    "tree-edge-not-object": ("tree", "vdim", "--tree", dict(_TREE, edges=[5]), "edges[0]"),
+    "tree-leg-not-object": ("tree", "vdim", "--tree", dict(_TREE, legs=[5]), "legs[0]"),
+}
+
+
 def _bad_input_job(tmp_path, fixtures, kind):
-    """argv of a job whose input lacks a required key, and that key."""
-    if kind == "energy-monotone":
-        path = tmp_path / "monotone.json"
-        path.write_text(json.dumps({"toWeight": "1"}))
-        return ["energy", "monotone", "--params", fixtures["params.json"],
-                "--input", str(path)], "fromWeight"
-    path = tmp_path / "no_id_tree.json"
-    path.write_text(json.dumps({"k": 1, "root": 0, "deg_x0": 0,
-                                "vertices": [{"depth": []}], "edges": []}))
-    return ["tree", "vdim", "--tree", str(path)], "id"
+    """argv of a job whose input is malformed, and the text its error must name."""
+    group, op, flag, payload, named = _BAD_INPUTS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    argv = [group, op, flag, str(path)]
+    if group == "energy":
+        argv += ["--params", fixtures["params.json"]]
+    return argv, named
 
 
-@pytest.mark.parametrize("kind", ["energy-monotone", "tree-vdim"])
+@pytest.mark.parametrize("kind", sorted(_BAD_INPUTS))
 def test_missing_key_is_an_input_error(fixtures, tmp_path, kind):
     argv, key = _bad_input_job(tmp_path, fixtures, kind)
     code, report = run(argv)
@@ -300,7 +314,7 @@ def test_missing_key_is_an_input_error(fixtures, tmp_path, kind):
     assert key in report["error"]["message"]
 
 
-@pytest.mark.parametrize("kind", ["energy-monotone", "tree-vdim"])
+@pytest.mark.parametrize("kind", sorted(_BAD_INPUTS))
 def test_missing_key_job_does_not_sink_its_batch(fixtures, tmp_path, kind):
     argv, key = _bad_input_job(tmp_path, fixtures, kind)
     sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]

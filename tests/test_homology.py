@@ -12,8 +12,7 @@ from logcy.homology import (gorenstein_verdict, is_rational_homology_manifold,
                             is_rational_homology_sphere, local_homology_at_face,
                             reduced_homology)
 
-from helpers import random_downward_closed, smith_diagonal
-from logcy.homology import _boundary_matrix
+from helpers import boundary_matrix, random_downward_closed, smith_diagonal
 
 
 def test_three_cycle_homology():
@@ -171,12 +170,13 @@ def test_rational_ranks_match_smith_form():
     for cx in samples:
         if cx.dim() < 0:
             continue
+        smith_rank = {}  # degree j -> nonzero Smith entries of the degree-j boundary
         for j in range(0, cx.dim() + 1):
-            matrix = _boundary_matrix(cx, j)
+            matrix = boundary_matrix(cx, j)
             if not matrix or not matrix[0]:
                 continue
             diag = smith_diagonal(matrix)
-            q_table = reduced_homology(cx, QQ)
+            smith_rank[j] = len(diag)
             # rank over Q equals the number of nonzero Smith entries
             from logcy.exactlin import rank_int_bareiss
             assert rank_int_bareiss(matrix) == len(diag)
@@ -185,6 +185,11 @@ def test_rational_ranks_match_smith_form():
                 if all(d % p != 0 for d in diag):
                     from logcy.exactlin import rank_mod_p
                     assert rank_mod_p(matrix, p) == len(diag)
+        q_table = reduced_homology(cx, QQ)
+        assert list(q_table.degrees()) == list(range(-1, cx.dim() + 1))
+        for j in q_table.degrees():
+            n_j = len(cx.faces_of_dim(j))
+            assert q_table.rank(j) == n_j - smith_rank.get(j, 0) - smith_rank.get(j + 1, 0)
 
 
 def test_homology_field_independence_spot_check():
@@ -195,7 +200,7 @@ def test_homology_field_independence_spot_check():
             continue
         divisors = set()
         for j in range(0, cx.dim() + 2):
-            divisors.update(smith_diagonal(_boundary_matrix(cx, j)))
+            divisors.update(smith_diagonal(boundary_matrix(cx, j)))
         q_table = reduced_homology(cx, QQ)
         for p in (2, 3, 5, 7, 11, 13):
             if any(d % p == 0 for d in divisors):
