@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import energy as energy_mod
 from . import mirror, trees
-from .complexes import SimplicialComplex, complex_from_json
+from .complexes import complex_from_json
 from .errors import InputError, UnsupportedStructureError
 from .fields import QQ, field_from_name
 from .groebner import Ideal, groebner_basis, hilbert_function_up_to, jacobian_smooth
@@ -27,7 +27,7 @@ from .rationals import format_rational, parse_rational
 from .rees import (PRESENTATION_SCHEMA, associated_graded, fiber_at,
                    presentation_from_json, presentations_ideal_equal, rees_algebra)
 from .sr_algebra import (graded_dimension, multiply, parse_theta_expression,
-                         sr_presentation)
+                         sr_presentation, stanley_reisner_complex)
 from .stratum import CONFIGURATION_SCHEMA, configuration_from_json
 from .trees import TREE_SCHEMA, tree_from_json
 
@@ -132,14 +132,13 @@ def _cmd_complex(args, inputs):
         return {"field": coeff_field.name, **report.to_json()}
     if args.complex_op == "link":
         face = _parse_face(_require(args, "face"))
-        link = cx.link(face)
-        payload = {"facets": [sorted(f) for f in link.facets()]}
+        payload = cx.link(face).to_json()
         if args.local_homology:
             table = local_homology_at_face(cx, face, coeff_field)
             payload["localHomology"] = table.to_json()
         return payload
     if args.complex_op == "core":
-        return {"facets": [sorted(f) for f in cx.core().facets()]}
+        return cx.core().to_json()
     raise InputError(f"unknown complex operation {args.complex_op!r}")
 
 
@@ -241,30 +240,14 @@ def _cmd_ring_degenerate(args, inputs, pres):
         payload["generatedInDegreeOne"] = all(w == 1 for w in pres.weights)
 
     # Gorenstein transfer: only when gr is visibly a Stanley-Reisner ring
-    squarefree = all(
-        len(rel.terms) == 1 and all(e in (0, 1) for e in next(iter(rel.terms)))
-        for rel in graded.relations
-    )
-    if squarefree and graded.relations:
-        nonfaces = [frozenset(v for v, e in zip(graded.vars, exps) if e)
-                    for rel in graded.relations for exps in rel.terms]
-        faces = []
-        from itertools import combinations as _comb
-        verts = graded.vars
-        for size in range(len(verts) + 1):
-            for subset in _comb(verts, size):
-                if not any(nf <= frozenset(subset) for nf in nonfaces):
-                    faces.append(subset)
-        name_to_int = {name: i + 1 for i, name in enumerate(verts)}
-        cx = SimplicialComplex(frozenset(name_to_int[v] for v in f) for f in faces)
+    cx = stanley_reisner_complex(graded) if graded.relations else None
+    payload["grIsStanleyReisner"] = cx is not None
+    if cx is not None:
         report = gorenstein_verdict(cx)
-        payload["grIsStanleyReisner"] = True
         payload["grGorenstein"] = report.verdict
         if report.verdict:
             payload["transfer"] = ("gr is Gorenstein by the homology criterion, "
                                    "so the filtered ring is Gorenstein as well")
-    else:
-        payload["grIsStanleyReisner"] = False
     return payload
 
 
@@ -299,6 +282,8 @@ def _cmd_energy(args, inputs):
     params = energy_mod.parameters_from_json(params_data)
     data, digest = _read_json(_require(args, "input"))
     inputs["input"] = {"path": args.input, "sha256": digest}
+    if not isinstance(data, dict):
+        raise InputError("energy input JSON must be an object")
 
     def vector(payload):
         if "v" not in payload:
@@ -443,14 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "degenerations, trees, and action filtrations over JSON files.")
     top = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(sub, name, dest_name, dest_value, flags):
+    def leaf(sub, name, flags):
         p = sub.add_parser(name)
-        p.set_defaults(**{dest_name: dest_value})
         p.add_argument("--schema", action="store_true", help="print the input JSON schema")
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        return p
 
     cx = top.add_parser("complex").add_subparsers(dest="complex_op", required=True)
     for op in ("homology", "gorenstein", "link", "core"):
@@ -458,44 +441,39 @@ def build_parser() -> argparse.ArgumentParser:
         if op == "link":
             flags["--face"] = {}
             flags["--local-homology"] = {"action": "store_true"}
-        leaf(cx, op, "group_handler", "complex", flags)
+        leaf(cx, op, flags)
 
     sr = top.add_parser("sr").add_subparsers(dest="sr_op", required=True)
-    leaf(sr, "multiply", "group_handler", "sr", {"--config": {}, "--lhs": {}, "--rhs": {}})
-    leaf(sr, "hilbert", "group_handler", "sr", {"--config": {}, "--bound": {}})
-    leaf(sr, "present", "group_handler", "sr",
-         {"--config": {}, "--use-kappa": {"action": "store_true"}})
+    leaf(sr, "multiply", {"--config": {}, "--lhs": {}, "--rhs": {}})
+    leaf(sr, "hilbert", {"--config": {}, "--bound": {}})
+    leaf(sr, "present", {"--config": {}, "--use-kappa": {"action": "store_true"}})
 
     ring = top.add_parser("ring").add_subparsers(dest="ring_op", required=True)
-    leaf(ring, "grob", "group_handler", "ring",
-         {"--vars": {}, "--weights": {}, "--gens": {"nargs": "+"}})
-    leaf(ring, "gr", "group_handler", "ring", {"--pres": {}, "--bound": {}})
-    leaf(ring, "rees", "group_handler", "ring", {"--pres": {}})
-    leaf(ring, "fiber", "group_handler", "ring", {"--pres": {}, "--t": {}})
-    leaf(ring, "smooth", "group_handler", "ring", {"--pres": {}, "--codim": {}})
-    leaf(ring, "degenerate", "group_handler", "ring",
-         {"--pres": {}, "--sr-config": {}, "--bound": {},
-          "--require-degree-one": {"action": "store_true"}})
+    leaf(ring, "grob", {"--vars": {}, "--weights": {}, "--gens": {"nargs": "+"}})
+    leaf(ring, "gr", {"--pres": {}, "--bound": {}})
+    leaf(ring, "rees", {"--pres": {}})
+    leaf(ring, "fiber", {"--pres": {}, "--t": {}})
+    leaf(ring, "smooth", {"--pres": {}, "--codim": {}})
+    leaf(ring, "degenerate", {"--pres": {}, "--sr-config": {}, "--bound": {},
+                              "--require-degree-one": {"action": "store_true"}})
 
     tree = top.add_parser("tree").add_subparsers(dest="tree_op", required=True)
     for op in ("validate", "rho", "vdim", "feasible"):
-        leaf(tree, op, "group_handler", "tree", {"--tree": {}})
+        leaf(tree, op, {"--tree": {}})
 
     en = top.add_parser("energy").add_subparsers(dest="energy_op", required=True)
     for op in ("winding", "orbit-action", "pss", "chord-weight", "chord-action", "monotone"):
-        leaf(en, op, "group_handler", "energy", {"--params": {}, "--input": {}})
+        leaf(en, op, {"--params": {}, "--input": {}})
 
     ex = top.add_parser("example").add_subparsers(dest="example_op", required=True)
-    leaf(ex, "conic", "group_handler", "example",
-         {"--n": {}, "--na": {}, "--nb": {}, "--kappa1": {}, "--kappa2": {},
-          "--smooth": {"action": "store_true"}, "--gr": {"action": "store_true"},
-          "--bound": {}})
-    leaf(ex, "appc", "group_handler", "example",
-         {"--mode": {"choices": ["symbolic", "numeric"]}, "--coeffs": {},
-          "--check": {"choices": ["admissible", "singular-line", "sr"]}, "--bound": {}})
+    leaf(ex, "conic", {"--n": {}, "--na": {}, "--nb": {}, "--kappa1": {}, "--kappa2": {},
+                       "--smooth": {"action": "store_true"}, "--gr": {"action": "store_true"},
+                       "--bound": {}})
+    leaf(ex, "appc", {"--mode": {"choices": ["symbolic", "numeric"]}, "--coeffs": {},
+                      "--check": {"choices": ["admissible", "singular-line", "sr"]},
+                      "--bound": {}})
 
     batch = top.add_parser("batch")
-    batch.set_defaults(group_handler="batch")
     batch.add_argument("--schema", action="store_true")
     batch.add_argument("--out", default=None)
     batch.add_argument("--manifest")

@@ -1,4 +1,4 @@
-"""Abstract simplicial complexes with link, star and core operations.
+"""Abstract simplicial complexes: facets, minimal nonfaces, link, star, core.
 
 A complex is stored as the full downward-closed family of faces (frozensets
 of integer vertex labels).  The empty face is present in every nonempty
@@ -60,12 +60,19 @@ class SimplicialComplex:
         return frozenset(face) in self.faces
 
     def facets(self) -> list:
-        """Inclusion-maximal faces, sorted for deterministic output."""
-        maximal = [
-            f for f in self.faces
-            if not any(f < g for g in self.faces)
-        ]
+        """Faces that no single vertex extends to a face, sorted for deterministic output."""
+        faces = self.faces
+        maximal = [f for f in faces
+                   if not any(v not in f and f | {v} in faces for v in self._vertices)]
         return sorted(maximal, key=lambda f: (len(f), sorted(f)))
+
+    def minimal_nonfaces(self) -> list:
+        """Non-faces f + {v} (f a face) whose every one-smaller subset is a face."""
+        faces = self.faces
+        found = {f | {v} for f in faces for v in self._vertices
+                 if v not in f and f | {v} not in faces
+                 and all((f - {u}) | {v} in faces for u in f)}
+        return sorted(found, key=lambda f: (len(f), sorted(f)))
 
     def faces_of_dim(self, d: int) -> list:
         return sorted((f for f in self.faces if len(f) == d + 1),
@@ -76,13 +83,11 @@ class SimplicialComplex:
         return sum((-1) ** (len(f) - 1) for f in self.faces if f)
 
     def link(self, face) -> "SimplicialComplex":
-        """link(F) = { G : G disjoint from F and G union F a face }."""
+        """link(F) = { G - F : G a face containing F }."""
         face = frozenset(face)
         if face not in self.faces:
             raise InputError(f"link: {sorted(face)} is not a face")
-        return SimplicialComplex(
-            g for g in self.faces if not (g & face) and (g | face) in self.faces
-        )
+        return SimplicialComplex(g - face for g in self.faces if face <= g)
 
     def star(self, face) -> "SimplicialComplex":
         """Subcomplex generated by all faces containing the given face."""
@@ -99,12 +104,12 @@ class SimplicialComplex:
         return SimplicialComplex(f for f in self.faces if f <= keep)
 
     def core(self) -> "SimplicialComplex":
-        """Induced subcomplex on the vertices whose star is a proper subcomplex."""
+        """Induced subcomplex on the vertices whose star is a proper subcomplex,
+        that is, on the vertices missing some facet (the others are cone points)."""
         if self.is_void:
             return SimplicialComplex.void()
-        kept = [v for v in self._vertices
-                if self.star([v]).faces != self.faces]
-        return self.induced(kept)
+        cone_points = frozenset.intersection(*self.facets())
+        return self.induced(v for v in self._vertices if v not in cone_points)
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.faces == other.faces

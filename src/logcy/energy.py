@@ -119,6 +119,8 @@ class ChordLabel:
 
 
 def chord_from_json(data, k: int) -> ChordLabel:
+    if not isinstance(data, dict):
+        raise InputError("chord JSON must be an object")
     try:
         return ChordLabel(
             point_id=data.get("y", 0),

@@ -37,7 +37,7 @@ def solve_max(objective, a_matrix, b_vector):
     basis = [n + i for i in range(m)]
     cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
     _price_out(tableau, basis, cost)
-    if not _simplex_iterate(tableau, basis, cost, minimize=True):
+    if not _simplex_iterate(tableau, basis, cost):
         raise InputError("phase-1 LP unbounded (impossible)")
     phase1_value = -cost[-1]
     if phase1_value != 0:
@@ -53,7 +53,7 @@ def solve_max(objective, a_matrix, b_vector):
         basis = [basis[i] for i in keep]
     cost = [-x for x in c] + [Fraction(0)]
     _price_out(tableau, basis, cost)
-    if not _simplex_iterate(tableau, basis, cost, minimize=True):
+    if not _simplex_iterate(tableau, basis, cost):
         return UNBOUNDED, None, None
     solution = [Fraction(0)] * n
     for row_idx, col in enumerate(basis):
@@ -71,13 +71,13 @@ def _price_out(tableau, basis, cost):
             cost[-1] -= factor * row[-1]
 
 
-def _simplex_iterate(tableau, basis, cost, minimize):
+def _simplex_iterate(tableau, basis, cost):
+    """Minimize the cost row in place; False when the LP is unbounded."""
     ncols = len(tableau[0]) - 1 if tableau else len(cost) - 1
     while True:
         entering = None
         for j in range(ncols):
-            reduced = cost[j]
-            if (minimize and reduced < 0) or (not minimize and reduced > 0):
+            if cost[j] < 0:
                 entering = j  # Bland: first eligible index
                 break
         if entering is None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from .complexes import SimplicialComplex
 from .errors import InputError
 from .fields import QQ, LaurentParameterRing
 from .groebner import Ideal, jacobian_smooth
@@ -105,11 +106,9 @@ def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> WeightedPresentation
     w1w2 = Polynomial.monomial(names, (0,) * fixture.n + (1, 1), QQ.one, QQ)
     pres = WeightedPresentation(names, weights, [all_u, w1w2], QQ)
     # sanity: the written relations are exactly the fixture's minimal non-faces
-    vertex_sets = [frozenset(f) for f in facets]
-    for rel, nonface in ((all_u, frozenset(f"u{i}" for i in range(1, fixture.n + 1))),
-                         (w1w2, frozenset(("w1", "w2")))):
-        if any(nonface <= fs for fs in vertex_sets):
-            raise InputError("internal error: fixture facets contain a declared non-face")
+    declared = {frozenset(names[:fixture.n]), frozenset(("w1", "w2"))}
+    if set(SimplicialComplex.from_facets(facets).minimal_nonfaces()) != declared:
+        raise InputError("internal error: fixture facets contain a declared non-face")
     return pres
 
 

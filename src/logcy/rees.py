@@ -88,13 +88,17 @@ class ReesPresentation:
 def presentation_from_json(data, field=QQ) -> WeightedPresentation:
     if not isinstance(data, dict):
         raise InputError("presentation JSON must be an object")
-    try:
-        variables = data["vars"]
-        weights = [parse_rational(w) for w in data["weights"]]
-        relations = data["relations"]
-    except KeyError as exc:
-        raise InputError(f"presentation JSON missing key {exc}") from None
-    return WeightedPresentation(variables, weights, relations, field)
+    for key in ("vars", "weights", "relations"):
+        if key not in data:
+            raise InputError(f"presentation JSON missing key {key!r}")
+        if not isinstance(data[key], list):
+            raise InputError(f"presentation JSON {key} must be a list")
+    for key in ("vars", "relations"):
+        for idx, item in enumerate(data[key]):
+            if not isinstance(item, str):
+                raise InputError(f"presentation JSON {key}[{idx}] must be a string")
+    weights = [parse_rational(w) for w in data["weights"]]
+    return WeightedPresentation(data["vars"], weights, data["relations"], field)
 
 
 PRESENTATION_SCHEMA = {

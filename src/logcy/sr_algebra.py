@@ -5,8 +5,8 @@ stratum (and satisfying the exact pole-order constraint) together with a
 connected component of that stratum.  The product of two basis symbols sums
 the multiplicity vectors and collects the components of the deeper stratum
 whose restrictions match both factors; products leaving the basis set
-truncate to zero.  Classical Stanley-Reisner presentations of simplicial
-complexes live here as well.
+truncate to zero.  Both directions of the Stanley-Reisner correspondence
+live here too: sr_presentation and its inverse stanley_reisner_complex.
 """
 
 import re
@@ -231,24 +231,27 @@ def sr_presentation(cx: SimplicialComplex, weights=None, field=QQ) -> WeightedPr
     if len(weights) != len(verts):
         raise InputError("one weight per vertex is required")
     relations = []
-    for nonface in _minimal_nonfaces(cx):
+    for nonface in cx.minimal_nonfaces():
         exps = tuple(1 if v in nonface else 0 for v in verts)
         relations.append(Polynomial.monomial(names, exps, field.one, field))
     return WeightedPresentation(names, weights, relations, field)
 
 
-def _minimal_nonfaces(cx: SimplicialComplex):
-    from itertools import combinations
-    verts = cx.vertices
-    minimal = []
-    for size in range(1, len(verts) + 1):
-        for subset in combinations(verts, size):
-            fs = frozenset(subset)
-            if fs in cx.faces:
-                continue
-            if all(fs - {v} in cx.faces for v in fs):
-                minimal.append(fs)
-    return sorted(minimal, key=lambda f: (len(f), sorted(f)))
+def stanley_reisner_complex(pres: WeightedPresentation):
+    """Inverse of sr_presentation on vertices 1..n, vertex i being the i-th
+    variable; None unless every relation is one squarefree monomial."""
+    nonfaces = []
+    for rel in pres.relations:
+        exps = next(iter(rel.terms))  # relations are nonzero
+        if len(rel.terms) != 1 or max(exps, default=0) > 1:
+            return None
+        nonfaces.append(frozenset(i for i, e in enumerate(exps, 1) if e))
+    faces, layer, n = [], [frozenset()], len(pres.vars)
+    while layer:  # grow the faces one vertex at a time, above their largest vertex
+        layer = [f for f in layer if not any(nf <= f for nf in nonfaces)]
+        faces.extend(layer)
+        layer = [f | {v} for f in layer for v in range(max(f, default=0) + 1, n + 1)]
+    return SimplicialComplex(faces)
 
 
 _THETA_TERM = re.compile(

@@ -125,7 +125,7 @@ class LogPssTree:
         if structural:
             return bad
 
-        if len(self.edges) != len(verts) - 1 or not self._connected(verts):
+        if len(self.edges) != len(verts) - 1 or not self._connected_among(verts):
             bad.append(Violation("tree", "tree-shape",
                                  "the underlying graph must be a connected tree"))
             return bad
@@ -155,9 +155,6 @@ class LogPssTree:
                     bad.append(Violation(f"vertex {v}", "stability",
                                          f"edge+leg valence {valence} < 3 in the marked case"))
         return bad
-
-    def _connected(self, verts) -> bool:
-        return self._connected_among(verts)
 
     def _connected_among(self, subset) -> bool:
         subset = set(subset)
@@ -215,6 +212,12 @@ def _entry_key(entry, key, where):
         raise InputError(f"tree JSON {where} missing key {key!r}") from None
 
 
+def _int_list(value, where):
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise InputError(f"tree JSON {where} must be a list of integers")
+    return value
+
+
 def tree_from_json(data) -> LogPssTree:
     if not isinstance(data, dict):
         raise InputError("tree JSON must be an object")
@@ -229,20 +232,27 @@ def tree_from_json(data) -> LogPssTree:
     k_prime = data.get("kPrime", 0)
     vertices = {}
     for where, entry in _objects(vertex_entries, "vertices"):
-        vertices[_entry_key(entry, "id", where)] = frozenset(entry.get("depth", []))
+        depth = _int_list(entry.get("depth", []), f"{where}.depth")
+        vertices[_entry_key(entry, "id", where)] = frozenset(depth)
     edges = []
     for where, entry in _objects(edge_entries, "edges"):
         a, b = _entry_key(entry, "a", where), _entry_key(entry, "b", where)
         contact_map = entry.get("contact", {})
+        if not isinstance(contact_map, dict):
+            raise InputError(f"tree JSON {where}.contact must be an object")
         forward = contact_map.get(f"{a}->{b}")
         backward = contact_map.get(f"{b}->{a}")
         if forward is None and backward is None:
             raise InputError(f"edge {a}-{b} has no contact vector")
+        for arrow, given in ((f"{a}->{b}", forward), (f"{b}->{a}", backward)):
+            if given is not None:
+                _int_list(given, f"{where}.contact[{arrow!r}]")
         if forward is not None and backward is not None:
             if list(forward) != [-x for x in backward]:
                 raise InputError(f"edge {a}-{b} contact vectors are not antisymmetric")
         vec = tuple(forward) if forward is not None else tuple(-x for x in backward)
-        edges.append(TreeEdge(a, b, frozenset(entry.get("depthE", [])), vec))
+        depth_e = _int_list(entry.get("depthE", []), f"{where}.depthE")
+        edges.append(TreeEdge(a, b, frozenset(depth_e), vec))
     legs = [(_entry_key(entry, "vertex", where), entry.get("label"))
             for where, entry in _objects(data.get("legs", []), "legs")]
     return LogPssTree(k, vertices, edges, root, legs, deg, k_prime)

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from logcy.complexes import SimplicialComplex
 from logcy.stratum import DivisorConfiguration
 from logcy.trees import LogPssTree, TreeEdge
 
@@ -136,6 +137,46 @@ def random_downward_closed(rng: random.Random, k: int):
         if all(cand - {v} in faces for v in cand) and rng.random() < 0.6:
             faces.add(cand)
     return faces
+
+
+def facets_oracle(cx):
+    """Inclusion-maximal faces by comparing every pair of faces."""
+    maximal = [
+        f for f in cx.faces
+        if not any(f < g for g in cx.faces)
+    ]
+    return sorted(maximal, key=lambda f: (len(f), sorted(f)))
+
+
+def core_oracle(cx):
+    """Induced subcomplex on the vertices whose star is a proper subcomplex."""
+    if cx.is_void:
+        return SimplicialComplex.void()
+    kept = [v for v in cx.vertices
+            if cx.star([v]).faces != cx.faces]
+    return cx.induced(kept)
+
+
+def link_oracle(cx, face):
+    """link(F) = { G : G disjoint from F and G union F a face }."""
+    face = frozenset(face)
+    return SimplicialComplex(
+        g for g in cx.faces if not (g & face) and (g | face) in cx.faces
+    )
+
+
+def minimal_nonfaces_oracle(cx):
+    """Minimal non-faces by testing every vertex subset."""
+    verts = cx.vertices
+    minimal = []
+    for size in range(1, len(verts) + 1):
+        for subset in combinations(verts, size):
+            fs = frozenset(subset)
+            if fs in cx.faces:
+                continue
+            if all(fs - {v} in cx.faces for v in fs):
+                minimal.append(fs)
+    return sorted(minimal, key=lambda f: (len(f), sorted(f)))
 
 
 def random_tree(rng: random.Random, k_max=3, max_vertices=6):

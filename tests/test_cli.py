@@ -150,6 +150,28 @@ def test_ring_degenerate_pipeline(fixtures, tmp_path):
     assert result["flatShadow"] is True
 
 
+_TRANSFER = ("gr is Gorenstein by the homology criterion, "
+             "so the filtered ring is Gorenstein as well")
+
+
+@pytest.mark.parametrize("relations, expected", [
+    (["x1*x2*x3"], {"grIsStanleyReisner": True, "grGorenstein": True, "transfer": _TRANSFER}),
+    (["x1*x3"], {"grIsStanleyReisner": True, "grGorenstein": False}),
+    (["x1^2"], {"grIsStanleyReisner": False}),
+    ([], {"grIsStanleyReisner": False}),
+], ids=["triangle-boundary", "cone", "not-squarefree", "no-relations"])
+def test_ring_degenerate_stanley_reisner_branch(fixtures, tmp_path, relations, expected):
+    pres = {"vars": ["x1", "x2", "x3"], "weights": ["1", "1", "1"], "relations": relations}
+    path = tmp_path / "sr_pres.json"
+    path.write_text(json.dumps(pres))
+    code, report = run(["ring", "degenerate", "--pres", str(path),
+                        "--sr-config", fixtures["p2.json"], "--bound", "2"])
+    assert code == EXIT_OK
+    result = report["result"]
+    assert {key: result[key] for key in ("grIsStanleyReisner", "grGorenstein", "transfer")
+            if key in result} == expected
+
+
 def test_tree_subcommands(fixtures):
     code, report = run(["tree", "validate", "--tree", fixtures["tree.json"]])
     assert code == EXIT_OK and report["result"]["valid"] is True
@@ -279,6 +301,8 @@ def test_render_report_trailing_newline():
 
 
 _TREE = {"k": 1, "root": 0, "deg_x0": 0, "vertices": [{"id": 0, "depth": []}], "edges": []}
+_EDGE_TREE = dict(_TREE, vertices=[{"id": 0, "depth": []}, {"id": 1, "depth": [1]}])
+_PRES = {"vars": ["x", "y"], "weights": ["1", "1"], "relations": ["x*y"]}
 
 # kind -> (group, op, input flag, input JSON, text the error message must name)
 _BAD_INPUTS = {
@@ -291,6 +315,25 @@ _BAD_INPUTS = {
                                "vertices[0]"),
     "tree-edge-not-object": ("tree", "vdim", "--tree", dict(_TREE, edges=[5]), "edges[0]"),
     "tree-leg-not-object": ("tree", "vdim", "--tree", dict(_TREE, legs=[5]), "legs[0]"),
+    "energy-pss-input-not-object": ("energy", "pss", "--input", [1], "input JSON"),
+    "energy-chord-weight-input-not-object": ("energy", "chord-weight", "--input", [1],
+                                             "input JSON"),
+    "tree-vertex-depth-not-list": ("tree", "vdim", "--tree",
+                                   dict(_TREE, vertices=[{"id": 0, "depth": 5}]),
+                                   "vertices[0].depth"),
+    "tree-edge-contact-not-object": ("tree", "vdim", "--tree", dict(_EDGE_TREE, edges=[
+        {"a": 1, "b": 0, "depthE": [1], "contact": 7}]), "edges[0].contact"),
+    "tree-edge-contact-vector-not-list": ("tree", "vdim", "--tree", dict(_EDGE_TREE, edges=[
+        {"a": 0, "b": 1, "depthE": [1], "contact": {"0->1": 5}}]), "edges[0].contact['0->1']"),
+    "energy-chord-not-object": ("energy", "chord-action", "--input", {"chord": 5}, "chord JSON"),
+    "tree-edge-depthE-not-list": ("tree", "vdim", "--tree", dict(_EDGE_TREE, edges=[
+        {"a": 1, "b": 0, "depthE": 1, "contact": {"1->0": [1]}}]), "edges[0].depthE"),
+    "ring-relation-not-string": ("ring", "gr", "--pres", dict(_PRES, relations=[5]),
+                                 "relations[0]"),
+    "ring-relations-string": ("ring", "gr", "--pres", dict(_PRES, relations="xy"),
+                              "JSON relations"),
+    "ring-vars-string": ("ring", "gr", "--pres", dict(_PRES, vars="xy"), "JSON vars"),
+    "ring-weights-string": ("ring", "gr", "--pres", dict(_PRES, weights="11"), "JSON weights"),
 }
 
 

@@ -1,14 +1,19 @@
-"""Simplicial complex structure: links, stars, cores."""
+"""Simplicial complex structure: links, stars, cores, minimal nonfaces."""
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logcy.complexes import (SimplicialComplex, complex_from_json, cross_polytope_boundary,
                              full_simplex, sphere_boundary)
 from logcy.errors import InputError
+from logcy.rees import WeightedPresentation
+from logcy.sr_algebra import sr_presentation, stanley_reisner_complex
 
-from helpers import random_downward_closed
+from helpers import (core_oracle, facets_oracle, link_oracle, minimal_nonfaces_oracle,
+                     random_downward_closed)
 
 
 def test_from_facets_downward_closure():
@@ -116,3 +121,37 @@ def test_complex_from_json_errors():
         complex_from_json({"facets": [[1, "a"]]})
     cx = complex_from_json({"facets": [[1, 2]]})
     assert cx.has_face([1, 2])
+
+
+@st.composite
+def complexes(draw):
+    """Nonvoid complexes on at most 8 vertices drawn from 0..20."""
+    pool = sorted(draw(st.sets(st.integers(0, 20), max_size=8)))
+    facet = st.sets(st.sampled_from(pool)) if pool else st.just(set())
+    return SimplicialComplex.from_facets(draw(st.lists(facet, min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes())
+@example(SimplicialComplex.empty_face_only())
+@example(full_simplex(8))
+@example(sphere_boundary(3))
+@example(SimplicialComplex.from_facets([[1, 2], [1, 3]]))
+def test_operations_match_the_subset_oracles(cx):
+    assert cx.facets() == facets_oracle(cx)
+    assert cx.core() == core_oracle(cx)
+    assert cx.minimal_nonfaces() == minimal_nonfaces_oracle(cx)
+    for face in cx.faces:
+        assert cx.link(face) == link_oracle(cx, face)
+    # vertex i of the rebuilt complex is the presentation's i-th variable
+    rebuilt = stanley_reisner_complex(sr_presentation(cx))
+    assert SimplicialComplex(frozenset(cx.vertices[i - 1] for i in f)
+                             for f in rebuilt.faces) == cx
+
+
+def test_stanley_reisner_complex_needs_squarefree_monomials():
+    names, weights = ("x1", "x2"), [1, 1]
+    assert stanley_reisner_complex(WeightedPresentation(names, weights, ["x1^2"])) is None
+    assert stanley_reisner_complex(WeightedPresentation(names, weights, ["x1*x2 - x1"])) is None
+    assert stanley_reisner_complex(WeightedPresentation(names, weights, ["x1*x2"])) == \
+        SimplicialComplex.from_facets([[1], [2]])
