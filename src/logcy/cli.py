@@ -7,6 +7,11 @@ timestamps.  Exit codes: 0 for any computed verdict (including false ones),
 a manifest of independent jobs one after another in the calling thread and
 reports them in manifest order.  The argument parser is built once per
 process and shared by every job.
+
+Input is checked where it is declared: argv by argparse, against the flag
+table in build_parser(); each JSON file by schema.validate, against the dict
+that --schema prints, first thing in its *_from_json parser (here for the
+energy input and the batch manifest).  Errors name the flag or JSON path.
 """
 
 import argparse
@@ -17,15 +22,16 @@ from fractions import Fraction
 
 from . import energy as energy_mod
 from . import mirror, trees
-from .complexes import complex_from_json
+from .complexes import COMPLEX_SCHEMA, complex_from_json
 from .errors import InputError, UnsupportedStructureError
 from .fields import QQ, field_from_name
 from .groebner import Ideal, groebner_basis, hilbert_function_up_to, jacobian_smooth
 from .homology import gorenstein_verdict, local_homology_at_face, reduced_homology
-from .poly import WeightedOrder, parse_polynomial
-from .rationals import format_rational, parse_rational
-from .rees import (PRESENTATION_SCHEMA, associated_graded, fiber_at,
+from .poly import parse_polynomial
+from .rationals import RATIONAL, format_rational, parse_rational
+from .rees import (PRESENTATION_SCHEMA, WeightedPresentation, associated_graded, fiber_at,
                    presentation_from_json, presentations_ideal_equal, rees_algebra)
+from .schema import validate
 from .sr_algebra import (graded_dimension, multiply, parse_theta_expression,
                          sr_presentation, stanley_reisner_complex)
 from .stratum import CONFIGURATION_SCHEMA, configuration_from_json
@@ -35,36 +41,29 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
-COMPLEX_SCHEMA = {
-    "type": "object",
-    "required": ["facets"],
-    "properties": {
-        "facets": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
-    },
-}
-
 ENERGY_INPUT_SCHEMA = {
+    "title": "energy input JSON",
     "type": "object",
     "properties": {
         "v": {"type": "array", "items": {"type": "integer"}},
-        "x0": {"type": "object", "properties": {
+        "x0": {"type": "object", "required": ["v"], "properties": {
             "v": {"type": "array", "items": {"type": "integer"}},
             "component": {"type": "integer"}}},
-        "orbitAction": {"type": "string"},
-        "chord": {"type": "object", "properties": {
-            "y": {"type": "integer"},
-            "I": {"type": "array", "items": {"type": "integer"}},
-            "alpha0": {"type": "array", "items": {"type": "string"}},
-            "alpha1": {"type": "array", "items": {"type": "string"}},
-            "v": {"type": "array", "items": {"type": "integer"}},
-            "f0": {"type": "string"},
-            "f1": {"type": "string"}}},
-        "fromWeight": {"type": "string"},
-        "toWeight": {"type": "string"},
+        "orbitAction": RATIONAL,
+        "chord": energy_mod.CHORD_SCHEMA,
+        "fromWeight": RATIONAL,
+        "toWeight": RATIONAL,
     },
 }
 
+# each energy operation's input: the keys it reads
+ENERGY_INPUT_SCHEMAS = {op: dict(ENERGY_INPUT_SCHEMA, required=keys) for op, keys in (
+    ("winding", ["v"]), ("orbit-action", ["v"]), ("pss", ["v", "x0"]),
+    ("chord-weight", ["chord"]), ("chord-action", ["chord"]),
+    ("monotone", ["fromWeight", "toWeight"]))}
+
 MANIFEST_SCHEMA = {
+    "title": "manifest JSON",
     "type": "object",
     "required": ["jobs"],
     "properties": {
@@ -139,7 +138,6 @@ def _cmd_complex(args, inputs):
         return payload
     if args.complex_op == "core":
         return cx.core().to_json()
-    raise InputError(f"unknown complex operation {args.complex_op!r}")
 
 
 def _cmd_sr(args, inputs):
@@ -162,15 +160,15 @@ def _cmd_sr(args, inputs):
             weights = [config.kappa[v - 1] for v in cx.vertices]
         pres = sr_presentation(cx, weights)
         return {"presentation": pres.to_json()}
-    raise InputError(f"unknown sr operation {args.sr_op!r}")
 
 
 def _cmd_ring(args, inputs):
     if args.ring_op == "grob":
-        names = tuple(x.strip() for x in _require(args, "vars").split(","))
+        names = [x.strip() for x in _require(args, "vars").split(",")]
         weights = [parse_rational(x) for x in _require(args, "weights").split(",")]
-        order = WeightedOrder(weights)
-        gens = [parse_polynomial(text, names, QQ) for text in _require(args, "gens")]
+        ring = WeightedPresentation(names, weights, [])  # checks the names and weights
+        order = ring.order()
+        gens = [parse_polynomial(text, ring.vars, QQ) for text in _require(args, "gens")]
         basis = groebner_basis(gens, order)
         return {"basis": [g.to_string(order) for g in basis]}
 
@@ -195,8 +193,7 @@ def _cmd_ring(args, inputs):
         return {"t": format_rational(value),
                 "presentation": fiber.to_json()}
     if args.ring_op == "smooth":
-        codim = int(_require(args, "codim"))
-        smooth, cert = jacobian_smooth(pres.ideal(), codim)
+        smooth, cert = jacobian_smooth(pres.ideal(), _require(args, "codim"))
         payload = {"smooth": smooth}
         if cert is not None:
             payload["certificate"] = {
@@ -206,7 +203,6 @@ def _cmd_ring(args, inputs):
         return payload
     if args.ring_op == "degenerate":
         return _cmd_ring_degenerate(args, inputs, pres)
-    raise InputError(f"unknown ring operation {args.ring_op!r}")
 
 
 def _cmd_ring_degenerate(args, inputs, pres):
@@ -273,7 +269,6 @@ def _cmd_tree(args, inputs):
         cert = trees.balancing_feasible(tree)
         return {"feasible": cert is not None,
                 "certificate": None if cert is None else cert.to_json()}
-    raise InputError(f"unknown tree operation {args.tree_op!r}")
 
 
 def _cmd_energy(args, inputs):
@@ -282,55 +277,37 @@ def _cmd_energy(args, inputs):
     params = energy_mod.parameters_from_json(params_data)
     data, digest = _read_json(_require(args, "input"))
     inputs["input"] = {"path": args.input, "sha256": digest}
-    if not isinstance(data, dict):
-        raise InputError("energy input JSON must be an object")
-
-    def vector(payload):
-        if "v" not in payload:
-            raise InputError('energy input needs a winding vector "v"')
-        return tuple(payload["v"])
+    validate(data, ENERGY_INPUT_SCHEMAS[args.energy_op])
 
     if args.energy_op == "winding":
-        return {"weight": format_rational(energy_mod.weighted_winding(params, vector(data)))}
+        return {"weight": format_rational(energy_mod.weighted_winding(params, data["v"]))}
     if args.energy_op == "orbit-action":
-        return {"action": format_rational(energy_mod.orbit_action_approx(params, vector(data)))}
+        return {"action": format_rational(energy_mod.orbit_action_approx(params, data["v"]))}
     if args.energy_op == "pss":
-        orbit_payload = data.get("x0")
-        if orbit_payload is None:
-            raise InputError('pss energy needs the output orbit "x0"')
-        if not isinstance(orbit_payload, dict) or "v" not in orbit_payload:
-            raise InputError('pss energy input "x0" must be an object with a winding vector "v"')
-        orbit = energy_mod.OrbitLabel(tuple(orbit_payload["v"]),
-                                      orbit_payload.get("component", 0))
-        approx = energy_mod.pss_energy_approx(params, vector(data), orbit)
+        orbit = energy_mod.OrbitLabel(tuple(data["x0"]["v"]), data["x0"].get("component", 0))
+        approx = energy_mod.pss_energy_approx(params, data["v"], orbit)
         if "orbitAction" in data:
             action = parse_rational(data["orbitAction"])
         else:
             action = energy_mod.orbit_action_approx(params, orbit.v)
-        exact = energy_mod.pss_energy(params, vector(data), action)
+        exact = energy_mod.pss_energy(params, data["v"], action)
         return {"energy": format_rational(exact), "energyApprox": format_rational(approx)}
     if args.energy_op in ("chord-weight", "chord-action"):
-        chord_payload = data.get("chord", data)
-        chord = energy_mod.chord_from_json(chord_payload, params.k)
+        chord = energy_mod.chord_from_json(data["chord"], params.k)
         if args.energy_op == "chord-weight":
             return {"weight": format_rational(energy_mod.chord_weight(params, chord))}
         return {"action": format_rational(energy_mod.chord_action_approx(params, chord))}
     if args.energy_op == "monotone":
-        for name in ("fromWeight", "toWeight"):
-            if name not in data:
-                raise InputError(f'monotone energy input needs "{name}"')
         ok = energy_mod.filtration_monotone_check(
             params, parse_rational(data["fromWeight"]), parse_rational(data["toWeight"]))
         return {"monotone": ok}
-    raise InputError(f"unknown energy operation {args.energy_op!r}")
 
 
 def _cmd_example(args, inputs):
     if args.example_op == "conic":
-        n = int(_require(args, "n"))
+        n = _require(args, "n")
         fixture = mirror.ConicBundleFixture(
-            n, int(args.na if args.na is not None else 1),
-            int(args.nb if args.nb is not None else 1),
+            n, args.na, args.nb,
             parse_rational(args.kappa1) if args.kappa1 else min(Fraction(2), Fraction(2 * n - 1, 2)),
             parse_rational(args.kappa2) if args.kappa2 else Fraction(1))
         pres = mirror.conic_bundle_presentation(fixture)
@@ -383,24 +360,16 @@ def _cmd_example(args, inputs):
                 "thetaLevels": _levels(theta_levels),
                 "quotientMatchesTheta": quotient_levels == theta_levels,
             }
-        raise InputError(f"unknown appc check {check!r}")
-    raise InputError(f"unknown example operation {args.example_op!r}")
 
 
 def _cmd_batch(args, inputs):
     data, digest = _read_json(_require(args, "manifest"))
     inputs["manifest"] = {"path": args.manifest, "sha256": digest}
-    jobs = data["jobs"] if isinstance(data, dict) else data
-    if not isinstance(jobs, list):
-        raise InputError("manifest must be a list of jobs or {jobs: [...]}")
-    job_args = []
-    for idx, job in enumerate(jobs):
-        if not isinstance(job, dict) or "args" not in job:
-            raise InputError(f"job {idx} must be an object with an args list")
-        argv = [str(x) for x in job["args"]]
-        if argv and argv[0] == "batch":
+    validate(data, MANIFEST_SCHEMA)
+    job_args = [job["args"] for job in data["jobs"]]
+    for idx, argv in enumerate(job_args):
+        if argv[:1] == ["batch"]:
             raise InputError(f"job {idx}: nested batch jobs are not supported")
-        job_args.append(argv)
     results = [run(argv) for argv in job_args]
     reports = [{"args": argv, "exit": code, "report": report}
                for argv, (code, report) in zip(job_args, results)]
@@ -410,19 +379,29 @@ def _cmd_batch(args, inputs):
 
 # -- argument plumbing ---------------------------------------------------------------
 
+# what --schema prints, by input flag when there are several: the validators' schemas
 _SCHEMAS = {
-    ("complex",): COMPLEX_SCHEMA,
-    ("sr",): CONFIGURATION_SCHEMA,
-    ("ring",): PRESENTATION_SCHEMA,
-    ("tree",): TREE_SCHEMA,
-    ("energy",): {"params": energy_mod.PARAMETERS_SCHEMA, "input": ENERGY_INPUT_SCHEMA},
-    ("batch",): MANIFEST_SCHEMA,
-    ("example",): {"note": "the example subcommand takes inline flags, no input file"},
+    "complex": COMPLEX_SCHEMA,
+    "sr": CONFIGURATION_SCHEMA,
+    "ring": PRESENTATION_SCHEMA,
+    "ring grob": {"note": "the grob operation takes inline flags, no input file"},
+    "ring degenerate": {"pres": PRESENTATION_SCHEMA, "sr-config": CONFIGURATION_SCHEMA},
+    "tree": TREE_SCHEMA,
+    **{f"energy {op}": {"params": energy_mod.PARAMETERS_SCHEMA, "input": schema}
+       for op, schema in ENERGY_INPUT_SCHEMAS.items()},
+    "batch": MANIFEST_SCHEMA,
+    "example": {"note": "the example subcommand takes inline flags, no input file"},
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise, so that run() reports the rejected command line as a usage error."""
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="logcy",
         description="Exact divisor-stratification algebra: theta rings, homology, "
                     "degenerations, trees, and action filtrations over JSON files.")
@@ -453,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(ring, "gr", {"--pres": {}, "--bound": {}})
     leaf(ring, "rees", {"--pres": {}})
     leaf(ring, "fiber", {"--pres": {}, "--t": {}})
-    leaf(ring, "smooth", {"--pres": {}, "--codim": {}})
+    leaf(ring, "smooth", {"--pres": {}, "--codim": {"type": int}})
     leaf(ring, "degenerate", {"--pres": {}, "--sr-config": {}, "--bound": {},
                               "--require-degree-one": {"action": "store_true"}})
 
@@ -462,21 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
         leaf(tree, op, {"--tree": {}})
 
     en = top.add_parser("energy").add_subparsers(dest="energy_op", required=True)
-    for op in ("winding", "orbit-action", "pss", "chord-weight", "chord-action", "monotone"):
+    for op in ENERGY_INPUT_SCHEMAS:
         leaf(en, op, {"--params": {}, "--input": {}})
 
     ex = top.add_parser("example").add_subparsers(dest="example_op", required=True)
-    leaf(ex, "conic", {"--n": {}, "--na": {}, "--nb": {}, "--kappa1": {}, "--kappa2": {},
+    leaf(ex, "conic", {"--n": {"type": int}, "--na": {"type": int, "default": 1},
+                       "--nb": {"type": int, "default": 1}, "--kappa1": {}, "--kappa2": {},
                        "--smooth": {"action": "store_true"}, "--gr": {"action": "store_true"},
                        "--bound": {}})
     leaf(ex, "appc", {"--mode": {"choices": ["symbolic", "numeric"]}, "--coeffs": {},
                       "--check": {"choices": ["admissible", "singular-line", "sr"]},
                       "--bound": {}})
 
-    batch = top.add_parser("batch")
-    batch.add_argument("--schema", action="store_true")
-    batch.add_argument("--out", default=None)
-    batch.add_argument("--manifest")
+    leaf(top, "batch", {"--manifest": {}})
     return parser
 
 
@@ -512,28 +489,37 @@ def _command_name(args) -> str:
 
 def run(argv):
     """Execute one subcommand; returns (exit_code, report dict)."""
+    code, report, _ = _run(argv)
+    return code, report
+
+
+def _run(argv):
+    """run(), plus the parsed arguments (None on a usage error)."""
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit:
-        return EXIT_INPUT, {"error": {"type": "usage", "message": "unrecognized arguments"}}
+        args, unknown = _parser().parse_known_args(argv)
+        if unknown:
+            raise argparse.ArgumentError(None, "unrecognized arguments")
+    except argparse.ArgumentError as exc:
+        return EXIT_INPUT, {"error": {"type": "usage", "message": str(exc)}}, None
+    except SystemExit:  # --help has printed the help text
+        return EXIT_INPUT, {"error": {"type": "usage", "message": "help requested"}}, None
     command = _command_name(args)
     if getattr(args, "schema", False):
-        schema = _SCHEMAS.get((args.group,), {})
-        return EXIT_OK, {"command": command, "schema": schema}
+        schema = _SCHEMAS.get(command, _SCHEMAS.get(args.group))
+        return EXIT_OK, {"command": command, "schema": schema}, args
     inputs = {}
     try:
         if args.group == "batch":
             payload, worst = _cmd_batch(args, inputs)
-            return worst, {"command": command, "inputs": inputs, "result": payload}
-        handler = _HANDLERS[args.group]
-        result = handler(args, inputs)
-        return EXIT_OK, {"command": command, "inputs": inputs, "result": result}
+            return worst, {"command": command, "inputs": inputs, "result": payload}, args
+        result = _HANDLERS[args.group](args, inputs)
+        return EXIT_OK, {"command": command, "inputs": inputs, "result": result}, args
     except UnsupportedStructureError as exc:
         return EXIT_UNSUPPORTED, {"command": command, "inputs": inputs,
-                                  "error": {"type": "unsupported", "message": str(exc)}}
+                                  "error": {"type": "unsupported", "message": str(exc)}}, args
     except InputError as exc:
         return EXIT_INPUT, {"command": command, "inputs": inputs,
-                            "error": {"type": "input", "message": str(exc)}}
+                            "error": {"type": "input", "message": str(exc)}}, args
 
 
 def render_report(report: dict) -> str:
@@ -541,17 +527,10 @@ def render_report(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    code, report = run(sys.argv[1:] if argv is None else argv)
+    code, report, args = _run(sys.argv[1:] if argv is None else argv)
     text = render_report(report)
-    out_path = None
-    # --out is uniform across subcommands; read it back off the report args
-    argv = sys.argv[1:] if argv is None else argv
-    if "--out" in argv:
-        idx = argv.index("--out")
-        if idx + 1 < len(argv):
-            out_path = argv[idx + 1]
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    if args is not None and args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

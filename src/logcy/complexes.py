@@ -9,6 +9,7 @@ from the complex whose only face is the empty set.
 from itertools import combinations
 
 from .errors import InputError
+from .schema import validate
 
 
 class SimplicialComplex:
@@ -126,17 +127,20 @@ class SimplicialComplex:
         return {"facets": [sorted(f) for f in self.facets()]}
 
 
+COMPLEX_SCHEMA = {
+    "title": "complex JSON",
+    "type": "object",
+    "required": ["facets"],
+    "properties": {
+        "facets": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
+    },
+}
+
+
 def complex_from_json(data) -> SimplicialComplex:
     """Read a complex from {"facets": [[...], ...]}."""
-    if not isinstance(data, dict) or "facets" not in data:
-        raise InputError('complex JSON must be an object with a "facets" list')
-    facets = data["facets"]
-    if not isinstance(facets, list):
-        raise InputError('"facets" must be a list of vertex lists')
-    for f in facets:
-        if not isinstance(f, list) or not all(isinstance(v, int) for v in f):
-            raise InputError(f"facet {f!r} is not a list of integers")
-    return SimplicialComplex.from_facets(facets)
+    validate(data, COMPLEX_SCHEMA)
+    return SimplicialComplex.from_facets(data["facets"])
 
 
 def sphere_boundary(d: int) -> SimplicialComplex:

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateChordError, InputError
-from .rationals import parse_rational, parse_rational_vector
+from .rationals import RATIONAL, parse_rational, parse_rational_vector
+from .schema import validate
 
 
 @dataclass(frozen=True)
@@ -42,24 +43,21 @@ class EnergyParameters:
 
 
 def parameters_from_json(data) -> EnergyParameters:
-    if not isinstance(data, dict):
-        raise InputError("parameter JSON must be an object")
-    try:
-        kappa = parse_rational_vector(data["kappa"])
-    except KeyError:
-        raise InputError('parameter JSON missing "kappa"') from None
+    validate(data, PARAMETERS_SCHEMA)
+    kappa = parse_rational_vector(data["kappa"])
     eps1 = parse_rational(data.get("eps1", "1/10"))
     pert = parse_rational_vector(data.get("epsPert", [0] * len(kappa)))
     return EnergyParameters(kappa, eps1, pert)
 
 
 PARAMETERS_SCHEMA = {
+    "title": "parameter JSON",
     "type": "object",
     "required": ["kappa"],
     "properties": {
-        "kappa": {"type": "array", "items": {"type": "string"}},
-        "eps1": {"type": "string"},
-        "epsPert": {"type": "array", "items": {"type": "string"}},
+        "kappa": {"type": "array", "items": RATIONAL},
+        "eps1": RATIONAL,
+        "epsPert": {"type": "array", "items": RATIONAL},
     },
 }
 
@@ -119,20 +117,33 @@ class ChordLabel:
 
 
 def chord_from_json(data, k: int) -> ChordLabel:
-    if not isinstance(data, dict):
-        raise InputError("chord JSON must be an object")
-    try:
-        return ChordLabel(
-            point_id=data.get("y", 0),
-            indices=tuple(data["I"]),
-            alpha0=parse_rational_vector(data["alpha0"]),
-            alpha1=parse_rational_vector(data["alpha1"]),
-            v=tuple(data.get("v", [0] * k)),
-            f0=parse_rational(data.get("f0", 0)),
-            f1=parse_rational(data.get("f1", 0)),
-        )
-    except KeyError as exc:
-        raise InputError(f"chord JSON missing key {exc}") from None
+    validate(data, CHORD_SCHEMA)
+    v = data.get("v", [0] * k)
+    if len(v) != k:
+        raise InputError(f"chord winding vector has length {len(v)}, expected {k}")
+    return ChordLabel(
+        point_id=data.get("y", 0),
+        indices=tuple(data["I"]),
+        alpha0=parse_rational_vector(data["alpha0"]),
+        alpha1=parse_rational_vector(data["alpha1"]),
+        v=tuple(v),
+        f0=parse_rational(data.get("f0", 0)),
+        f1=parse_rational(data.get("f1", 0)),
+    )
+
+
+CHORD_SCHEMA = {
+    "title": "chord JSON",
+    "type": "object",
+    "required": ["I", "alpha0", "alpha1"],
+    "properties": {
+        "y": {"type": "integer"},
+        "I": {"type": "array", "items": {"type": "integer"}},
+        "alpha0": {"type": "array", "items": RATIONAL},
+        "alpha1": {"type": "array", "items": RATIONAL},
+        "v": {"type": "array", "items": {"type": "integer"}},
+        "f0": RATIONAL,
+        "f1": RATIONAL}}
 
 
 def weighted_winding(params: EnergyParameters, v) -> Fraction:

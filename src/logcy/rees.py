@@ -16,7 +16,8 @@ from .errors import InputError
 from .fields import QQ
 from .groebner import Ideal, hilbert_function_up_to, ideals_equal
 from .poly import Polynomial, WeightedOrder, parse_polynomial
-from .rationals import format_rational, parse_rational
+from .rationals import RATIONAL, format_rational, parse_rational
+from .schema import validate
 
 
 class WeightedPresentation:
@@ -86,27 +87,18 @@ class ReesPresentation:
 
 
 def presentation_from_json(data, field=QQ) -> WeightedPresentation:
-    if not isinstance(data, dict):
-        raise InputError("presentation JSON must be an object")
-    for key in ("vars", "weights", "relations"):
-        if key not in data:
-            raise InputError(f"presentation JSON missing key {key!r}")
-        if not isinstance(data[key], list):
-            raise InputError(f"presentation JSON {key} must be a list")
-    for key in ("vars", "relations"):
-        for idx, item in enumerate(data[key]):
-            if not isinstance(item, str):
-                raise InputError(f"presentation JSON {key}[{idx}] must be a string")
+    validate(data, PRESENTATION_SCHEMA)
     weights = [parse_rational(w) for w in data["weights"]]
     return WeightedPresentation(data["vars"], weights, data["relations"], field)
 
 
 PRESENTATION_SCHEMA = {
+    "title": "presentation JSON",
     "type": "object",
     "required": ["vars", "weights", "relations"],
     "properties": {
         "vars": {"type": "array", "items": {"type": "string"}},
-        "weights": {"type": "array", "items": {"type": "string", "pattern": "^[0-9]+(/[0-9]+)?$"}},
+        "weights": {"type": "array", "items": RATIONAL},
         "relations": {"type": "array", "items": {"type": "string"}},
     },
 }

@@ -255,7 +255,8 @@ def stanley_reisner_complex(pres: WeightedPresentation):
 
 
 _THETA_TERM = re.compile(
-    r"^\s*(?:(?P<coeff>[+-]?\d+)\s*\*\s*)?theta\[(?P<vec>[-\d,\s]*)(?:;(?P<comp>\d+))?\]\s*$")
+    r"^\s*(?:(?P<coeff>[+-]?\d+)\s*\*\s*)?"
+    r"theta\[(?P<vec>\s*(?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)(?:;(?P<comp>\d+))?\]\s*$")
 
 
 def parse_theta_expression(text: str, config: DivisorConfiguration, field=QQ) -> ThetaElement:

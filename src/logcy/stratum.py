@@ -12,7 +12,8 @@ from itertools import combinations
 
 from .complexes import SimplicialComplex
 from .errors import InputError, UnsupportedStructureError
-from .rationals import format_rational, parse_rational
+from .rationals import RATIONAL, format_rational, parse_rational
+from .schema import validate
 
 
 class DivisorConfiguration:
@@ -182,9 +183,6 @@ class DivisorConfiguration:
         v = self.check_vector(v)
         return sum((self.kappa[i] * v[i] for i in range(self.k)), Fraction(0))
 
-    def all_strata_connected(self) -> bool:
-        return all(len(c) <= 1 for c in self.strata.values())
-
     # -- dual complexes ----------------------------------------------------------
 
     def dual_complex(self) -> SimplicialComplex:
@@ -244,39 +242,29 @@ def configuration_from_json(data) -> DivisorConfiguration:
     Omitted strata are empty; omitted maps are derived where the target
     stratum is connected.
     """
-    if not isinstance(data, dict):
-        raise InputError("configuration JSON must be an object")
-    try:
-        k = data["k"]
-        kappa = [parse_rational(x) for x in data["kappa"]]
-        a = [parse_rational(x) for x in data["a"]]
-    except KeyError as exc:
-        raise InputError(f"configuration JSON missing key {exc}") from None
-    strata = {}
-    for entry in data.get("strata", []):
-        if not isinstance(entry, dict) or "I" not in entry or "components" not in entry:
-            raise InputError('each stratum entry needs "I" and "components"')
-        strata[frozenset(entry["I"])] = tuple(entry["components"])
+    validate(data, CONFIGURATION_SCHEMA)
+    strata = {frozenset(entry["I"]): tuple(entry["components"]) for entry in data.get("strata", [])}
     strata.setdefault(frozenset(), (0,))
     maps = {}
-    for entry in data.get("maps", []):
+    for idx, entry in enumerate(data.get("maps", [])):
         try:
-            src = frozenset(entry["from"])
-            dst = frozenset(entry["to"])
             assign = {int(key): value for key, value in entry["assign"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed map entry {entry!r}: {exc}") from None
-        maps[(src, dst)] = assign
-    return DivisorConfiguration(k, kappa, a, strata, maps, log_nef=data.get("logNef"))
+        except ValueError:
+            raise InputError(f"configuration JSON maps[{idx}].assign has a non-integer key") from None
+        maps[(frozenset(entry["from"]), frozenset(entry["to"]))] = assign
+    return DivisorConfiguration(data["k"], [parse_rational(x) for x in data["kappa"]],
+                                [parse_rational(x) for x in data["a"]], strata, maps,
+                                log_nef=data.get("logNef"))
 
 
 CONFIGURATION_SCHEMA = {
+    "title": "configuration JSON",
     "type": "object",
     "required": ["k", "kappa", "a"],
     "properties": {
         "k": {"type": "integer", "minimum": 1},
-        "kappa": {"type": "array", "items": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}},
-        "a": {"type": "array", "items": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}},
+        "kappa": {"type": "array", "items": RATIONAL},
+        "a": {"type": "array", "items": RATIONAL},
         "strata": {
             "type": "array",
             "items": {
@@ -296,7 +284,7 @@ CONFIGURATION_SCHEMA = {
                 "properties": {
                     "from": {"type": "array", "items": {"type": "integer"}},
                     "to": {"type": "array", "items": {"type": "integer"}},
-                    "assign": {"type": "object"},
+                    "assign": {"type": "object", "additionalProperties": {"type": "integer"}},
                 },
             },
         },

@@ -16,6 +16,7 @@ from math import comb
 from . import linprog
 from .errors import InputError
 from .exactlin import nullspace_dimension, rank_int_bareiss
+from .schema import validate
 
 
 @dataclass(frozen=True)
@@ -195,70 +196,27 @@ class LogPssTree:
         }
 
 
-def _objects(entries, name):
-    """(JSON path, entry) for each entry of the tree JSON list `name`; each must be an object."""
-    if not isinstance(entries, list):
-        raise InputError(f"tree JSON {name} must be a list")
-    for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise InputError(f"tree JSON {name}[{idx}] must be an object")
-        yield f"{name}[{idx}]", entry
-
-
-def _entry_key(entry, key, where):
-    try:
-        return entry[key]
-    except KeyError:
-        raise InputError(f"tree JSON {where} missing key {key!r}") from None
-
-
-def _int_list(value, where):
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
-        raise InputError(f"tree JSON {where} must be a list of integers")
-    return value
-
-
 def tree_from_json(data) -> LogPssTree:
-    if not isinstance(data, dict):
-        raise InputError("tree JSON must be an object")
-    try:
-        k = data["k"]
-        root = data["root"]
-        deg = data["deg_x0"]
-        vertex_entries = data["vertices"]
-        edge_entries = data["edges"]
-    except KeyError as exc:
-        raise InputError(f"tree JSON missing key {exc}") from None
-    k_prime = data.get("kPrime", 0)
-    vertices = {}
-    for where, entry in _objects(vertex_entries, "vertices"):
-        depth = _int_list(entry.get("depth", []), f"{where}.depth")
-        vertices[_entry_key(entry, "id", where)] = frozenset(depth)
+    validate(data, TREE_SCHEMA)
+    vertices = {entry["id"]: frozenset(entry.get("depth", [])) for entry in data["vertices"]}
     edges = []
-    for where, entry in _objects(edge_entries, "edges"):
-        a, b = _entry_key(entry, "a", where), _entry_key(entry, "b", where)
-        contact_map = entry.get("contact", {})
-        if not isinstance(contact_map, dict):
-            raise InputError(f"tree JSON {where}.contact must be an object")
-        forward = contact_map.get(f"{a}->{b}")
-        backward = contact_map.get(f"{b}->{a}")
+    for entry in data["edges"]:
+        a, b = entry["a"], entry["b"]
+        forward = entry["contact"].get(f"{a}->{b}")
+        backward = entry["contact"].get(f"{b}->{a}")
         if forward is None and backward is None:
             raise InputError(f"edge {a}-{b} has no contact vector")
-        for arrow, given in ((f"{a}->{b}", forward), (f"{b}->{a}", backward)):
-            if given is not None:
-                _int_list(given, f"{where}.contact[{arrow!r}]")
-        if forward is not None and backward is not None:
-            if list(forward) != [-x for x in backward]:
-                raise InputError(f"edge {a}-{b} contact vectors are not antisymmetric")
+        if forward is not None and backward is not None and forward != [-x for x in backward]:
+            raise InputError(f"edge {a}-{b} contact vectors are not antisymmetric")
         vec = tuple(forward) if forward is not None else tuple(-x for x in backward)
-        depth_e = _int_list(entry.get("depthE", []), f"{where}.depthE")
-        edges.append(TreeEdge(a, b, frozenset(depth_e), vec))
-    legs = [(_entry_key(entry, "vertex", where), entry.get("label"))
-            for where, entry in _objects(data.get("legs", []), "legs")]
-    return LogPssTree(k, vertices, edges, root, legs, deg, k_prime)
+        edges.append(TreeEdge(a, b, frozenset(entry.get("depthE", [])), vec))
+    legs = [(entry["vertex"], entry.get("label")) for entry in data.get("legs", [])]
+    return LogPssTree(data["k"], vertices, edges, data["root"], legs, data["deg_x0"],
+                      data.get("kPrime", 0))
 
 
 TREE_SCHEMA = {
+    "title": "tree JSON",
     "type": "object",
     "required": ["k", "root", "deg_x0", "vertices", "edges"],
     "properties": {
@@ -281,12 +239,13 @@ TREE_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["a", "b", "depthE", "contact"],
+                "required": ["a", "b", "contact"],
                 "properties": {
                     "a": {"type": "integer"},
                     "b": {"type": "integer"},
                     "depthE": {"type": "array", "items": {"type": "integer"}},
-                    "contact": {"type": "object"},
+                    "contact": {"type": "object", "additionalProperties": {
+                        "type": "array", "items": {"type": "integer"}}},
                 },
             },
         },

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from logcy.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, render_report, run
+from logcy.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, main, render_report, run
 
 
 @pytest.fixture()
@@ -303,6 +303,7 @@ def test_render_report_trailing_newline():
 _TREE = {"k": 1, "root": 0, "deg_x0": 0, "vertices": [{"id": 0, "depth": []}], "edges": []}
 _EDGE_TREE = dict(_TREE, vertices=[{"id": 0, "depth": []}, {"id": 1, "depth": [1]}])
 _PRES = {"vars": ["x", "y"], "weights": ["1", "1"], "relations": ["x*y"]}
+_CONFIG = {"k": 1, "kappa": ["1"], "a": ["1"]}
 
 # kind -> (group, op, input flag, input JSON, text the error message must name)
 _BAD_INPUTS = {
@@ -334,7 +335,33 @@ _BAD_INPUTS = {
                               "JSON relations"),
     "ring-vars-string": ("ring", "gr", "--pres", dict(_PRES, vars="xy"), "JSON vars"),
     "ring-weights-string": ("ring", "gr", "--pres", dict(_PRES, weights="11"), "JSON weights"),
+    "energy-winding-v-not-list": ("energy", "winding", "--input", {"v": 5}, "input JSON v"),
+    "energy-winding-v-strings": ("energy", "winding", "--input", {"v": ["a", "b", "c"]},
+                                 "input JSON v[0]"),
+    "energy-winding-v-boolean": ("energy", "winding", "--input", {"v": [True, 1, 1]},
+                                 "input JSON v[0]"),
+    "energy-pss-x0-v-not-list": ("energy", "pss", "--input",
+                                 {"v": [1, 1, 1], "x0": {"v": 5}}, "x0.v"),
+    "energy-chord-I-not-list": ("energy", "chord-weight", "--input", {"chord": {
+        "I": 5, "alpha0": ["0"], "alpha1": ["1/2"]}}, "chord JSON I"),
+    "energy-params-kappa-string": ("energy", "winding", "--params", {"kappa": "11"},
+                                   "parameter JSON kappa"),
+    "tree-vertex-id-list": ("tree", "vdim", "--tree", dict(_TREE, vertices=[{"id": [0]}]),
+                            "vertices[0].id"),
+    "sr-stratum-I-not-list": ("sr", "hilbert", "--config", dict(_CONFIG, strata=[
+        {"I": 5, "components": [0]}]), "strata[0].I"),
+    "sr-strata-not-list": ("sr", "hilbert", "--config", dict(_CONFIG, strata=5),
+                           "configuration JSON strata"),
+    "sr-logNef-string": ("sr", "hilbert", "--config", dict(_CONFIG, logNef="yes"),
+                         "configuration JSON logNef"),
+    "sr-map-assign-key-not-int": ("sr", "hilbert", "--config", dict(_CONFIG, maps=[
+        {"from": [1], "to": [], "assign": {"a": 0}}]), "maps[0].assign"),
+    "energy-chord-v-too-short": ("energy", "chord-weight", "--input", {"chord": {
+        "I": [3], "alpha0": ["0"], "alpha1": ["1/2"], "v": [0]}}, "chord winding vector"),
 }
+
+# the other file of an energy job, by the flag its bad input goes to
+_ENERGY_OTHER = {"--input": ("--params", "params.json"), "--params": ("--input", "winding.json")}
 
 
 def _bad_input_job(tmp_path, fixtures, kind):
@@ -344,7 +371,8 @@ def _bad_input_job(tmp_path, fixtures, kind):
     path.write_text(json.dumps(payload))
     argv = [group, op, flag, str(path)]
     if group == "energy":
-        argv += ["--params", fixtures["params.json"]]
+        other, name = _ENERGY_OTHER[flag]
+        argv += [other, fixtures[name]]
     return argv, named
 
 
@@ -379,3 +407,63 @@ def test_usage_error_reports_repeat_with_the_shared_parser(fixtures):
     run(["complex", "homology", "--faces", fixtures["cycle.json"]])
     assert run(bad) == first == (EXIT_INPUT, {"error": {
         "type": "usage", "message": "unrecognized arguments"}})
+
+
+# kind -> (argv, with fixture names standing for their paths; text the error must name)
+_BAD_ARGV = {
+    "ring-smooth-codim-not-int": (["ring", "smooth", "--pres", "circle_pres.json",
+                                   "--codim", "abc"], "--codim"),
+    "example-conic-n-not-int": (["example", "conic", "--n", "abc"], "--n"),
+    "example-conic-na-not-int": (["example", "conic", "--n", "2", "--na", "x"], "--na"),
+    "example-conic-nb-not-int": (["example", "conic", "--n", "2", "--nb", "x"], "--nb"),
+    "sr-multiply-empty-theta-entry": (["sr", "multiply", "--config", "appc.json",
+                                       "--lhs", "theta[1,,0]", "--rhs", "theta[0,0,1]"],
+                                      "theta[1,,0]"),
+    "ring-grob-duplicate-vars": (["ring", "grob", "--vars", "x,x", "--weights", "1,1",
+                                  "--gens", "x*x"], "duplicate variable names"),
+    "ring-grob-too-few-weights": (["ring", "grob", "--vars", "x,y", "--weights", "1",
+                                   "--gens", "x - y"], "one weight per variable"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_ARGV))
+def test_bad_argv_is_an_input_error_alone_and_in_a_batch(fixtures, tmp_path, kind):
+    template, named = _BAD_ARGV[kind]
+    argv = [fixtures.get(arg, arg) for arg in template]
+    code, report = run(argv)
+    assert code == EXIT_INPUT
+    assert named in report["error"]["message"]
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+    code, batch = run(["batch", "--manifest", str(manifest)])
+    assert code == EXIT_INPUT
+    assert [job["exit"] for job in batch["result"]["jobs"]] == [EXIT_INPUT, EXIT_OK]
+    assert batch["result"]["jobs"][0]["report"] == report
+    assert batch["result"]["jobs"][1]["report"] == run(sibling)[1]
+
+
+@pytest.mark.parametrize("manifest, named", [
+    ({"jobs": [{"args": 5}]}, "manifest JSON jobs[0].args"),
+    ({"jobs": [{"args": ["complex", 5]}]}, "manifest JSON jobs[0].args[1]"),
+    ({"job": []}, "manifest JSON missing key 'jobs'"),
+    ([{"args": ["example", "appc", "--check", "admissible"]}], "manifest JSON must be an object"),
+], ids=["args-not-list", "arg-not-string", "no-jobs", "bare-list"])
+def test_bad_manifest_is_an_input_error(tmp_path, manifest, named):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, report = run(["batch", "--manifest", str(path)])
+    assert code == EXIT_INPUT
+    assert report["error"]["type"] == "input"
+    assert named in report["error"]["message"]
+
+
+@pytest.mark.parametrize("spelling", [["--out={}"], ["--ou", "{}"]], ids=["equals", "prefix"])
+def test_out_flag_spellings_write_the_file(fixtures, tmp_path, capsys, spelling):
+    out = tmp_path / "report.json"
+    argv = ["complex", "core", "--faces", fixtures["cone.json"]]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [arg.format(out) for arg in spelling])
+    assert exit_info.value.code == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == render_report(run(argv)[1])
