@@ -399,6 +399,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         """Raise, so that run() reports the rejected command line as a usage error."""
         raise argparse.ArgumentError(None, message)
 
+    def print_help(self, file=None):
+        """Raise instead of printing, so that stdout stays one JSON report."""
+        raise argparse.ArgumentError(None, "help requested")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
@@ -501,8 +505,6 @@ def _run(argv):
             raise argparse.ArgumentError(None, "unrecognized arguments")
     except argparse.ArgumentError as exc:
         return EXIT_INPUT, {"error": {"type": "usage", "message": str(exc)}}, None
-    except SystemExit:  # --help has printed the help text
-        return EXIT_INPUT, {"error": {"type": "usage", "message": "help requested"}}, None
     command = _command_name(args)
     if getattr(args, "schema", False):
         schema = _SCHEMAS.get(command, _SCHEMAS.get(args.group))

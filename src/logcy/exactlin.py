@@ -1,19 +1,53 @@
 """Exact linear algebra over the rationals and prime fields.
 
-One sparse kernel, `rank`, computes every rank and nullity: rows are
-`{column: value}` dicts, reduced one at a time against stored pivot rows
-(the incremental row echelon form of `sdm_irref` in sympy's sparse domain
-matrices).  Values are plain ints, kept reduced mod p over F_p; over Q a
-Fraction appears only when a pivot is not +-1.  `rank_mod_p` and
-`nullspace_dimension` feed dense matrices to it.  `rank_int_bareiss` stays
-dense fraction-free elimination on purpose: it is the independent second
-route of the rank-nullity cross-check in `trees.obstruction_dim`.
-Everything here is deterministic and side-effect free.
+Rows are sparse `{column: value}` dicts, and two row operations, `scale_row`
+and `subtract_row` (mod p when p is given), make every elimination: `rank`
+reduces rows one at a time against stored pivot rows with them (the
+incremental row echelon form of `sdm_irref` in sympy's sparse domain
+matrices), and so does the simplex of `linprog`.  Values are plain ints, kept
+reduced mod p over F_p; over Q a Fraction appears only when a pivot is not
++-1.  `rank_int_bareiss` stays dense fraction-free elimination on purpose: it
+is the independent second route of the rank-nullity cross-check in
+`trees.obstruction_dim`.
 """
 
 from fractions import Fraction
 
 from .fields import PrimeField, QQ
+
+
+def scale_row(row, col, p=None):
+    """Scale the sparse row in place so that its entry at col is 1 (mod p if given)."""
+    scale = row[col]
+    if p is not None:
+        inv = pow(scale, -1, p)
+        for c, v in row.items():
+            row[c] = v * inv % p
+    elif scale == -1:
+        for c, v in row.items():
+            row[c] = -v
+    elif scale != 1:
+        inv = Fraction(1, scale)
+        for c, v in row.items():
+            row[c] = v * inv
+
+
+def subtract_row(row, factor, pivot, p=None):
+    """row -= factor * pivot in place (mod p if given); entries that vanish are dropped."""
+    if p is None:
+        for c, v in pivot.items():
+            x = row.get(c, 0) - factor * v
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+    else:
+        for c, v in pivot.items():
+            x = (row.get(c, 0) - factor * v) % p
+            if x:
+                row[c] = x
+            else:
+                del row[c]
 
 
 def rank(rows, field) -> int:
@@ -34,32 +68,10 @@ def rank(rows, field) -> int:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                scale = row[lead]
-                if p is not None:
-                    inv = pow(scale, -1, p)
-                    row = {c: v * inv % p for c, v in row.items()}
-                elif scale == -1:
-                    row = {c: -v for c, v in row.items()}
-                elif scale != 1:
-                    inv = Fraction(1, scale)
-                    row = {c: v * inv for c, v in row.items()}
+                scale_row(row, lead, p)
                 pivots[lead] = row
                 break
-            factor = row[lead]
-            if p is None:
-                for c, v in pivot.items():
-                    x = row.get(c, 0) - factor * v
-                    if x:
-                        row[c] = x
-                    else:
-                        del row[c]
-            else:
-                for c, v in pivot.items():
-                    x = (row.get(c, 0) - factor * v) % p
-                    if x:
-                        row[c] = x
-                    else:
-                        del row[c]
+            subtract_row(row, row[lead], pivot, p)
     return len(pivots)
 
 

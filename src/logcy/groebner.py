@@ -286,10 +286,6 @@ class Ideal:
     def contains(self, f: Polynomial, order: WeightedOrder) -> bool:
         return self.normal_form(f, order).is_zero()
 
-    def is_unit_ideal(self, order: WeightedOrder) -> bool:
-        basis = self.groebner(order)
-        return len(basis) == 1 and basis[0].total_degree() == 0
-
     def __repr__(self):
         return f"Ideal({[g.to_string() for g in self.gens]})"
 

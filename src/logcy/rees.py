@@ -81,10 +81,6 @@ class ReesPresentation:
     presentation: WeightedPresentation
     rescale: int
 
-    @property
-    def t_name(self) -> str:
-        return self.presentation.vars[0]
-
 
 def presentation_from_json(data, field=QQ) -> WeightedPresentation:
     validate(data, PRESENTATION_SCHEMA)

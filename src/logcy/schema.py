@@ -6,7 +6,9 @@ semantics: type, required, properties, additionalProperties and items (schema
 forms) and minimum.  An "integer" is a JSON number written without a fraction or
 exponent, so neither true nor 1.0 reaches exact arithmetic.  A title names the
 document in error messages; a titled subschema (a chord in an energy input)
-names its own.
+names its own.  require_distinct() rejects a list whose entries repeat a key
+that the parsers turn into a dict key, where the later entry would silently
+replace the earlier one.
 """
 
 from .errors import InputError
@@ -22,6 +24,15 @@ def validate(data, schema):
     """Raise InputError unless data matches schema, naming the JSON path of the
     first mismatch, e.g. "tree JSON vertices[0].depth must be a list"."""
     _check(data, schema, schema["title"], ())
+
+
+def require_distinct(keys, title, path, what):
+    """Raise InputError when two entries of the list at path share a key, naming
+    both, e.g. "tree JSON vertices[2] repeats the id of vertices[1]"."""
+    first = {}
+    for idx, key in enumerate(keys):
+        if first.setdefault(key, idx) != idx:
+            raise InputError(f"{title} {path}[{idx}] repeats the {what} of {path}[{first[key]}]")
 
 
 def _where(title, path) -> str:

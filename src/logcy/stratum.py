@@ -13,7 +13,7 @@ from itertools import combinations
 from .complexes import SimplicialComplex
 from .errors import InputError, UnsupportedStructureError
 from .rationals import RATIONAL, format_rational, parse_rational
-from .schema import validate
+from .schema import require_distinct, validate
 
 
 class DivisorConfiguration:
@@ -243,6 +243,11 @@ def configuration_from_json(data) -> DivisorConfiguration:
     stratum is connected.
     """
     validate(data, CONFIGURATION_SCHEMA)
+    require_distinct([frozenset(entry["I"]) for entry in data.get("strata", [])],
+                     "configuration JSON", "strata", "I")
+    require_distinct([(frozenset(entry["from"]), frozenset(entry["to"]))
+                      for entry in data.get("maps", [])],
+                     "configuration JSON", "maps", "from and to")
     strata = {frozenset(entry["I"]): tuple(entry["components"]) for entry in data.get("strata", [])}
     strata.setdefault(frozenset(), (0,))
     maps = {}

@@ -16,7 +16,7 @@ from math import comb
 from . import linprog
 from .errors import InputError
 from .exactlin import nullspace_dimension, rank_int_bareiss
-from .schema import validate
+from .schema import require_distinct, validate
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,8 @@ class LogPssTree:
 
 def tree_from_json(data) -> LogPssTree:
     validate(data, TREE_SCHEMA)
+    require_distinct([entry["id"] for entry in data["vertices"]],
+                     "tree JSON", "vertices", "id")
     vertices = {entry["id"]: frozenset(entry.get("depth", [])) for entry in data["vertices"]}
     edges = []
     for entry in data["edges"]:
@@ -293,10 +295,10 @@ class RhoMap:
         return len(self.col_labels)
 
     def rank(self) -> int:
-        return rank_int_bareiss([list(row) for row in self.matrix])
+        return rank_int_bareiss(self.matrix)
 
     def kernel_dim(self) -> int:
-        return nullspace_dimension([list(row) for row in self.matrix], self.ncols)
+        return nullspace_dimension(self.matrix, self.ncols)
 
     def apply(self, vector):
         if len(vector) != self.ncols:
@@ -445,59 +447,39 @@ def balancing_feasible(tree: LogPssTree):
     normalization that all variables sum to 1 (valid because the system is
     homogeneous).  Returns a re-verified certificate, or None.
     """
-    tree.require_valid()
+    rho = build_rho(tree)
     n = tree.index_range
-    var_index = {}
-    for pos, e in enumerate(tree.edges):
-        var_index[("lambda", pos)] = len(var_index)
-    for v in sorted(tree.vertices):
-        for i in sorted(tree.vertices[v]):
-            var_index[("v", v, i)] = len(var_index)
-    if not var_index:
+    if not rho.ncols:
         return BalancingCertificate(
             {v: (Fraction(0),) * n for v in tree.vertices}, {})
-    delta = len(var_index)
-    total = delta + 1 + len(var_index)  # slack per lower bound
-
-    rows, rhs = [], []
-
-    def new_row():
-        rows.append([Fraction(0)] * total)
-        rhs.append(Fraction(0))
-        return rows[-1]
-
-    for pos, e in enumerate(tree.edges):
-        for i in sorted(e.depth):
-            row = new_row()
-            if i in tree.vertices[e.a]:
-                row[var_index[("v", e.a, i)]] += 1
-            if i in tree.vertices[e.b]:
-                row[var_index[("v", e.b, i)]] -= 1
-            row[var_index[("lambda", pos)]] -= e.contact[i - 1]
-    for key, idx in var_index.items():
-        row = new_row()
-        row[idx] = Fraction(1)
-        row[delta] = Fraction(-1)
-        row[delta + 1 + idx] = Fraction(-1)
-    norm = new_row()
-    for idx in range(len(var_index)):
-        norm[idx] = Fraction(1)
-    rhs[-1] = Fraction(1)
-
-    objective = [Fraction(0)] * total
-    objective[delta] = Fraction(1)
+    # columns: rho's columns, then delta, then one slack per lower bound;
+    # rho's rows with the edge columns negated read v_a - v_b - lambda_e * contact_e = 0
+    delta = rho.ncols
+    nedges = len(tree.edges)
+    pad = [0] * (delta + 1)
+    rows = [[-x for x in row[:nedges]] + list(row[nedges:]) + pad for row in rho.matrix]
+    for idx in range(delta):
+        row = [0] * (2 * delta + 1)
+        row[idx] = 1
+        row[delta] = -1
+        row[delta + 1 + idx] = -1
+        rows.append(row)
+    rows.append([1] * delta + pad)
+    rhs = [0] * (len(rows) - 1) + [1]
+    objective = [0] * delta + [1] + [0] * delta
     status, solution, value = linprog.solve_max(objective, rows, rhs)
     if status != linprog.OPTIMAL or value <= 0:
         return None
 
-    vertex_values = {}
-    for v in tree.vertices:
-        vec = [Fraction(0)] * n
-        for i in tree.vertices[v]:
-            vec[i - 1] = solution[var_index[("v", v, i)]]
-        vertex_values[v] = tuple(vec)
-    edge_scalars = {(e.a, e.b): solution[var_index[("lambda", pos)]]
-                    for pos, e in enumerate(tree.edges)}
+    vertex_values = {v: [Fraction(0)] * n for v in tree.vertices}
+    edge_scalars = {}
+    for label, x in zip(rho.col_labels, solution):
+        if label[0] == "edge":
+            edge_scalars[label[1]] = x
+        else:
+            _, v, i = label
+            vertex_values[v][i - 1] = x
+    vertex_values = {v: tuple(vec) for v, vec in vertex_values.items()}
     cert = BalancingCertificate(vertex_values, edge_scalars)
     if not cert.verify(tree):
         raise InputError("internal error: balancing certificate failed re-verification")

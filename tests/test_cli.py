@@ -358,6 +358,16 @@ _BAD_INPUTS = {
         {"from": [1], "to": [], "assign": {"a": 0}}]), "maps[0].assign"),
     "energy-chord-v-too-short": ("energy", "chord-weight", "--input", {"chord": {
         "I": [3], "alpha0": ["0"], "alpha1": ["1/2"], "v": [0]}}, "chord winding vector"),
+    "tree-vertex-id-repeated": ("tree", "validate", "--tree", dict(_TREE, vertices=[
+        {"id": 0, "depth": []}, {"id": 1, "depth": [1]}, {"id": 1, "depth": []}], edges=[
+        {"a": 1, "b": 0, "depthE": [1], "contact": {"1->0": [1]}}]),
+        "tree JSON vertices[2] repeats the id of vertices[1]"),
+    "sr-stratum-I-repeated": ("sr", "hilbert", "--config", dict(_CONFIG, strata=[
+        {"I": [1], "components": [0]}, {"I": [1], "components": []}]),
+        "configuration JSON strata[1] repeats the I of strata[0]"),
+    "sr-map-repeated": ("sr", "hilbert", "--config", dict(_CONFIG, maps=[
+        {"from": [1], "to": [], "assign": {"0": 0}}] * 2),
+        "configuration JSON maps[1] repeats the from and to of maps[0]"),
 }
 
 # the other file of an energy job, by the flag its bad input goes to
@@ -467,3 +477,21 @@ def test_out_flag_spellings_write_the_file(fixtures, tmp_path, capsys, spelling)
     assert exit_info.value.code == EXIT_OK
     assert capsys.readouterr().out == ""
     assert out.read_text() == render_report(run(argv)[1])
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_keeps_stdout_one_json_report(fixtures, tmp_path, capsys, flag):
+    usage = {"error": {"type": "usage", "message": "help requested"}}
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    for argv in ([flag], ["complex", "homology", flag]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_INPUT
+        assert json.loads(capsys.readouterr().out) == usage
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--manifest", str(manifest)])
+        assert exit_info.value.code == EXIT_INPUT
+        jobs = json.loads(capsys.readouterr().out)["result"]["jobs"]
+        assert [job["report"] for job in jobs] == [usage, run(sibling)[1]]

@@ -1,9 +1,13 @@
 """Contact-tree validation, incidence matrices, dimensions, balancing."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from logcy.errors import InputError
 from logcy.trees import (BalancingCertificate, LogPssTree, TreeEdge, balancing_feasible,
@@ -183,6 +187,59 @@ def test_balancing_chain_feasible():
     rho = build_rho(tree)
     image = rho.apply(cert.kernel_vector(tree, rho))
     assert all(x == 0 for x in image)
+
+
+def _highs_margin(tree):
+    """Max margin delta of the strict balancing system by scipy's HiGHS, None
+    when it has no feasible point.
+
+    Written from the balancing equations as BalancingCertificate.verify reads
+    them, v_a[i] - v_b[i] = lambda_e * contact_e[i] for every index i, not from
+    build_rho: one variable per edge scalar and per vertex depth index, each at
+    least delta, summing to 1.
+    """
+    variables = [("edge", pos) for pos in range(len(tree.edges))]
+    variables += [("vertex", v, i)
+                  for v in sorted(tree.vertices) for i in sorted(tree.vertices[v])]
+    if not variables:
+        return math.inf  # nothing to bound: every delta is a margin
+    index = {var: j for j, var in enumerate(variables)}
+    n = len(variables) + 1  # the last column is delta
+    a_eq = []
+    for pos, e in enumerate(tree.edges):
+        for i in range(1, tree.index_range + 1):
+            row = [0.0] * n
+            if ("vertex", e.a, i) in index:
+                row[index[("vertex", e.a, i)]] += 1
+            if ("vertex", e.b, i) in index:
+                row[index[("vertex", e.b, i)]] -= 1
+            row[pos] -= e.contact[i - 1]
+            a_eq.append(row)
+    a_eq.append([1.0] * (n - 1) + [0.0])
+    b_eq = [0.0] * (len(a_eq) - 1) + [1.0]
+    a_ub = [[-1.0 if j == var else 1.0 if j == n - 1 else 0.0 for j in range(n)]
+            for var in range(n - 1)]
+    res = linprog([0.0] * (n - 1) + [-1.0], A_ub=a_ub, b_ub=[0.0] * (n - 1),
+                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_balancing_verdict_matches_highs(rng):
+    tree = random_tree(rng, k_max=4, max_vertices=7)
+    cert = balancing_feasible(tree)
+    margin = _highs_margin(tree)
+    if cert is None:
+        assert margin is None or margin <= 1e-9
+    else:
+        assert cert.verify(tree)
+        rho = build_rho(tree)
+        assert all(x == 0 for x in rho.apply(cert.kernel_vector(tree, rho)))
+        assert margin > 1e-9
 
 
 def test_balancing_certificates_lie_in_kernel_random():
