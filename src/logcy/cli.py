@@ -259,11 +259,13 @@ def _cmd_tree(args, inputs):
         rho = trees.build_rho(tree)
         return {"rho": rho.to_json(), "rank": rho.rank(), "kernelDim": rho.kernel_dim()}
     if args.tree_op == "vdim":
+        rho = trees.build_rho(tree)  # one incidence map and kernel for all four numbers
+        kernel = rho.kernel_dim()
         return {
             "vdimPrelog": trees.vdim_prelog(tree),
-            "vdimLog": trees.vdim_log(tree),
-            "kernelDim": trees.kernel_dim(tree),
-            "obstructionDim": trees.obstruction_dim(tree),
+            "vdimLog": tree.deg_x0 - 2 * kernel,  # as trees.vdim_log
+            "kernelDim": kernel,
+            "obstructionDim": trees.obstruction_dim(tree, rho, kernel),
         }
     if args.tree_op == "feasible":
         cert = trees.balancing_feasible(tree)

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import floor
 from operator import add, le, neg, sub
 
 from .errors import InputError, UnsupportedStructureError
-from .poly import Polynomial, WeightedOrder, unit_order
+from .poly import Polynomial, WeightedOrder, require_countable, unit_order
 
 
 class _Element:
@@ -311,11 +310,16 @@ def hilbert_function_up_to(ideal: Ideal, order: WeightedOrder, bound) -> dict:
     most the bound, so empty graded pieces report 0 rather than vanishing
     from the map.  For inhomogeneous ideals this is filtration-level
     counting: the w entry is dim F_w / F_{w-1} of the quotient.
+
+    It walks every monomial within the bound; when they number more than
+    logcy.poly.COUNT_LIMIT it raises InputError first.
     """
     weights = order.int_weights
     if len(weights) != len(ideal.vars):
         raise InputError("order weight count does not match the variable count")
-    top = floor(Fraction(bound) * order.scale)  # the walk is in scaled weights
+    levels = order.level_counts(bound)
+    require_countable(sum(levels))  # the monomials the walk visits
+    top = len(levels) - 1  # the walk is in scaled weights
     basis = ideal.groebner(order)
     leads = [g.leading(order)[0] for g in basis]
     counts = {}

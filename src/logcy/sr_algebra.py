@@ -11,11 +11,12 @@ live here too: sr_presentation and its inverse stanley_reisner_complex.
 
 import re
 from fractions import Fraction
+from math import ceil, floor, lcm
 
 from .complexes import SimplicialComplex
 from .errors import InputError
 from .fields import QQ
-from .poly import Polynomial
+from .poly import Polynomial, WeightedOrder, require_countable
 from .rees import WeightedPresentation
 from .stratum import DivisorConfiguration
 
@@ -170,46 +171,90 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
 
     Keys are every weight value realized by a nonnegative multiplicity vector
     within the bound, so levels with no basis symbols report zero.
+
+    It counts without enumerating.  Weights scale to integer steps s_i
+    (kappa_i times the lcm of their denominators), pole orders to integers
+    b_i ((1 - a_i) times the lcm of theirs).  The keys are the levels of
+    WeightedOrder(kappa).level_counts.  For each index set I with a nonempty
+    stratum, a table f_I(w, p) counts the vectors of support exactly I by
+    scaled weight w and pole-order sum p.  I grows one index i at a time, by
+        f_I(w, p) = f_{I - i}(w - s_i, p - b_i) + f_I(w - s_i, p - b_i),
+    and an empty stratum ends its branch: nonempty strata are downward
+    closed.  Level w gains f_I(w, 0) times the component count of D_I.
+
+    A table has one cell per (level, pole-order sum possible within the
+    bound).  When that is more than logcy.poly.COUNT_LIMIT cells, it raises
+    InputError before allocating anything.
     """
     bound = Fraction(weight_bound)
     if bound < 0:
         raise InputError("the weight bound must be nonnegative")
-    counts = {}
-    k = config.k
+    order = WeightedOrder(config.kappa)
+    steps = order.int_weights
+    top = floor(bound * order.scale)
+    pole_scale = lcm(*(x.denominator for x in config.a))
+    poles = [int((1 - x) * pole_scale) for x in config.a]
+    # p / w is a mean of the rates b_i / s_i, so p stays between these
+    rates = [Fraction(b, s) for b, s in zip(poles, steps)]
+    low, high = ceil(top * min(0, *rates)), floor(top * max(0, *rates))
+    span = high - low + 1
+    require_countable((top + 1) * span)
+    totals = [0] * (top + 1)
 
-    def walk(idx, vec, weight):
-        if idx == k:
-            counts.setdefault(weight, 0)
-            if config.in_basis(vec):
-                counts[weight] += len(config.components(DivisorConfiguration.support(vec)))
-            return
-        m = 0
-        while weight + config.kappa[idx] * m <= bound:
-            walk(idx + 1, vec + (m,), weight + config.kappa[idx] * m)
-            m += 1
+    def grow(support, table, start):
+        # cell w * span + p - low holds f_support(w, p)
+        components = len(config.components(support))
+        for w, n in enumerate(table[-low::span]):
+            totals[w] += n * components
+        for i in range(start, config.k):
+            grown = support | {i + 1}
+            if config.components(grown):
+                grow(grown, _add_index(table, steps[i], poles[i], span), i + 1)
 
-    walk(0, (), Fraction(0))
-    return counts
+    empty = [0] * ((top + 1) * span)
+    empty[-low] = 1
+    grow(frozenset(), empty, 0)
+    return {Fraction(w, order.scale): totals[w]
+            for w, n in enumerate(order.level_counts(bound)) if n}
+
+
+def _add_index(table, step, pole, span):
+    """f(w, p) = table(w - step, p - pole) + f(w - step, p - pole), cell by
+    cell in level order; a source cell outside its level counts 0."""
+    out = [0] * len(table)
+    shift = step * span + pole
+    first, stop = max(0, pole), span + min(0, pole)
+    for level in range(step * span, len(table), span):
+        for cell in range(level + first, level + stop):
+            out[cell] = table[cell - shift] + out[cell - shift]
+    return out
 
 
 def theta_basis_up_to(config: DivisorConfiguration, weight_bound) -> list:
-    """All basis symbols with weight at most the bound, in canonical order."""
+    """All basis symbols with weight at most the bound, in canonical order.
+
+    The walk gives an index a positive multiplicity only while the stratum of
+    the grown support is nonempty; every larger support is then empty too.
+    """
     bound = Fraction(weight_bound)
     out = []
     k = config.k
 
-    def walk(idx, vec, weight):
+    def walk(idx, vec, weight, support):
         if idx == k:
             if config.in_basis(vec):
-                for comp in config.components(DivisorConfiguration.support(vec)):
+                for comp in config.components(support):
                     out.append(ThetaBasisElement(config, vec, comp))
             return
+        grown = support | {idx + 1}
         m = 0
         while weight + config.kappa[idx] * m <= bound:
-            walk(idx + 1, vec + (m,), weight + config.kappa[idx] * m)
+            walk(idx + 1, vec + (m,), weight + config.kappa[idx] * m, grown if m else support)
+            if not config.components(grown):
+                break
             m += 1
 
-    walk(0, (), Fraction(0))
+    walk(0, (), Fraction(0), frozenset())
     out.sort(key=lambda e: e.key(config))
     return out
 

@@ -358,17 +358,22 @@ def _depth_sums(tree: LogPssTree):
     return edge_sum, vertex_sum
 
 
-def obstruction_dim(tree: LogPssTree) -> int:
+def obstruction_dim(tree: LogPssTree, rho: RhoMap | None = None,
+                    kernel: int | None = None) -> int:
     """Real dimension of the gluing-obstruction torus, computed two ways.
 
     The direct formula uses the depth counts plus the kernel dimension; the
     rank route uses the target dimension minus the matrix rank.  They must
     coincide by rank-nullity, and disagreement is reported as an error
-    rather than silently picking one.
+    rather than silently picking one.  A caller that already holds
+    build_rho(tree), or also its kernel_dim(), passes them in.
     """
-    rho = build_rho(tree)
+    if rho is None:
+        rho = build_rho(tree)
+    if kernel is None:
+        kernel = rho.kernel_dim()
     edge_sum, vertex_sum = _depth_sums(tree)
-    via_kernel = 2 * (edge_sum - vertex_sum + rho.kernel_dim())
+    via_kernel = 2 * (edge_sum - vertex_sum + kernel)
     via_rank = 2 * (sum(len(e.depth) for e in tree.edges) - rho.rank())
     if via_kernel != via_rank:
         raise InputError("rank-nullity cross-check failed for the obstruction dimension")

@@ -127,6 +127,42 @@ def basis_elements(config, mult_bound=2):
     return out
 
 
+def _weight_box(config, weight_bound):
+    """Every multiplicity vector of weight at most the bound, with its weight."""
+    bound = Fraction(weight_bound)
+
+    def walk(idx, vec, weight):
+        if idx == config.k:
+            yield vec, weight
+            return
+        m = 0
+        while weight + config.kappa[idx] * m <= bound:
+            yield from walk(idx + 1, vec + (m,), weight + config.kappa[idx] * m)
+            m += 1
+
+    return walk(0, (), Fraction(0))
+
+
+def graded_dimension_oracle(config, weight_bound):
+    """graded_dimension by visiting every vector in the weight box."""
+    counts = {}
+    for vec, weight in _weight_box(config, weight_bound):
+        counts.setdefault(weight, 0)
+        if config.in_basis(vec):
+            counts[weight] += len(config.components(DivisorConfiguration.support(vec)))
+    return counts
+
+
+def theta_basis_oracle(config, weight_bound):
+    """theta_basis_up_to by visiting every vector in the weight box."""
+    from logcy.sr_algebra import ThetaBasisElement
+    out = [ThetaBasisElement(config, vec, comp)
+           for vec, _ in _weight_box(config, weight_bound) if config.in_basis(vec)
+           for comp in config.components(DivisorConfiguration.support(vec))]
+    out.sort(key=lambda e: e.key(config))
+    return out
+
+
 def random_downward_closed(rng: random.Random, k: int):
     """Random downward-closed family of subsets of {1..k} containing the empty set."""
     faces = {frozenset()}

@@ -433,6 +433,15 @@ _BAD_ARGV = {
                                   "--gens", "x*x"], "duplicate variable names"),
     "ring-grob-too-few-weights": (["ring", "grob", "--vars", "x,y", "--weights", "1",
                                    "--gens", "x - y"], "one weight per variable"),
+    "sr-hilbert-bound-runaway": (["sr", "hilbert", "--config", "appc.json",
+                                  "--bound", "1e400"], "--bound is too large"),
+    "ring-gr-bound-runaway": (["ring", "gr", "--pres", "pres.json", "--bound", "1e400"],
+                              "--bound is too large"),
+    "ring-degenerate-bound-runaway": (["ring", "degenerate", "--pres", "pres.json",
+                                       "--sr-config", "appc.json", "--bound", "1e400"],
+                                      "--bound is too large"),
+    "example-appc-sr-bound-runaway": (["example", "appc", "--check", "sr", "--bound", "1e400"],
+                                      "--bound is too large"),
 }
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcy.complexes import SimplicialComplex, full_simplex, sphere_boundary
 from logcy.errors import InputError
@@ -17,7 +19,8 @@ from logcy.sr_algebra import (ThetaBasisElement, ThetaElement, graded_dimension,
                               sr_presentation, theta_basis_up_to, unit_element)
 from logcy.stratum import DivisorConfiguration
 
-from helpers import basis_elements, random_configuration
+from helpers import (basis_elements, graded_dimension_oracle, random_configuration,
+                     theta_basis_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +215,26 @@ def test_graded_dimension_matches_appendix_c_quotient(appc):
 def test_graded_dimension_rejects_negative_bound(appc):
     with pytest.raises(InputError):
         graded_dimension(appc, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 10), st.integers(1, 4))
+def test_counts_match_the_box_walk(rng, numerator, denominator):
+    # kappa from {1/2, 1, 2, 3}; a from {0, 1/2, 1, 2} on non-CY draws, so pole
+    # sums take both signs; up to two components per stratum; bounds like 7/3
+    config = random_configuration(rng, cy_prob=0.3)
+    bound = Fraction(numerator, denominator)
+    assert graded_dimension(config, bound) == graded_dimension_oracle(config, bound)
+    assert theta_basis_up_to(config, bound) == theta_basis_oracle(config, bound)
+
+
+def test_graded_dimension_closed_form_beyond_the_box_walk():
+    # D_1, D_2 and D_1 n D_2 connected, all pole orders 1: every (m1, m2) is a
+    # basis vector, so level w counts the w + 1 vectors with m1 + m2 = w
+    config = DivisorConfiguration(2, [1, 1], [1, 1], {
+        frozenset(): (0,), frozenset((1,)): (0,), frozenset((2,)): (0,),
+        frozenset((1, 2)): (0,)})
+    assert graded_dimension(config, 2000) == {Fraction(w): w + 1 for w in range(2001)}
 
 
 def test_theta_basis_up_to_sorted(appc):
