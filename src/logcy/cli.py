@@ -318,9 +318,9 @@ def _cmd_example(args, inputs):
             verdicts = mirror.conic_bundle_smooth_check(fixture, n_max=n)
             payload["smooth"] = {str(dim): ok for dim, (ok, _) in sorted(verdicts.items())}
         if args.gr:
+            sr_fixture = mirror.conic_bundle_sr_fixture(fixture)
             graded = associated_graded(pres)
             bound = parse_rational(args.bound) if args.bound else Fraction(8)
-            sr_fixture = mirror.conic_bundle_sr_fixture(fixture)
             gr_levels = graded.hilbert_up_to(bound)
             sr_levels = sr_fixture.hilbert_up_to(bound)
             payload["gr"] = graded.to_json()

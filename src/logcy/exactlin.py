@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Rows are sparse `{column: value}` dicts, and two row operations, `scale_row`
-and `subtract_row` (mod p when p is given), make every elimination: `rank`
-reduces rows one at a time against stored pivot rows with them (the
-incremental row echelon form of `sdm_irref` in sympy's sparse domain
-matrices), and so does the simplex of `linprog`.  Values are plain ints, kept
-reduced mod p over F_p; over Q a Fraction appears only when a pivot is not
-+-1.  `rank_int_bareiss` stays dense fraction-free elimination on purpose: it
-is the independent second route of the rank-nullity cross-check in
-`trees.obstruction_dim`.
+and `subtract_row` (mod p when p is given), make every elimination.
+`pivot_columns` reduces rows one at a time against stored pivot rows with
+them (the incremental row echelon form of `sdm_irref` in sympy's sparse
+domain matrices) and returns those rows keyed by leading column; `rank` is
+their number, and `homology` reads the keys to skip rows it knows are
+dependent.  The simplex of `linprog` uses the same two operations.  Values
+are plain ints, kept reduced mod p over F_p; over Q a Fraction appears only
+when a pivot is not +-1.  `rank_int_bareiss` stays dense fraction-free
+elimination on purpose: it is the independent second route of the
+rank-nullity cross-check in `trees.obstruction_dim`.
 """
 
 from fractions import Fraction
@@ -50,12 +52,13 @@ def subtract_row(row, factor, pivot, p=None):
                 del row[c]
 
 
-def rank(rows, field) -> int:
-    """Rank of the span of sparse rows (`{column: value}` dicts) over QQ or F_p.
+def pivot_columns(rows, field) -> dict:
+    """Pivot rows of a row echelon form of sparse rows over QQ or F_p, keyed by lead column.
 
     Each incoming row is reduced by the stored pivot row at its smallest
     column until it vanishes or leads at a column with no pivot; it is then
-    stored there, scaled to leading value 1.
+    stored there, scaled to leading value 1.  A stored row is a combination
+    of the input rows whose smallest column is its key.
     """
     p = field.p if isinstance(field, PrimeField) else None
     pivots = {}
@@ -72,7 +75,12 @@ def rank(rows, field) -> int:
                 pivots[lead] = row
                 break
             subtract_row(row, row[lead], pivot, p)
-    return len(pivots)
+    return pivots
+
+
+def rank(rows, field) -> int:
+    """Rank of the span of sparse rows (`{column: value}` dicts) over QQ or F_p."""
+    return len(pivot_columns(rows, field))
 
 
 def _sparse_rows(matrix):

@@ -6,6 +6,7 @@ sign).  The Laurent ring carries only ring operations, which is all the
 symbolic-parameter workflows need; Groebner bases require a genuine field.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -60,13 +61,20 @@ class RationalField:
         return hash("QQ")
 
 
+# Every prime field has p below this: the primality test trial-divides up to
+# sqrt(p), under 50 000 divisions.
+PRIME_LIMIT = 2 ** 31
+
+
 class PrimeField:
-    """F_p with elements stored as ints in 0..p-1."""
+    """F_p with elements stored as ints in 0..p-1, for primes p < PRIME_LIMIT."""
 
     is_field = True
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise InputError(f"field F{p} is too large: p must be below 2^31")
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise InputError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

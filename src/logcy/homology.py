@@ -1,18 +1,23 @@
-"""Exact reduced simplicial homology and the Gorenstein criterion.
+"""Exact reduced simplicial homology and the Gorenstein* criterion.
 
 Betti numbers come from exact ranks of the boundary maps, each built as one
-sparse +-1 vector per face and ranked by the sparse kernel `exactlin.rank`
-over Q or F_p.
-The Gorenstein verdict for a Stanley-Reisner ring checks that the complex
-and all of its face links have the reduced homology of spheres of the
-correct dimension and that no vertex's star swallows the whole complex.
+sparse +-1 vector per face and reduced by the sparse kernel
+`exactlin.pivot_columns` over Q or F_p.  The ranks are taken from the top
+dimension down with the "clearing" step of Chen and Kerber (Persistent
+homology computation with a twist, 2011): a face that leads a pivot row of
+the boundary one dimension up has a boundary in the span of the boundaries
+of the later faces, so it is left out of the next rank.
+The Gorenstein verdict checks that the complex and all of its face links
+have the reduced homology of spheres of the correct dimension and that no
+vertex's star swallows the whole complex: Stanley's criterion for a
+Gorenstein* complex.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 
 from .complexes import SimplicialComplex
 from .errors import InputError
-from .exactlin import rank
+from .exactlin import pivot_columns
 from .fields import QQ
 
 
@@ -54,6 +59,14 @@ def reduced_homology(cx: SimplicialComplex, coeff_field=QQ) -> BettiTable:
 
     The complex with only the empty face is the (-1)-sphere: a single unit
     in degree -1.  The void complex is rejected.
+
+    The boundary ranks are found from the top dimension down.  A pivot row
+    of the reduction of the boundary of the faces with n+1 vertices is a
+    boundary, so its own boundary is 0; it reads sigma_i + sum_{k>i} c_k
+    sigma_k over the faces with n vertices, with sigma_i its lead column.
+    So the boundary of sigma_i lies in the span of the boundaries of the
+    sigma_k with k > i, and leaving out every such sigma_i (the largest i
+    first) keeps the rank of the boundary of the faces with n vertices.
     """
     if cx.is_void:
         raise InputError("homology of the void complex is undefined")
@@ -64,8 +77,12 @@ def reduced_homology(cx: SimplicialComplex, coeff_field=QQ) -> BettiTable:
     for group in faces:
         group.sort()
     # boundary[n]: rank of the boundary of the faces with n vertices
-    boundary = [0] + [rank(_boundary_vectors(faces[n], faces[n - 1]), coeff_field)
-                      for n in range(1, d + 2)] + [0]
+    boundary = [0] * (d + 3)
+    cleared = {}  # the pivot columns of the step before: indices into faces[n]
+    for n in range(d + 1, 0, -1):
+        kept = [face for i, face in enumerate(faces[n]) if i not in cleared]
+        cleared = pivot_columns(_boundary_vectors(kept, faces[n - 1]), coeff_field)
+        boundary[n] = len(cleared)
     betti = tuple(len(faces[n]) - boundary[n] - boundary[n + 1] for n in range(d + 2))
     return BettiTable(coeff_field.name, -1, betti)
 
@@ -143,11 +160,15 @@ def _manifold_failures(cx: SimplicialComplex, coeff_field) -> list:
 
 
 def gorenstein_verdict(cx: SimplicialComplex, coeff_field=QQ) -> GorensteinReport:
-    """Gorenstein test for the Stanley-Reisner ring of the complex.
+    """Gorenstein* test for the Stanley-Reisner ring of the complex.
 
     True iff the complex is a rational homology sphere, every face link is a
     rational homology sphere of complementary dimension, and the core equals
-    the whole complex.  Every failure is recorded with a witness face.
+    the whole complex.  That is Stanley's criterion for a Gorenstein*
+    complex, which is stricter than a Gorenstein Stanley-Reisner ring: the
+    cone {12, 13} over two points, or the full simplex, has a Gorenstein
+    ring (its core is Gorenstein*) but gets verdict false here.  Every
+    failure is recorded with a witness face.
     """
     if cx.is_void:
         raise InputError("the void complex has no Gorenstein verdict")

@@ -16,7 +16,7 @@ from .complexes import SimplicialComplex
 from .errors import InputError
 from .fields import QQ, LaurentParameterRing
 from .groebner import Ideal, jacobian_smooth
-from .poly import Polynomial, parse_polynomial
+from .poly import COUNT_LIMIT, Polynomial, parse_polynomial
 from .rees import WeightedPresentation
 from .stratum import DivisorConfiguration
 
@@ -97,7 +97,15 @@ def conic_bundle_dual_complex_facets(n: int) -> list:
 
 def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> WeightedPresentation:
     """Stanley-Reisner presentation of the facet fixture, with matching weights
-    and variables aligned to the mirror ring's generators."""
+    and variables aligned to the mirror ring's generators.
+
+    Checking the written relations against the facets generates about
+    n * 2^(n+1) vertex subsets; when that is more than
+    logcy.poly.COUNT_LIMIT, it raises InputError first.
+    """
+    if fixture.n * 2 ** (fixture.n + 1) > COUNT_LIMIT:
+        raise InputError(f"--n is too large for the Stanley-Reisner fixture: checking it "
+                         f"generates n * 2^(n+1) vertex subsets, more than {COUNT_LIMIT}")
     names = tuple(f"u{i}" for i in range(1, fixture.n + 1)) + ("w1", "w2")
     weights = [Fraction(1)] * fixture.n + [fixture.kappa_w1, fixture.kappa_w2]
     facets = conic_bundle_dual_complex_facets(fixture.n)

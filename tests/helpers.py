@@ -10,7 +10,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from logcy.complexes import SimplicialComplex
+from logcy.exactlin import rank
+from logcy.homology import BettiTable
 from logcy.stratum import DivisorConfiguration
 from logcy.trees import LogPssTree, TreeEdge
 
@@ -213,6 +217,35 @@ def minimal_nonfaces_oracle(cx):
             if all(fs - {v} in cx.faces for v in fs):
                 minimal.append(fs)
     return sorted(minimal, key=lambda f: (len(f), sorted(f)))
+
+
+@st.composite
+def complex_shapes(draw):
+    """Nonvoid complexes: a piece on vertices 1..6, sometimes coned from vertex 0,
+    sometimes beside a disjoint piece on 11..14; a piece may be the empty face alone."""
+    def piece(pool):
+        return draw(st.lists(st.sets(st.sampled_from(pool)), min_size=1, max_size=5))
+    facets = piece(range(1, 7))
+    if draw(st.booleans()):
+        facets = [f | {0} for f in facets]
+    if draw(st.booleans()):
+        facets += piece(range(11, 15))
+    return SimplicialComplex.from_facets(facets)
+
+
+def reduced_homology_oracle(cx, coeff_field):
+    """Reduced Betti numbers from the rank of every boundary map over all of its faces."""
+    d = cx.dim()
+    faces = [sorted(tuple(sorted(f)) for f in cx.faces if len(f) == n) for n in range(d + 2)]
+
+    def boundary_rank(n):
+        index = {face: i for i, face in enumerate(faces[n - 1])}
+        return rank(({index[face[:k] + face[k + 1:]]: (-1) ** k for k in range(n)}
+                     for face in faces[n]), coeff_field)
+
+    boundary = [0] + [boundary_rank(n) for n in range(1, d + 2)] + [0]
+    betti = tuple(len(faces[n]) - boundary[n] - boundary[n + 1] for n in range(d + 2))
+    return BettiTable(coeff_field.name, -1, betti)
 
 
 def random_tree(rng: random.Random, k_max=3, max_vertices=6):

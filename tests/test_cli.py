@@ -209,6 +209,21 @@ def test_example_subcommands():
     assert report["result"]["smooth"] == {"2": True}
 
 
+@pytest.mark.parametrize("name", ["F2", "F3", "F5", "F32003", "F2147483647"])
+def test_prime_fields_below_the_limit_are_accepted(fixtures, name):
+    code, report = run(["complex", "homology", "--faces", fixtures["cycle.json"],
+                        "--field", name])
+    assert code == EXIT_OK
+    assert report["result"] == {"betti": {"-1": 0, "0": 0, "1": 1}, "field": name}
+
+
+def test_conic_gr_at_the_largest_budgeted_n():
+    # 13 * 2^14 subsets fit logcy.poly.COUNT_LIMIT; n = 14 is refused
+    code, report = run(["example", "conic", "--n", "13", "--gr", "--bound", "2"])
+    assert code == EXIT_OK
+    assert report["result"]["grMatchesFixture"] is True
+
+
 def test_schema_flags(fixtures):
     for argv in (["complex", "homology", "--schema"],
                  ["sr", "multiply", "--schema"],
@@ -442,6 +457,14 @@ _BAD_ARGV = {
                                       "--bound is too large"),
     "example-appc-sr-bound-runaway": (["example", "appc", "--check", "sr", "--bound", "1e400"],
                                       "--bound is too large"),
+    "example-conic-gr-n-runaway": (["example", "conic", "--n", "40", "--gr"],
+                                   "--n is too large"),
+    "complex-homology-field-2^61-1": (["complex", "homology", "--faces", "cycle.json",
+                                       "--field", f"F{2 ** 61 - 1}"],
+                                      f"field F{2 ** 61 - 1} is too large"),
+    "complex-homology-field-2^1279-1": (["complex", "homology", "--faces", "cycle.json",
+                                         "--field", f"F{2 ** 1279 - 1}"],
+                                        f"field F{2 ** 1279 - 1} is too large"),
 }
 
 

@@ -3,16 +3,25 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from logcy import homology
 from logcy.complexes import (SimplicialComplex, cross_polytope_boundary, full_simplex,
                              sphere_boundary)
 from logcy.errors import InputError
+from logcy.exactlin import pivot_columns, rank_int_bareiss
 from logcy.fields import PrimeField, QQ
 from logcy.homology import (gorenstein_verdict, is_rational_homology_manifold,
                             is_rational_homology_sphere, local_homology_at_face,
                             reduced_homology)
 
-from helpers import boundary_matrix, random_downward_closed, smith_diagonal
+from helpers import (boundary_matrix, complex_shapes, random_downward_closed,
+                     reduced_homology_oracle, smith_diagonal)
+
+# the 6-vertex real projective plane: b~_1 = b~_2 = 1 over F2, acyclic over Q
+RP2 = SimplicialComplex.from_facets([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2],
+                                     [2, 3, 5], [3, 4, 6], [4, 5, 2], [5, 6, 3], [6, 2, 4]])
 
 
 def test_three_cycle_homology():
@@ -207,3 +216,31 @@ def test_homology_field_independence_spot_check():
                 continue
             p_table = reduced_homology(cx, PrimeField(p))
             assert p_table.ranks == q_table.ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(complex_shapes(), st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+@example(SimplicialComplex.empty_face_only(), QQ)
+@example(full_simplex(4), PrimeField(2))
+@example(RP2, QQ)
+@example(RP2, PrimeField(2))
+def test_clearing_matches_the_all_rows_oracle(cx, coeff_field):
+    assert reduced_homology(cx, coeff_field) == reduced_homology_oracle(cx, coeff_field)
+
+
+def test_clearing_hands_the_kernel_only_rows_it_cannot_skip(monkeypatch):
+    handed = []
+
+    def counting_pivot_columns(rows, field):
+        rows = list(rows)
+        handed.append(len(rows))
+        return pivot_columns(rows, field)
+
+    monkeypatch.setattr(homology, "pivot_columns", counting_pivot_columns)
+    # S^3: 31 faces, ranks 1 + 4 + 6 + 4, so 16 rows (30 without clearing);
+    # octahedron: 27 faces, ranks 1 + 5 + 7, so 14 rows (26 without)
+    for cx, rows in ((sphere_boundary(3), 16), (cross_polytope_boundary(3), 14)):
+        handed.clear()
+        reduced_homology(cx)
+        ranks = sum(rank_int_bareiss(boundary_matrix(cx, j)) for j in range(cx.dim() + 1))
+        assert sum(handed) == len(cx.faces) - ranks == rows
