@@ -5,7 +5,7 @@ calculus, and action/energy filtration arithmetic."""
 
 from .complexes import SimplicialComplex, cross_polytope_boundary, full_simplex, sphere_boundary
 from .errors import DegenerateChordError, InputError, LogcyError, UnsupportedStructureError
-from .fields import QQ, LaurentParameterRing, PrimeField
+from .fields import QQ, PrimeField
 from .groebner import (Ideal, groebner_basis, hilbert_function_up_to, ideal_membership,
                        ideals_equal, is_groebner, jacobian_smooth, normal_form)
 from .homology import (BettiTable, GorensteinReport, gorenstein_verdict,

@@ -193,7 +193,10 @@ def _cmd_ring(args, inputs):
         return {"t": format_rational(value),
                 "presentation": fiber.to_json()}
     if args.ring_op == "smooth":
-        smooth, cert = jacobian_smooth(pres.ideal(), _require(args, "codim"))
+        codim = _require(args, "codim")
+        if codim < 1:
+            raise InputError(f"--codim must be at least 1, got {codim}")
+        smooth, cert = jacobian_smooth(pres.ideal(), codim)
         payload = {"smooth": smooth}
         if cert is not None:
             payload["certificate"] = {

@@ -218,9 +218,6 @@ def groebner_basis(gens, order: WeightedOrder, with_trace=False):
     if not gens:
         return ([], []) if with_trace else []
     field = gens[0].field
-    if not field.is_field:
-        raise UnsupportedStructureError(
-            f"Groebner bases require a field coefficient ring, not {field.name}")
     for g in gens[1:]:
         if g.vars != gens[0].vars or g.field != field:
             raise InputError("generators live in different rings")
@@ -388,8 +385,6 @@ def jacobian_smooth(ideal: Ideal, expected_codim: int, order: WeightedOrder | No
         raise UnsupportedStructureError(
             f"expected {expected_codim} generators for a codimension-{expected_codim} "
             f"complete intersection, got {len(ideal.gens)}")
-    if not ideal.field.is_field:
-        raise UnsupportedStructureError("the Jacobian criterion needs field coefficients")
     order = order or unit_order(len(ideal.vars))
     jac = [[g.derivative(v) for v in ideal.vars] for g in ideal.gens]
     minors = []

@@ -6,6 +6,8 @@ w1*w2 - 1) with weights 1 on the u's and ample weights on w1, w2; its
 degeneration and smoothness behavior are exercised against the polynomial
 engine.  The hypersurface family deforms u(x1*x2*x3 - u) by the seven
 admissible monomials and is singular along a line for every parameter value.
+Its symbolic coefficients are the polynomial variables a1..a7 over Q, so the
+symbolic family lives in Q[x1, x2, x3, u, a1, ..., a7].
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from itertools import combinations, product
 
 from .complexes import SimplicialComplex
 from .errors import InputError
-from .fields import QQ, LaurentParameterRing
+from .fields import QQ
 from .groebner import Ideal, jacobian_smooth
 from .poly import COUNT_LIMIT, Polynomial, parse_polynomial
 from .rees import WeightedPresentation
@@ -154,24 +156,23 @@ EXPECTED_ADMISSIBLE = {
 
 
 class HypersurfaceFamily:
-    """The deformed hypersurface u(x1*x2*x3 - u) = g_a.
+    """The deformed hypersurface u(x1*x2*x3 - u) = g_a over Q.
 
-    In symbolic mode the seven coefficients are formal Laurent parameters;
-    in numeric mode they are exact rationals.
+    In symbolic mode the seven coefficients are the variables a1..a7 and the
+    polynomials live in Q[x1, x2, x3, u, a1, ..., a7]; in numeric mode they
+    are exact rationals and the polynomials live in Q[x1, x2, x3, u].
     """
 
     def __init__(self, coefficients=None):
         if coefficients is None:
-            self.symbolic = True
-            self.field = LaurentParameterRing(APPENDIX_C_PARAMS)
-            coeffs = [self.field.parameter(name) for name in APPENDIX_C_PARAMS]
+            self.vars = APPENDIX_C_VARS + APPENDIX_C_PARAMS
+            self.coefficients = [Polynomial.variable(self.vars, a) for a in APPENDIX_C_PARAMS]
         else:
-            self.symbolic = False
-            self.field = QQ
             coeffs = [Fraction(c) for c in coefficients]
             if len(coeffs) != 7:
                 raise InputError("numeric mode needs exactly 7 coefficients")
-        self.coefficients = coeffs
+            self.vars = APPENDIX_C_VARS
+            self.coefficients = [Polynomial.constant(self.vars, c) for c in coeffs]
 
     def deformation(self) -> Polynomial:
         """g_a: the combination of the seven admissible monomials."""
@@ -179,30 +180,27 @@ class HypersurfaceFamily:
             (1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0),
             (2, 1, 1, 0), (1, 2, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1),
         ]
-        total = Polynomial.zero(APPENDIX_C_VARS, self.field)
+        padding = (0,) * (len(self.vars) - len(APPENDIX_C_VARS))
+        total = Polynomial.zero(self.vars)
         for exps, coeff in zip(ordered, self.coefficients):
-            if self.field is QQ:
-                term = Polynomial.monomial(APPENDIX_C_VARS, exps, QQ.from_fraction(coeff), QQ)
-            else:
-                term = Polynomial.monomial(APPENDIX_C_VARS, exps, coeff, self.field)
-            total = total + term
+            total = total + coeff * Polynomial.monomial(self.vars, exps + padding, QQ.one)
         return total
 
     def family_polynomial(self) -> Polynomial:
         """f_a = u(x1*x2*x3 - u) - g_a."""
-        base = parse_polynomial("u*(x1*x2*x3 - u)", APPENDIX_C_VARS, self.field)
-        return base - self.deformation()
+        return parse_polynomial("u*(x1*x2*x3 - u)", self.vars) - self.deformation()
 
 
 def singular_line_residuals(f: Polynomial) -> list:
     """Restrictions of f and its four partials to {u = x1 = x2 = 0, x3 = c}.
 
     Returns the labeled nonzero restrictions, as polynomials in the line
-    parameter c (with formal coefficients carried through in symbolic mode);
-    an empty list certifies the line lies in the singular locus.
+    parameter c and the variables of f outside APPENDIX_C_VARS (the
+    coefficients a1..a7 in symbolic mode); an empty list certifies the line
+    lies in the singular locus.
     """
     field = f.field
-    line_vars = ("c",)
+    line_vars = ("c",) + tuple(v for v in f.vars if v not in APPENDIX_C_VARS)
     zero = Polynomial.zero(line_vars, field)
     c_poly = Polynomial.variable(line_vars, "c", field)
     assignment = {"x1": zero, "x2": zero, "x3": c_poly, "u": zero}

@@ -12,7 +12,7 @@ from math import floor, lcm
 from operator import mul
 
 from .errors import InputError
-from .fields import QQ, LaurentParameterRing
+from .fields import QQ
 from .rationals import format_rational
 
 # The most table cells, or monomials walked, that a count up to a weight bound
@@ -112,8 +112,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, variables, value, field=QQ):
-        coeff = field.from_fraction(value) if isinstance(value, (int, Fraction)) else value
-        return cls(variables, field, {(0,) * len(tuple(variables)): coeff})
+        return cls(variables, field, {(0,) * len(tuple(variables)): field.from_fraction(value)})
 
     @classmethod
     def variable(cls, variables, name, field=QQ):
@@ -273,11 +272,14 @@ class Polynomial:
             if name not in images:
                 images[name] = Polynomial.variable(tvars, name, tfield)
         result = Polynomial.zero(tvars, tfield)
+        one = Polynomial.constant(tvars, 1, tfield)
         # cache powers per variable to keep repeated exponents cheap
-        powers = {name: {0: Polynomial.constant(tvars, 1, tfield)} for name in self.vars}
+        powers = {name: {1: images[name]} for name in self.vars}
         for exps, coeff in sorted(self.terms.items()):
-            term = Polynomial.constant(tvars, 1, tfield).scale(coeff)
+            term = one.scale(coeff)
             for name, e in zip(self.vars, exps):
+                if not e:
+                    continue
                 cache = powers[name]
                 while e not in cache:
                     m = max(cache)
@@ -438,12 +440,7 @@ class _Parser:
                 return Polynomial.constant(self.vars, Fraction(numer, denom), self.field)
             return Polynomial.constant(self.vars, Fraction(numer), self.field)
         if kind == "name":
-            if value in self.vars:
-                return Polynomial.variable(self.vars, value, self.field)
-            if isinstance(self.field, LaurentParameterRing) and value in self.field.params:
-                return Polynomial(self.vars, self.field,
-                                  {(0,) * len(self.vars): self.field.parameter(value)})
-            raise InputError(f"unknown variable {value!r}")
+            return Polynomial.variable(self.vars, value, self.field)
         if kind == "(":
             poly = self._expr()
             kind2, _ = self._next()
@@ -451,6 +448,14 @@ class _Parser:
                 raise InputError("unbalanced parentheses")
             return poly
         raise InputError(f"unexpected token {value!r} in polynomial")
+
+
+def is_variable_name(text: str) -> bool:
+    """Whether text lexes as exactly one name token of the polynomial grammar."""
+    try:
+        return _Parser._lex(text) == [("name", text), ("end", None)]
+    except InputError:
+        return False
 
 
 def parse_polynomial(text: str, variables, field=QQ) -> Polynomial:

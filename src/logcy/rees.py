@@ -15,7 +15,7 @@ from math import lcm
 from .errors import InputError
 from .fields import QQ
 from .groebner import Ideal, hilbert_function_up_to, ideals_equal
-from .poly import Polynomial, WeightedOrder, parse_polynomial
+from .poly import Polynomial, WeightedOrder, is_variable_name, parse_polynomial
 from .rationals import RATIONAL, format_rational, parse_rational
 from .schema import validate
 
@@ -27,6 +27,10 @@ class WeightedPresentation:
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise InputError("duplicate variable names")
+        for name in self.vars:
+            if not is_variable_name(name):
+                raise InputError(f"variable name {name!r} is not a name the polynomial "
+                                 f"grammar reads: a letter or _, then letters, digits or _")
         self.weights = tuple(Fraction(w) for w in weights)
         if len(self.weights) != len(self.vars):
             raise InputError("one weight per variable is required")
@@ -82,10 +86,10 @@ class ReesPresentation:
     rescale: int
 
 
-def presentation_from_json(data, field=QQ) -> WeightedPresentation:
+def presentation_from_json(data) -> WeightedPresentation:
     validate(data, PRESENTATION_SCHEMA)
     weights = [parse_rational(w) for w in data["weights"]]
-    return WeightedPresentation(data["vars"], weights, data["relations"], field)
+    return WeightedPresentation(data["vars"], weights, data["relations"])
 
 
 PRESENTATION_SCHEMA = {
@@ -121,20 +125,20 @@ def associated_graded(pres: WeightedPresentation) -> WeightedPresentation:
     return WeightedPresentation(pres.vars, pres.weights, tops, pres.field)
 
 
-def rees_algebra(pres: WeightedPresentation, t_name: str = "t") -> ReesPresentation:
-    """Homogenize a weighted Groebner basis by a degree-one parameter.
+def rees_algebra(pres: WeightedPresentation) -> ReesPresentation:
+    """Homogenize a weighted Groebner basis by a degree-one parameter t.
 
     Rational weights are first cleared to integers by a global rescaling
     (recorded in the result); each basis element then gains t powers filling
     every term up to the relation's top weight.
     """
-    if t_name in pres.vars:
-        raise InputError(f"variable name {t_name!r} collides with the presentation")
+    if "t" in pres.vars:
+        raise InputError("variable name 't' collides with the presentation")
     rescale = lcm(*(w.denominator for w in pres.weights))
     int_weights = [w * rescale for w in pres.weights]
     basis, _ = _reduced_basis(pres)
     scaled_order = WeightedOrder(int_weights)
-    new_vars = (t_name,) + pres.vars
+    new_vars = ("t",) + pres.vars
     homogenized = []
     for g in basis:
         top = g.weighted_degree(scaled_order)

@@ -259,7 +259,7 @@ def theta_basis_up_to(config: DivisorConfiguration, weight_bound) -> list:
     return out
 
 
-def sr_presentation(cx: SimplicialComplex, weights=None, field=QQ) -> WeightedPresentation:
+def sr_presentation(cx: SimplicialComplex, weights=None) -> WeightedPresentation:
     """Stanley-Reisner presentation: one variable per vertex, the squarefree
     monomials on minimal non-faces as relations.
 
@@ -278,8 +278,8 @@ def sr_presentation(cx: SimplicialComplex, weights=None, field=QQ) -> WeightedPr
     relations = []
     for nonface in cx.minimal_nonfaces():
         exps = tuple(1 if v in nonface else 0 for v in verts)
-        relations.append(Polynomial.monomial(names, exps, field.one, field))
-    return WeightedPresentation(names, weights, relations, field)
+        relations.append(Polynomial.monomial(names, exps, QQ.one))
+    return WeightedPresentation(names, weights, relations)
 
 
 def stanley_reisner_complex(pres: WeightedPresentation):

@@ -26,13 +26,6 @@ class TreeEdge:
     depth: frozenset
     contact: tuple  # contact vector of the oriented edge a -> b
 
-    def contact_from(self, tail: int) -> tuple:
-        if tail == self.a:
-            return self.contact
-        if tail == self.b:
-            return tuple(-x for x in self.contact)
-        raise InputError(f"vertex {tail} does not bound edge {self.a}-{self.b}")
-
 
 @dataclass(frozen=True)
 class Violation:

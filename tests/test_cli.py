@@ -350,6 +350,10 @@ _BAD_INPUTS = {
                               "JSON relations"),
     "ring-vars-string": ("ring", "gr", "--pres", dict(_PRES, vars="xy"), "JSON vars"),
     "ring-weights-string": ("ring", "gr", "--pres", dict(_PRES, weights="11"), "JSON weights"),
+    "ring-var-name-empty": ("ring", "gr", "--pres", dict(_PRES, vars=["", "y"]),
+                            "variable name ''"),
+    "ring-var-name-leading-digit": ("ring", "gr", "--pres", dict(_PRES, vars=["1x", "y"]),
+                                    "variable name '1x'"),
     "energy-winding-v-not-list": ("energy", "winding", "--input", {"v": 5}, "input JSON v"),
     "energy-winding-v-strings": ("energy", "winding", "--input", {"v": ["a", "b", "c"]},
                                  "input JSON v[0]"),
@@ -448,6 +452,12 @@ _BAD_ARGV = {
                                   "--gens", "x*x"], "duplicate variable names"),
     "ring-grob-too-few-weights": (["ring", "grob", "--vars", "x,y", "--weights", "1",
                                    "--gens", "x - y"], "one weight per variable"),
+    "ring-grob-empty-var-name": (["ring", "grob", "--vars", " ,y", "--weights", "1,1",
+                                  "--gens", "y^2"], "variable name ''"),
+    "ring-smooth-codim-negative": (["ring", "smooth", "--pres", "circle_pres.json",
+                                    "--codim", "-5"], "--codim"),
+    "ring-smooth-codim-zero": (["ring", "smooth", "--pres", "circle_pres.json",
+                                "--codim", "0"], "--codim"),
     "sr-hilbert-bound-runaway": (["sr", "hilbert", "--config", "appc.json",
                                   "--bound", "1e400"], "--bound is too large"),
     "ring-gr-bound-runaway": (["ring", "gr", "--pres", "pres.json", "--bound", "1e400"],

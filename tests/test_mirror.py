@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcy import mirror
 from logcy.errors import InputError
@@ -140,9 +142,29 @@ def test_family_polynomial_symbolic_shape():
     family = mirror.HypersurfaceFamily()
     f = family.family_polynomial()
     # u*x1*x2*x3 and -u^2 are present alongside the seven deformation terms
-    assert (1, 1, 1, 1) in f.terms
-    assert (0, 0, 0, 2) in f.terms
+    assert (1, 1, 1, 1) + (0,) * 7 in f.terms
+    assert (0, 0, 0, 2) + (0,) * 7 in f.terms
     assert len(f.terms) == 9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.fractions(max_denominator=12), min_size=7, max_size=7))
+def test_symbolic_family_specializes_to_the_numeric_family(coefficients):
+    f = mirror.HypersurfaceFamily().family_polynomial()
+    values = {a: Polynomial.constant(f.vars, c)
+              for a, c in zip(mirror.APPENDIX_C_PARAMS, coefficients)}
+    specialized = f.substitute(values).change_variables(mirror.APPENDIX_C_VARS)
+    assert specialized == mirror.HypersurfaceFamily(coefficients).family_polynomial()
+
+
+def test_singular_line_residuals_carry_the_parameters():
+    f = mirror.HypersurfaceFamily().family_polynomial()
+    broken = f - parse_polynomial("a1*x3^2", f.vars)
+    line_vars = ("c",) + mirror.APPENDIX_C_PARAMS
+    assert mirror.singular_line_residuals(broken) == [
+        ("f", parse_polynomial("-a1*c^2", line_vars)),
+        ("df/dx3", parse_polynomial("-2*a1*c", line_vars)),
+    ]
 
 
 def test_numeric_mode_needs_seven_coefficients():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from logcy.errors import InputError
-from logcy.fields import QQ, LaurentParameterRing, PrimeField, field_from_name
+from logcy.fields import QQ, PrimeField, field_from_name
 from logcy.poly import Polynomial, WeightedOrder, parse_polynomial, unit_order
 
 XY = ("x", "y")
@@ -125,27 +125,6 @@ def test_field_from_name():
     assert field_from_name("F7").p == 7
     with pytest.raises(InputError):
         field_from_name("R")
-
-
-def test_laurent_parameters():
-    ring = LaurentParameterRing(("a", "b"))
-    a = ring.parameter("a")
-    b = ring.parameter("b")
-    prod = ring.mul(a, b)
-    assert prod == {(1, 1): Fraction(1)}
-    inv = ring.invert(a)
-    assert ring.mul(a, inv) == ring.one
-    with pytest.raises(InputError):
-        ring.invert(ring.add(a, b))
-
-
-def test_laurent_coefficients_in_polynomials():
-    ring = LaurentParameterRing(("a1", "a2"))
-    f = parse_polynomial("a1*x + a2*y", XY, ring)
-    g = parse_polynomial("a2*x", XY, ring)
-    total = f + g
-    assert total.terms[(1, 0)] == ring.add(ring.parameter("a1"), ring.parameter("a2"))
-    assert f.derivative("x") == parse_polynomial("a1", XY, ring)
 
 
 def test_exponent_validation():
