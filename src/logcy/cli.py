@@ -3,7 +3,9 @@
 Every leaf subcommand reads JSON inputs, computes exactly, and prints one
 deterministic JSON report: rationals as "p/q" strings, keys sorted, no
 timestamps.  Exit codes: 0 for any computed verdict (including false ones),
-2 for input errors, 3 for unsupported structure.  The batch subcommand runs
+2 for input errors, 3 for unsupported structure, 4 for an internal error (a
+fault of logcy itself, reported as an "internal" error that names the
+exception; its traceback goes to stderr only).  The batch subcommand runs
 a manifest of independent jobs one after another in the calling thread and
 reports them in manifest order.  The argument parser is built once per
 process and shared by every job.
@@ -40,6 +42,7 @@ from .trees import TREE_SCHEMA, tree_from_json
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 ENERGY_INPUT_SCHEMA = {
     "title": "energy input JSON",
@@ -308,6 +311,10 @@ def _cmd_energy(args, inputs):
         return {"monotone": ok}
 
 
+# the optional flags each `example appc --check` reads; any other is refused
+_APPC_FLAGS = {"admissible": (), "singular-line": ("mode", "coeffs"), "sr": ("bound",)}
+
+
 def _cmd_example(args, inputs):
     if args.example_op == "conic":
         n = _require(args, "n")
@@ -332,8 +339,12 @@ def _cmd_example(args, inputs):
             payload["grMatchesFixture"] = gr_levels == sr_levels
         return payload
     if args.example_op == "appc":
-        mode = args.mode or "symbolic"
         check = _require(args, "check")
+        for flag in ("mode", "coeffs", "bound"):
+            if getattr(args, flag) is not None and flag not in _APPC_FLAGS[check]:
+                raise InputError(f"--{flag} is not used by --check {check}")
+        if args.coeffs is not None and args.mode != "numeric":
+            raise InputError("--coeffs needs --mode numeric")
         if check == "admissible":
             found = mirror.admissible_deformation_monomials()
             return {
@@ -342,7 +353,7 @@ def _cmd_example(args, inputs):
                 "matchesExpected": found == mirror.EXPECTED_ADMISSIBLE,
             }
         if check == "singular-line":
-            if mode == "numeric":
+            if args.mode == "numeric":
                 coeffs = [parse_rational(x) for x in (args.coeffs or "0,0,0,0,0,0,0").split(",")]
                 family = mirror.HypersurfaceFamily(coeffs)
             else:
@@ -527,6 +538,12 @@ def _run(argv):
     except InputError as exc:
         return EXIT_INPUT, {"command": command, "inputs": inputs,
                             "error": {"type": "input", "message": str(exc)}}, args
+    except Exception as exc:  # a bug: reported, so that a batch keeps its other jobs
+        import traceback
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL, {"command": command, "inputs": inputs,
+                               "error": {"type": "internal",
+                                         "message": f"{type(exc).__name__}: {exc}"}}, args
 
 
 def render_report(report: dict) -> str:

@@ -1,55 +1,85 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Rows are sparse `{column: value}` dicts, and two row operations, `scale_row`
-and `subtract_row` (mod p when p is given), make every elimination.
+Rows are sparse `{column: value}` dicts of plain ints, and two row
+operations, `scale_row` and `subtract_row` (mod p when p is given), make
+every elimination.  Over F_p values are kept reduced mod p and a scaled row
+leads with 1.  Over Q a row stands for itself times any positive rational, so
+it stays an integer vector: a scaled row is primitive (content 1) with a
+positive lead, and elimination cross-multiplies instead of dividing
+(fraction-free, as in Edmonds 1967 and Bareiss 1968), then divides out the
+content again.  A lead of +-1, which every boundary row of homology has,
+needs neither a multiply nor a gcd.  No Fraction is made.
 `pivot_columns` reduces rows one at a time against stored pivot rows with
 them (the incremental row echelon form of `sdm_irref` in sympy's sparse
 domain matrices) and returns those rows keyed by leading column; `rank` is
 their number, and `homology` reads the keys to skip rows it knows are
-dependent.  The simplex of `linprog` uses the same two operations.  Values
-are plain ints, kept reduced mod p over F_p; over Q a Fraction appears only
-when a pivot is not +-1.  `rank_int_bareiss` stays dense fraction-free
-elimination on purpose: it is the independent second route of the
-rank-nullity cross-check in `trees.obstruction_dim`.
+dependent.  The simplex of `linprog` uses the same two operations.
+`rank_int_bareiss` stays dense fraction-free elimination on purpose: it is
+the independent second route of the rank-nullity cross-check in
+`trees.obstruction_dim`.
 """
 
-from fractions import Fraction
+from math import gcd
 
 from .fields import PrimeField, QQ
 
 
 def scale_row(row, col, p=None):
-    """Scale the sparse row in place so that its entry at col is 1 (mod p if given)."""
-    scale = row[col]
+    """Scale the sparse row in place so that its entry at col leads it.
+
+    Mod p the entry becomes 1.  Over Q the row becomes a primitive integer
+    vector whose entry at col is positive.
+    """
+    lead = row[col]
     if p is not None:
-        inv = pow(scale, -1, p)
+        inv = pow(lead, -1, p)
         for c, v in row.items():
             row[c] = v * inv % p
-    elif scale == -1:
+    elif lead == -1:
         for c, v in row.items():
             row[c] = -v
-    elif scale != 1:
-        inv = Fraction(1, scale)
-        for c, v in row.items():
-            row[c] = v * inv
+    elif lead != 1:
+        content = gcd(*row.values())
+        if lead < 0:
+            content = -content
+        if content != 1:
+            for c, v in row.items():
+                row[c] = v // content
 
 
-def subtract_row(row, factor, pivot, p=None):
-    """row -= factor * pivot in place (mod p if given); entries that vanish are dropped."""
-    if p is None:
-        for c, v in pivot.items():
-            x = row.get(c, 0) - factor * v
-            if x:
-                row[c] = x
-            else:
-                del row[c]
-    else:
+def subtract_row(row, pivot, col, p=None):
+    """Clear the entry of row at col with the pivot row, in place.
+
+    Mod p the pivot leads with 1 at col and row -= row[col] * pivot.  Over Q
+    the pivot's entry at col is positive and row := pivot[col] * row -
+    row[col] * pivot, divided by its content unless pivot[col] is 1; so the
+    row keeps its sign and changes by a positive factor only.  Entries that
+    vanish are dropped.
+    """
+    factor = row[col]
+    if p is not None:
         for c, v in pivot.items():
             x = (row.get(c, 0) - factor * v) % p
             if x:
                 row[c] = x
             else:
                 del row[c]
+        return
+    lead = pivot[col]
+    if lead != 1:
+        for c, v in row.items():
+            row[c] = v * lead
+    for c, v in pivot.items():
+        x = row.get(c, 0) - factor * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+    if lead != 1:
+        content = gcd(*row.values())
+        if content > 1:
+            for c, v in row.items():
+                row[c] = v // content
 
 
 def pivot_columns(rows, field) -> dict:
@@ -57,8 +87,10 @@ def pivot_columns(rows, field) -> dict:
 
     Each incoming row is reduced by the stored pivot row at its smallest
     column until it vanishes or leads at a column with no pivot; it is then
-    stored there, scaled to leading value 1.  A stored row is a combination
-    of the input rows whose smallest column is its key.
+    stored there, scaled by `scale_row`: to leading value 1 over F_p, to a
+    primitive integer vector with a positive lead over Q.  Over Q the values
+    must be ints.  A stored row is a combination of the input rows whose
+    smallest column is its key.
     """
     p = field.p if isinstance(field, PrimeField) else None
     pivots = {}
@@ -74,7 +106,7 @@ def pivot_columns(rows, field) -> dict:
                 scale_row(row, lead, p)
                 pivots[lead] = row
                 break
-            subtract_row(row, row[lead], pivot, p)
+            subtract_row(row, pivot, lead, p)
     return pivots
 
 

@@ -12,7 +12,9 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from logcy import linprog
 from logcy.complexes import SimplicialComplex
+from logcy.errors import InputError
 from logcy.exactlin import rank
 from logcy.homology import BettiTable
 from logcy.stratum import DivisorConfiguration
@@ -343,3 +345,112 @@ def smith_diagonal(matrix):
         top += 1
         left += 1
     return [d for d in diag if d != 0]
+
+def _fraction_scale_row(row, col):
+    """Scale the sparse row in place so that its entry at col is 1."""
+    scale = row[col]
+    if scale == -1:
+        for c, v in row.items():
+            row[c] = -v
+    elif scale != 1:
+        inv = Fraction(1, scale)
+        for c, v in row.items():
+            row[c] = v * inv
+
+
+def _fraction_subtract_row(row, factor, pivot):
+    """row -= factor * pivot in place; entries that vanish are dropped."""
+    for c, v in pivot.items():
+        x = row.get(c, 0) - factor * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def simplex_oracle(objective, a_matrix, b_vector):
+    """`linprog.solve_max` on Fraction rows: each pivot row is scaled to lead 1.
+
+    The same two phases and Bland's rule, with Fraction reduced costs and
+    ratios compared directly, so it must take the same pivots as the
+    integer tableau and return the same (status, solution, value).
+    """
+    c = [Fraction(x) for x in objective]
+    a = [[Fraction(x) for x in row] for row in a_matrix]
+    b = [Fraction(x) for x in b_vector]
+    m, n = len(a), len(c)
+    if len(b) != m or any(len(row) != n for row in a):
+        raise InputError("inconsistent LP dimensions")
+    rhs = n + m  # the right-hand side's column, after the m artificials
+
+    # phase 1: minimize the sum of artificials
+    tableau = []
+    for i, row in enumerate(a):
+        sign = -1 if b[i] < 0 else 1
+        entries = {j: sign * x for j, x in enumerate(row) if x}
+        entries[n + i] = Fraction(1)
+        if b[i]:
+            entries[rhs] = sign * b[i]
+        tableau.append(entries)
+    basis = [n + i for i in range(m)]
+    cost = {n + i: Fraction(1) for i in range(m)}
+    for row in tableau:
+        _fraction_subtract_row(cost, 1, row)
+    if not _oracle_simplex_iterate(tableau, basis, cost, rhs):
+        raise InputError("phase-1 LP unbounded (impossible)")
+    if cost.get(rhs, 0) != 0:
+        return linprog.INFEASIBLE, None, None
+    for i, row in enumerate(tableau):
+        if basis[i] >= n:
+            # drive the artificial out through any original column of its row
+            col = min((j for j in row if j < n), default=None)
+            if col is not None:
+                _oracle_pivot(tableau, i, col)
+                basis[i] = col
+
+    # phase 2 on the original columns; a redundant row that kept an
+    # artificial in the basis at level zero is dropped
+    keep = [i for i, col in enumerate(basis) if col < n]
+    tableau = [{j: x for j, x in tableau[i].items() if j < n or j == rhs} for i in keep]
+    basis = [basis[i] for i in keep]
+    cost = {j: -x for j, x in enumerate(c) if x}
+    for row, col in zip(tableau, basis):
+        if col in cost:
+            _fraction_subtract_row(cost, cost[col], row)
+    if not _oracle_simplex_iterate(tableau, basis, cost, rhs):
+        return linprog.UNBOUNDED, None, None
+    solution = [Fraction(0)] * n
+    for row, col in zip(tableau, basis):
+        solution[col] = row.get(rhs, Fraction(0))
+    return linprog.OPTIMAL, solution, cost.get(rhs, Fraction(0))
+
+
+def _oracle_simplex_iterate(tableau, basis, cost, rhs):
+    """Minimize the cost row in place; False when the LP is unbounded."""
+    while True:
+        # Bland: the smallest column with negative reduced cost enters
+        entering = min((j for j, x in cost.items() if x < 0 and j != rhs), default=None)
+        if entering is None:
+            return True
+        leaving = None
+        best = None
+        for i, row in enumerate(tableau):
+            x = row.get(entering, 0)
+            if x > 0:
+                ratio = row.get(rhs, 0) / x
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return False
+        _oracle_pivot(tableau + [cost], leaving, entering)
+        basis[leaving] = entering
+
+
+def _oracle_pivot(rows, r, col):
+    """Make col a unit column of rows, with its 1 in rows[r]."""
+    pivot = rows[r]
+    _fraction_scale_row(pivot, col)
+    for i, row in enumerate(rows):
+        if i != r and col in row:
+            _fraction_subtract_row(row, row[col], pivot)

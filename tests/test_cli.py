@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from logcy.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, main, render_report, run
+from logcy import cli
+from logcy.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED, main,
+                       render_report, run)
 
 
 @pytest.fixture()
@@ -475,6 +477,21 @@ _BAD_ARGV = {
     "complex-homology-field-2^1279-1": (["complex", "homology", "--faces", "cycle.json",
                                          "--field", f"F{2 ** 1279 - 1}"],
                                         f"field F{2 ** 1279 - 1} is too large"),
+    "example-appc-coeffs-without-mode": (["example", "appc", "--check", "singular-line",
+                                          "--coeffs", "1,2,3"], "--coeffs"),
+    "example-appc-coeffs-symbolic": (["example", "appc", "--check", "singular-line",
+                                      "--mode", "symbolic", "--coeffs", "1,2,3,4,5,6,7"],
+                                     "--coeffs"),
+    "example-appc-admissible-mode": (["example", "appc", "--check", "admissible",
+                                      "--mode", "numeric"], "--mode"),
+    "example-appc-admissible-coeffs": (["example", "appc", "--check", "admissible",
+                                        "--coeffs", "1,2,3,4,5,6,7"], "--coeffs"),
+    "example-appc-sr-mode": (["example", "appc", "--check", "sr", "--mode", "symbolic"],
+                             "--mode"),
+    "example-appc-sr-coeffs": (["example", "appc", "--check", "sr", "--mode", "numeric",
+                                "--coeffs", "1,2,3,4,5,6,7"], "--mode"),
+    "example-appc-singular-line-bound": (["example", "appc", "--check", "singular-line",
+                                          "--bound", "3"], "--bound"),
 }
 
 
@@ -493,6 +510,40 @@ def test_bad_argv_is_an_input_error_alone_and_in_a_batch(fixtures, tmp_path, kin
     assert [job["exit"] for job in batch["result"]["jobs"]] == [EXIT_INPUT, EXIT_OK]
     assert batch["result"]["jobs"][0]["report"] == report
     assert batch["result"]["jobs"][1]["report"] == run(sibling)[1]
+
+
+def test_appc_numeric_coefficients_are_read(tmp_path):
+    code, report = run(["example", "appc", "--check", "singular-line", "--mode", "numeric",
+                        "--coeffs", "1,2,3,4,5,6,7"])
+    assert code == EXIT_OK
+    assert report["result"]["singularAlongLine"] is True
+    code, report = run(["example", "appc", "--check", "singular-line", "--mode", "numeric",
+                        "--coeffs", "1,2,3"])
+    assert code == EXIT_INPUT
+    assert report["error"]["type"] == "input"
+
+
+def test_an_unexpected_exception_is_an_internal_error_alone_and_in_a_batch(
+        fixtures, tmp_path, capsys, monkeypatch):
+    def broken(args, inputs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(cli._HANDLERS, "example", broken)
+    argv = ["example", "appc", "--check", "admissible"]
+    internal = {"command": "example appc", "inputs": {},
+                "error": {"type": "internal", "message": "ZeroDivisionError: division by zero"}}
+    assert run(argv) == (EXIT_INTERNAL, internal)
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["batch", "--manifest", str(manifest)])
+    assert exit_info.value.code == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out and "ZeroDivisionError: division by zero" in err
+    jobs = json.loads(out)["result"]["jobs"]
+    assert [job["exit"] for job in jobs] == [EXIT_INTERNAL, EXIT_OK]
+    assert [job["report"] for job in jobs] == [internal, run(sibling)[1]]
 
 
 @pytest.mark.parametrize("manifest, named", [

@@ -1,14 +1,15 @@
-"""Exact simplex: optima, infeasibility, unboundedness, degeneracy."""
+"""Exact simplex: optima, infeasibility, unboundedness, degeneracy, the Fraction oracle."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog as highs_linprog
 
-from logcy import linprog
+from helpers import random_tree, simplex_oracle
+from logcy import linprog, trees
 from logcy.errors import InputError
 
 F = Fraction
@@ -131,3 +132,73 @@ def test_status_and_optimum_match_highs(lp):
         assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == b
         assert sum(cj * xj for cj, xj in zip(c, x)) == value
         assert math.isclose(value, optimum, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@st.composite
+def tricky_lps(draw):
+    """small_lps plus copies of rows: scaled (redundant) or shifted (contradictory).
+
+    One draw in two also zeroes some right-hand sides, which makes the
+    vertices degenerate.
+    """
+    c, a, b = draw(small_lps())
+    for _ in range(draw(st.integers(0, 2)) if a else 0):
+        i = draw(st.integers(0, len(a) - 1))
+        scale = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+        shift = draw(st.sampled_from([F(0), F(0), F(1)]))
+        a.append([scale * x for x in a[i]])
+        b.append(scale * b[i] + shift)
+    if draw(st.booleans()):
+        b = [x if draw(st.booleans()) else F(0) for x in b]
+    return c, a, b
+
+
+def _assert_same_as_oracle(c, a, b):
+    result = linprog.solve_max(c, a, b)
+    # repr: the same statuses and the same Fractions, so the same report bytes
+    assert repr(result) == repr(simplex_oracle(c, a, b))
+
+
+_CYCLING = ([F(3, 4), F(-20), F(1, 2), F(-6), F(0), F(0), F(0)],
+            [[F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0)],
+             [F(1, 2), F(-12), F(-1, 2), F(3), F(0), F(1), F(0)],
+             [F(0), F(0), F(1), F(0), F(0), F(0), F(1)]],
+            [F(0), F(0), F(1)])
+
+
+# a zero objective returns the vertex where phase 1 stops, and a tie in the ratio test picks it
+_RATIO_TIE = ([F(0)] * 7,
+              [[F(4, 3), F(0), F(-2), F(1), F(-1), F(1), F(2)],
+               [F(-2), F(0), F(0), F(1, 3), F(0), F(0), F(-2)],
+               [F(3), F(-1), F(-3), F(1), F(0), F(0), F(2)],
+               [F(1), F(0), F(0), F(0), F(0), F(1), F(0)]],
+              [F(0), F(1), F(0), F(0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tricky_lps())
+@example(_CYCLING)
+@example(_RATIO_TIE)
+@example(([F(1), F(1)], [[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]))
+@example(([F(1), F(1)], [[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)]))
+@example(([F(1), F(0)], [[F(1), F(-1)]], [F(0)]))
+def test_solution_matches_the_fraction_oracle(lp):
+    _assert_same_as_oracle(*lp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_balancing_lps_match_the_fraction_oracle(rng):
+    lps = []
+    solve_max = linprog.solve_max
+
+    def recording_solve_max(objective, a_matrix, b_vector):
+        lps.append((objective, a_matrix, b_vector))
+        return solve_max(objective, a_matrix, b_vector)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees.linprog, "solve_max", recording_solve_max)
+        trees.balancing_feasible(random_tree(rng, k_max=4, max_vertices=7))
+    assert len(lps) <= 1
+    for lp in lps:
+        _assert_same_as_oracle(*lp)
