@@ -7,8 +7,16 @@ timestamps.  Exit codes: 0 for any computed verdict (including false ones),
 fault of logcy itself, reported as an "internal" error that names the
 exception; its traceback goes to stderr only).  The batch subcommand runs
 a manifest of independent jobs one after another in the calling thread and
-reports them in manifest order.  The argument parser is built once per
-process and shared by every job.
+reports them in manifest order; a job may not give --out.  The argument
+parser is built once per process and shared by every job.
+
+Submodules run on first use: the package registers them behind
+importlib.util.LazyLoader (see logcy/__init__.py).  So this module binds the
+compute modules, not their names, and reads their attributes only inside
+the handlers and the schema tables built on use: importing it and building
+the parser execute no compute module, and one command executes only the
+modules it uses.  A `from .homology import name` here would execute
+homology at import.
 
 Input is checked where it is declared: argv by argparse, against the flag
 table in build_parser(); each JSON file by schema.validate, against the dict
@@ -22,48 +30,45 @@ import json
 import sys
 from fractions import Fraction
 
-from . import energy as energy_mod
-from . import mirror, trees
-from .complexes import COMPLEX_SCHEMA, complex_from_json
+from . import (complexes, energy, groebner, homology, mirror, poly, rees, sr_algebra, stratum,
+               trees)
 from .errors import InputError, UnsupportedStructureError
 from .fields import QQ, field_from_name
-from .groebner import Ideal, groebner_basis, hilbert_function_up_to, jacobian_smooth
-from .homology import gorenstein_verdict, local_homology_at_face, reduced_homology
-from .poly import parse_polynomial
 from .rationals import RATIONAL, format_rational, parse_rational
-from .rees import (PRESENTATION_SCHEMA, WeightedPresentation, associated_graded, fiber_at,
-                   presentation_from_json, presentations_ideal_equal, rees_algebra)
 from .schema import validate
-from .sr_algebra import (graded_dimension, multiply, parse_theta_expression,
-                         sr_presentation, stanley_reisner_complex)
-from .stratum import CONFIGURATION_SCHEMA, configuration_from_json
-from .trees import TREE_SCHEMA, tree_from_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
-ENERGY_INPUT_SCHEMA = {
-    "title": "energy input JSON",
-    "type": "object",
-    "properties": {
-        "v": {"type": "array", "items": {"type": "integer"}},
-        "x0": {"type": "object", "required": ["v"], "properties": {
-            "v": {"type": "array", "items": {"type": "integer"}},
-            "component": {"type": "integer"}}},
-        "orbitAction": RATIONAL,
-        "chord": energy_mod.CHORD_SCHEMA,
-        "fromWeight": RATIONAL,
-        "toWeight": RATIONAL,
-    },
+# each energy operation: the keys it reads from its input JSON
+_ENERGY_INPUT_KEYS = {
+    "winding": ["v"], "orbit-action": ["v"], "pss": ["v", "x0"],
+    "chord-weight": ["chord"], "chord-action": ["chord"],
+    "monotone": ["fromWeight", "toWeight"],
 }
 
-# each energy operation's input: the keys it reads
-ENERGY_INPUT_SCHEMAS = {op: dict(ENERGY_INPUT_SCHEMA, required=keys) for op, keys in (
-    ("winding", ["v"]), ("orbit-action", ["v"]), ("pss", ["v", "x0"]),
-    ("chord-weight", ["chord"]), ("chord-action", ["chord"]),
-    ("monotone", ["fromWeight", "toWeight"]))}
+
+def _energy_input_schema(op: str) -> dict:
+    """The input JSON of energy operation op.  Built on use: its chord
+    property is the energy module's own CHORD_SCHEMA."""
+    return {
+        "title": "energy input JSON",
+        "type": "object",
+        "required": _ENERGY_INPUT_KEYS[op],
+        "properties": {
+            "v": {"type": "array", "items": {"type": "integer"}},
+            "x0": {"type": "object", "required": ["v"], "properties": {
+                "v": {"type": "array", "items": {"type": "integer"}},
+                "component": {"type": "integer"}}},
+            "orbitAction": RATIONAL,
+            "chord": energy.CHORD_SCHEMA,
+            "fromWeight": RATIONAL,
+            "toWeight": RATIONAL,
+        },
+    }
+
 
 MANIFEST_SCHEMA = {
     "title": "manifest JSON",
@@ -124,19 +129,19 @@ def _parse_face(text: str):
 def _cmd_complex(args, inputs):
     data, digest = _read_json(_require(args, "faces"))
     inputs["faces"] = {"path": args.faces, "sha256": digest}
-    cx = complex_from_json(data)
+    cx = complexes.complex_from_json(data)
     coeff_field = field_from_name(args.field or "Q")
     if args.complex_op == "homology":
-        table = reduced_homology(cx, coeff_field)
+        table = homology.reduced_homology(cx, coeff_field)
         return {"field": coeff_field.name, "betti": table.to_json()}
     if args.complex_op == "gorenstein":
-        report = gorenstein_verdict(cx, coeff_field)
+        report = homology.gorenstein_verdict(cx, coeff_field)
         return {"field": coeff_field.name, **report.to_json()}
     if args.complex_op == "link":
         face = _parse_face(_require(args, "face"))
         payload = cx.link(face).to_json()
         if args.local_homology:
-            table = local_homology_at_face(cx, face, coeff_field)
+            table = homology.local_homology_at_face(cx, face, coeff_field)
             payload["localHomology"] = table.to_json()
         return payload
     if args.complex_op == "core":
@@ -146,22 +151,22 @@ def _cmd_complex(args, inputs):
 def _cmd_sr(args, inputs):
     data, digest = _read_json(_require(args, "config"))
     inputs["config"] = {"path": args.config, "sha256": digest}
-    config = configuration_from_json(data)
+    config = stratum.configuration_from_json(data)
     if args.sr_op == "multiply":
-        lhs = parse_theta_expression(_require(args, "lhs"), config)
-        rhs = parse_theta_expression(_require(args, "rhs"), config)
-        product = multiply(config, lhs, rhs)
+        lhs = sr_algebra.parse_theta_expression(_require(args, "lhs"), config)
+        rhs = sr_algebra.parse_theta_expression(_require(args, "rhs"), config)
+        product = sr_algebra.multiply(config, lhs, rhs)
         return {"product": product.to_json(config)}
     if args.sr_op == "hilbert":
         bound = parse_rational(_require(args, "bound"))
-        counts = graded_dimension(config, bound)
+        counts = sr_algebra.graded_dimension(config, bound)
         return {"levels": _levels(counts)}
     if args.sr_op == "present":
         cx = config.dual_complex()
         weights = None
         if args.use_kappa:
             weights = [config.kappa[v - 1] for v in cx.vertices]
-        pres = sr_presentation(cx, weights)
+        pres = sr_algebra.sr_presentation(cx, weights)
         return {"presentation": pres.to_json()}
 
 
@@ -169,37 +174,37 @@ def _cmd_ring(args, inputs):
     if args.ring_op == "grob":
         names = [x.strip() for x in _require(args, "vars").split(",")]
         weights = [parse_rational(x) for x in _require(args, "weights").split(",")]
-        ring = WeightedPresentation(names, weights, [])  # checks the names and weights
+        ring = rees.WeightedPresentation(names, weights, [])  # checks the names and weights
         order = ring.order()
-        gens = [parse_polynomial(text, ring.vars, QQ) for text in _require(args, "gens")]
-        basis = groebner_basis(gens, order)
+        gens = [poly.parse_polynomial(text, ring.vars, QQ) for text in _require(args, "gens")]
+        basis = groebner.groebner_basis(gens, order)
         return {"basis": [g.to_string(order) for g in basis]}
 
     data, digest = _read_json(_require(args, "pres"))
     inputs["pres"] = {"path": args.pres, "sha256": digest}
-    pres = presentation_from_json(data)
+    pres = rees.presentation_from_json(data)
 
     if args.ring_op == "gr":
-        graded = associated_graded(pres)
+        graded = rees.associated_graded(pres)
         payload = {"presentation": graded.to_json()}
         if args.bound is not None:
             payload["levels"] = _levels(graded.hilbert_up_to(parse_rational(args.bound)))
         return payload
     if args.ring_op == "rees":
-        family = rees_algebra(pres)
+        family = rees.rees_algebra(pres)
         return {"presentation": family.presentation.to_json(),
                 "rescale": family.rescale}
     if args.ring_op == "fiber":
-        family = rees_algebra(pres)
+        family = rees.rees_algebra(pres)
         value = parse_rational(_require(args, "t"))
-        fiber = fiber_at(family, value)
+        fiber = rees.fiber_at(family, value)
         return {"t": format_rational(value),
                 "presentation": fiber.to_json()}
     if args.ring_op == "smooth":
         codim = _require(args, "codim")
         if codim < 1:
             raise InputError(f"--codim must be at least 1, got {codim}")
-        smooth, cert = jacobian_smooth(pres.ideal(), codim)
+        smooth, cert = groebner.jacobian_smooth(pres.ideal(), codim)
         payload = {"smooth": smooth}
         if cert is not None:
             payload["certificate"] = {
@@ -216,18 +221,18 @@ def _cmd_ring_degenerate(args, inputs, pres):
     configuration's theta basis, and the Gorenstein transfer report."""
     config_data, digest = _read_json(_require(args, "sr-config"))
     inputs["sr-config"] = {"path": args.sr_config, "sha256": digest}
-    config = configuration_from_json(config_data)
+    config = stratum.configuration_from_json(config_data)
     bound = parse_rational(_require(args, "bound"))
 
-    graded = associated_graded(pres)
-    family = rees_algebra(pres)
-    special = fiber_at(family, 0)
-    generic = fiber_at(family, 1)
+    graded = rees.associated_graded(pres)
+    family = rees.rees_algebra(pres)
+    special = rees.fiber_at(family, 0)
+    generic = rees.fiber_at(family, 1)
 
-    special_ok = presentations_ideal_equal(special, graded)
+    special_ok = rees.presentations_ideal_equal(special, graded)
     hilbert_gr = graded.hilbert_up_to(bound)
     hilbert_generic = generic.hilbert_up_to(bound)
-    theta_counts = graded_dimension(config, bound)
+    theta_counts = sr_algebra.graded_dimension(config, bound)
 
     payload = {
         "gr": graded.to_json(),
@@ -242,10 +247,10 @@ def _cmd_ring_degenerate(args, inputs, pres):
         payload["generatedInDegreeOne"] = all(w == 1 for w in pres.weights)
 
     # Gorenstein transfer: only when gr is visibly a Stanley-Reisner ring
-    cx = stanley_reisner_complex(graded) if graded.relations else None
+    cx = sr_algebra.stanley_reisner_complex(graded) if graded.relations else None
     payload["grIsStanleyReisner"] = cx is not None
     if cx is not None:
-        report = gorenstein_verdict(cx)
+        report = homology.gorenstein_verdict(cx)
         payload["grGorenstein"] = report.verdict
         if report.verdict:
             payload["transfer"] = ("gr is Gorenstein by the homology criterion, "
@@ -256,7 +261,7 @@ def _cmd_ring_degenerate(args, inputs, pres):
 def _cmd_tree(args, inputs):
     data, digest = _read_json(_require(args, "tree"))
     inputs["tree"] = {"path": args.tree, "sha256": digest}
-    tree = tree_from_json(data)
+    tree = trees.tree_from_json(data)
     if args.tree_op == "validate":
         violations = tree.validate()
         return {"valid": not violations,
@@ -282,31 +287,31 @@ def _cmd_tree(args, inputs):
 def _cmd_energy(args, inputs):
     params_data, digest = _read_json(_require(args, "params"))
     inputs["params"] = {"path": args.params, "sha256": digest}
-    params = energy_mod.parameters_from_json(params_data)
+    params = energy.parameters_from_json(params_data)
     data, digest = _read_json(_require(args, "input"))
     inputs["input"] = {"path": args.input, "sha256": digest}
-    validate(data, ENERGY_INPUT_SCHEMAS[args.energy_op])
+    validate(data, _energy_input_schema(args.energy_op))
 
     if args.energy_op == "winding":
-        return {"weight": format_rational(energy_mod.weighted_winding(params, data["v"]))}
+        return {"weight": format_rational(energy.weighted_winding(params, data["v"]))}
     if args.energy_op == "orbit-action":
-        return {"action": format_rational(energy_mod.orbit_action_approx(params, data["v"]))}
+        return {"action": format_rational(energy.orbit_action_approx(params, data["v"]))}
     if args.energy_op == "pss":
-        orbit = energy_mod.OrbitLabel(tuple(data["x0"]["v"]), data["x0"].get("component", 0))
-        approx = energy_mod.pss_energy_approx(params, data["v"], orbit)
+        orbit = energy.OrbitLabel(tuple(data["x0"]["v"]), data["x0"].get("component", 0))
+        approx = energy.pss_energy_approx(params, data["v"], orbit)
         if "orbitAction" in data:
             action = parse_rational(data["orbitAction"])
         else:
-            action = energy_mod.orbit_action_approx(params, orbit.v)
-        exact = energy_mod.pss_energy(params, data["v"], action)
+            action = energy.orbit_action_approx(params, orbit.v)
+        exact = energy.pss_energy(params, data["v"], action)
         return {"energy": format_rational(exact), "energyApprox": format_rational(approx)}
     if args.energy_op in ("chord-weight", "chord-action"):
-        chord = energy_mod.chord_from_json(data["chord"], params.k)
+        chord = energy.chord_from_json(data["chord"], params.k)
         if args.energy_op == "chord-weight":
-            return {"weight": format_rational(energy_mod.chord_weight(params, chord))}
-        return {"action": format_rational(energy_mod.chord_action_approx(params, chord))}
+            return {"weight": format_rational(energy.chord_weight(params, chord))}
+        return {"action": format_rational(energy.chord_action_approx(params, chord))}
     if args.energy_op == "monotone":
-        ok = energy_mod.filtration_monotone_check(
+        ok = energy.filtration_monotone_check(
             params, parse_rational(data["fromWeight"]), parse_rational(data["toWeight"]))
         return {"monotone": ok}
 
@@ -329,7 +334,7 @@ def _cmd_example(args, inputs):
             payload["smooth"] = {str(dim): ok for dim, (ok, _) in sorted(verdicts.items())}
         if args.gr:
             sr_fixture = mirror.conic_bundle_sr_fixture(fixture)
-            graded = associated_graded(pres)
+            graded = rees.associated_graded(pres)
             bound = parse_rational(args.bound) if args.bound else Fraction(8)
             gr_levels = graded.hilbert_up_to(bound)
             sr_levels = sr_fixture.hilbert_up_to(bound)
@@ -361,14 +366,14 @@ def _cmd_example(args, inputs):
             ok, residuals = mirror.singular_line_check(family)
             return {
                 "singularAlongLine": ok,
-                "residuals": [{"at": label, "value": poly.to_string()}
-                              for label, poly in residuals],
+                "residuals": [{"at": label, "value": residual.to_string()}
+                              for label, residual in residuals],
             }
         if check == "sr":
             fixture = mirror.appendix_c_sr_presentation()
             bound = parse_rational(args.bound) if args.bound else Fraction(5)
             quotient_levels = fixture.presentation.hilbert_up_to(bound)
-            theta_levels = graded_dimension(mirror.appendix_c_configuration(), bound)
+            theta_levels = sr_algebra.graded_dimension(mirror.appendix_c_configuration(), bound)
             return {
                 "presentation": fixture.presentation.to_json(),
                 "hypersurface": fixture.hypersurface.to_string(),
@@ -386,7 +391,7 @@ def _cmd_batch(args, inputs):
     for idx, argv in enumerate(job_args):
         if argv[:1] == ["batch"]:
             raise InputError(f"job {idx}: nested batch jobs are not supported")
-    results = [run(argv) for argv in job_args]
+    results = [_run(argv, in_batch=True)[:2] for argv in job_args]
     reports = [{"args": argv, "exit": code, "report": report}
                for argv, (code, report) in zip(job_args, results)]
     worst = max((code for code, _ in results), default=EXIT_OK)
@@ -395,19 +400,28 @@ def _cmd_batch(args, inputs):
 
 # -- argument plumbing ---------------------------------------------------------------
 
-# what --schema prints, by input flag when there are several: the validators' schemas
-_SCHEMAS = {
-    "complex": COMPLEX_SCHEMA,
-    "sr": CONFIGURATION_SCHEMA,
-    "ring": PRESENTATION_SCHEMA,
-    "ring grob": {"note": "the grob operation takes inline flags, no input file"},
-    "ring degenerate": {"pres": PRESENTATION_SCHEMA, "sr-config": CONFIGURATION_SCHEMA},
-    "tree": TREE_SCHEMA,
-    **{f"energy {op}": {"params": energy_mod.PARAMETERS_SCHEMA, "input": schema}
-       for op, schema in ENERGY_INPUT_SCHEMAS.items()},
-    "batch": MANIFEST_SCHEMA,
-    "example": {"note": "the example subcommand takes inline flags, no input file"},
-}
+def _schema(command: str):
+    """What --schema prints for command: the schema each input file is
+    validated against, by input flag when there are several.  Built on use,
+    so that a command executes only the modules that hold its schemas."""
+    group, _, op = command.partition(" ")
+    if group == "complex":
+        return complexes.COMPLEX_SCHEMA
+    if group == "sr":
+        return stratum.CONFIGURATION_SCHEMA
+    if group == "ring" and op == "grob":
+        return {"note": "the grob operation takes inline flags, no input file"}
+    if group == "ring" and op == "degenerate":
+        return {"pres": rees.PRESENTATION_SCHEMA, "sr-config": stratum.CONFIGURATION_SCHEMA}
+    if group == "ring":
+        return rees.PRESENTATION_SCHEMA
+    if group == "tree":
+        return trees.TREE_SCHEMA
+    if group == "energy":
+        return {"params": energy.PARAMETERS_SCHEMA, "input": _energy_input_schema(op)}
+    if group == "batch":
+        return MANIFEST_SCHEMA
+    return {"note": "the example subcommand takes inline flags, no input file"}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -461,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         leaf(tree, op, {"--tree": {}})
 
     en = top.add_parser("energy").add_subparsers(dest="energy_op", required=True)
-    for op in ENERGY_INPUT_SCHEMAS:
+    for op in _ENERGY_INPUT_KEYS:
         leaf(en, op, {"--params": {}, "--input": {}})
 
     ex = top.add_parser("example").add_subparsers(dest="example_op", required=True)
@@ -513,8 +527,10 @@ def run(argv):
     return code, report
 
 
-def _run(argv):
-    """run(), plus the parsed arguments (None on a usage error)."""
+def _run(argv, in_batch=False):
+    """run(), plus the parsed arguments (None on a usage error).  A batch job
+    may not give --out, in any spelling argparse accepts: its report goes
+    into the batch report."""
     try:
         args, unknown = _parser().parse_known_args(argv)
         if unknown:
@@ -522,9 +538,12 @@ def _run(argv):
     except argparse.ArgumentError as exc:
         return EXIT_INPUT, {"error": {"type": "usage", "message": str(exc)}}, None
     command = _command_name(args)
+    if in_batch and args.out is not None:
+        message = "--out is not supported in a batch job; its report is in the batch report"
+        return EXIT_INPUT, {"command": command, "inputs": {},
+                            "error": {"type": "input", "message": message}}, args
     if getattr(args, "schema", False):
-        schema = _SCHEMAS.get(command, _SCHEMAS.get(args.group))
-        return EXIT_OK, {"command": command, "schema": schema}, args
+        return EXIT_OK, {"command": command, "schema": _schema(command)}, args
     inputs = {}
     try:
         if args.group == "batch":
@@ -553,11 +572,18 @@ def render_report(report: dict) -> str:
 def main(argv=None) -> int:
     code, report, args = _run(sys.argv[1:] if argv is None else argv)
     text = render_report(report)
-    if args is not None and args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    if args is not None and args.out is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            code = EXIT_INPUT
+            report = {key: report[key] for key in ("command", "inputs") if key in report}
+            report["error"] = {"type": "input", "message": f"cannot write {args.out}: {exc}"}
+            text = render_report(report)
+        else:
+            text = ""
+    sys.stdout.write(text)
     sys.exit(code)
 
 

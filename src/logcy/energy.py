@@ -5,7 +5,6 @@ the displayed formulas; the "approximate" quantities are exact evaluations
 of the closed-form right-hand sides, with no error terms modeled.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateChordError, InputError
@@ -13,18 +12,15 @@ from .rationals import RATIONAL, parse_rational, parse_rational_vector
 from .schema import validate
 
 
-@dataclass(frozen=True)
 class EnergyParameters:
     """kappa weights, the shell scale eps1, and per-divisor perturbations."""
 
-    kappa: tuple
-    eps1: Fraction
-    eps_pert: tuple
+    __slots__ = ("kappa", "eps1", "eps_pert")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", tuple(Fraction(x) for x in self.kappa))
-        object.__setattr__(self, "eps1", Fraction(self.eps1))
-        object.__setattr__(self, "eps_pert", tuple(Fraction(x) for x in self.eps_pert))
+    def __init__(self, kappa, eps1, eps_pert):
+        self.kappa = tuple(Fraction(x) for x in kappa)
+        self.eps1 = Fraction(eps1)
+        self.eps_pert = tuple(Fraction(x) for x in eps_pert)
         if any(x <= 0 for x in self.kappa):
             raise InputError("kappa weights must be positive")
         if not 0 < self.eps1 < 1:
@@ -62,19 +58,18 @@ PARAMETERS_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
 class OrbitLabel:
     """A family of Hamiltonian orbits: winding vector plus stratum component."""
 
-    v: tuple
-    component: int = 0
+    __slots__ = ("v", "component")
 
-    def __post_init__(self):
-        if any((not isinstance(x, int)) or x < 0 for x in self.v):
+    def __init__(self, v, component=0):
+        if any((not isinstance(x, int)) or x < 0 for x in v):
             raise InputError("orbit winding vectors are nonnegative integer tuples")
+        self.v = v
+        self.component = component
 
 
-@dataclass(frozen=True)
 class ChordLabel:
     """A Hamiltonian chord near a depth-I stratum.
 
@@ -83,21 +78,16 @@ class ChordLabel:
     f1 are the primitive values at the endpoints.
     """
 
-    point_id: int
-    indices: tuple       # sorted subset I of 1..k
-    alpha0: tuple
-    alpha1: tuple
-    v: tuple             # length k, support inside indices
-    f0: Fraction
-    f1: Fraction
+    __slots__ = ("point_id", "indices", "alpha0", "alpha1", "v", "f0", "f1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "alpha0", tuple(Fraction(x) for x in self.alpha0))
-        object.__setattr__(self, "alpha1", tuple(Fraction(x) for x in self.alpha1))
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
-        object.__setattr__(self, "f0", Fraction(self.f0))
-        object.__setattr__(self, "f1", Fraction(self.f1))
+    def __init__(self, point_id, indices, alpha0, alpha1, v, f0, f1):
+        self.point_id = point_id
+        self.indices = tuple(int(i) for i in indices)  # sorted subset I of 1..k
+        self.alpha0 = tuple(Fraction(x) for x in alpha0)
+        self.alpha1 = tuple(Fraction(x) for x in alpha1)
+        self.v = tuple(int(x) for x in v)  # length k, support inside indices
+        self.f0 = Fraction(f0)
+        self.f1 = Fraction(f1)
         if sorted(set(self.indices)) != list(self.indices):
             raise InputError("chord indices must be strictly increasing")
         if len(self.alpha0) != len(self.indices) or len(self.alpha1) != len(self.indices):

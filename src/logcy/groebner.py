@@ -19,7 +19,6 @@ comes with an explicit combination over the input generators, replayable
 exactly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -337,12 +336,14 @@ def hilbert_function_up_to(ideal: Ideal, order: WeightedOrder, bound) -> dict:
     return {Fraction(weight, order.scale): n for weight, n in counts.items()}
 
 
-@dataclass(frozen=True)
 class SmoothnessCertificate:
     """An explicit combination sum(cofactor_i * generator_i) = 1."""
 
-    generators: tuple
-    cofactors: tuple
+    __slots__ = ("generators", "cofactors")
+
+    def __init__(self, generators, cofactors):
+        self.generators = generators
+        self.cofactors = cofactors
 
     def replay(self) -> Polynomial:
         variables = self.generators[0].vars

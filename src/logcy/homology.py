@@ -13,21 +13,25 @@ vertex's star swallows the whole complex: Stanley's criterion for a
 Gorenstein* complex.
 """
 
-from dataclasses import dataclass, field as dataclass_field
-
 from .complexes import SimplicialComplex
 from .errors import InputError
 from .exactlin import pivot_columns
 from .fields import QQ
 
 
-@dataclass(frozen=True)
 class BettiTable:
     """Reduced Betti numbers indexed from the given offset (usually -1)."""
 
-    field_name: str
-    offset: int
-    ranks: tuple
+    __slots__ = ("field_name", "offset", "ranks")
+
+    def __init__(self, field_name: str, offset: int, ranks: tuple):
+        self.field_name = field_name
+        self.offset = offset
+        self.ranks = ranks
+
+    def __eq__(self, other):
+        return (isinstance(other, BettiTable) and other.field_name == self.field_name
+                and other.offset == self.offset and other.ranks == self.ranks)
 
     def rank(self, degree: int) -> int:
         idx = degree - self.offset
@@ -116,12 +120,14 @@ def _sphere_failures(table: BettiTable, d: int, where) -> list:
     return failures
 
 
-@dataclass(frozen=True)
 class GorensteinReport:
-    verdict: bool
-    dimension: int
-    failures: list = dataclass_field(default_factory=list)
-    core_equals_whole: bool = True
+    __slots__ = ("verdict", "dimension", "failures", "core_equals_whole")
+
+    def __init__(self, verdict: bool, dimension: int, failures: list, core_equals_whole: bool):
+        self.verdict = verdict
+        self.dimension = dimension
+        self.failures = failures
+        self.core_equals_whole = core_equals_whole
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,6 @@ Its symbolic coefficients are the polynomial variables a1..a7 over Q, so the
 symbolic family lives in Q[x1, x2, x3, u, a1, ..., a7].
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -28,22 +27,21 @@ APPENDIX_C_PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 # -- conic bundle ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConicBundleFixture:
     """Mirror ring data: dimension n and the two curve-count coefficients."""
 
-    n: int
-    na: int = 1
-    nb: int = 1
-    kappa_w1: Fraction = Fraction(2)
-    kappa_w2: Fraction = Fraction(1)
+    __slots__ = ("n", "na", "nb", "kappa_w1", "kappa_w2")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, na: int = 1, nb: int = 1, kappa_w1=Fraction(2),
+                 kappa_w2=Fraction(1)):
+        if n < 2:
             raise InputError("the conic bundle fixture needs n >= 2")
-        object.__setattr__(self, "kappa_w1", Fraction(self.kappa_w1))
-        object.__setattr__(self, "kappa_w2", Fraction(self.kappa_w2))
-        if not 0 < self.kappa_w1 < self.n:
+        self.n = n
+        self.na = na
+        self.nb = nb
+        self.kappa_w1 = Fraction(kappa_w1)
+        self.kappa_w2 = Fraction(kappa_w2)
+        if not 0 < self.kappa_w1 < n:
             raise InputError("the w1 weight must lie strictly between 0 and n")
         if self.kappa_w2 <= 0:
             raise InputError("the w2 weight must be positive")
@@ -218,12 +216,14 @@ def singular_line_check(family: HypersurfaceFamily):
     return (not residuals), residuals
 
 
-@dataclass(frozen=True)
 class ThetaQuotientFixture:
     """The five-generator presentation plus its hypersurface form."""
 
-    presentation: WeightedPresentation
-    hypersurface: Polynomial
+    __slots__ = ("presentation", "hypersurface")
+
+    def __init__(self, presentation: WeightedPresentation, hypersurface: Polynomial):
+        self.presentation = presentation
+        self.hypersurface = hypersurface
 
 
 def appendix_c_sr_presentation() -> ThetaQuotientFixture:

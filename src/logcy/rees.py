@@ -8,7 +8,6 @@ ideal, so the basis comes first).  The Rees algebra gives the one-parameter
 family interpolating between the ring and its graded degeneration.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -74,7 +73,6 @@ class WeightedPresentation:
         return f"WeightedPresentation(vars={self.vars}, weights={self.weights}, relations={rels})"
 
 
-@dataclass(frozen=True)
 class ReesPresentation:
     """A weight-homogeneous presentation over {t} + the original variables.
 
@@ -82,8 +80,11 @@ class ReesPresentation:
     make them integral; reported filtration levels divide it back out.
     """
 
-    presentation: WeightedPresentation
-    rescale: int
+    __slots__ = ("presentation", "rescale")
+
+    def __init__(self, presentation: WeightedPresentation, rescale: int):
+        self.presentation = presentation
+        self.rescale = rescale
 
 
 def presentation_from_json(data) -> WeightedPresentation:

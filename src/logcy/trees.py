@@ -9,7 +9,6 @@ and kernel control the dimension formulas, and strict balancing feasibility
 is decided by an exact LP.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -19,19 +18,23 @@ from .exactlin import nullspace_dimension, rank_int_bareiss
 from .schema import require_distinct, validate
 
 
-@dataclass(frozen=True)
 class TreeEdge:
-    a: int
-    b: int
-    depth: frozenset
-    contact: tuple  # contact vector of the oriented edge a -> b
+    __slots__ = ("a", "b", "depth", "contact")
+
+    def __init__(self, a: int, b: int, depth: frozenset, contact: tuple):
+        self.a = a
+        self.b = b
+        self.depth = depth
+        self.contact = contact  # contact vector of the oriented edge a -> b
 
 
-@dataclass(frozen=True)
 class Violation:
-    where: str
-    clause: str
-    detail: str
+    __slots__ = ("where", "clause", "detail")
+
+    def __init__(self, where: str, clause: str, detail: str):
+        self.where = where
+        self.clause = clause
+        self.detail = detail
 
     def to_json(self) -> dict:
         return {"where": self.where, "clause": self.clause, "detail": self.detail}
@@ -266,7 +269,6 @@ def marked_leg_contact(k: int, k_prime: int, j: int) -> tuple:
     return tuple(1 if i == k + j else 0 for i in range(1, k + k_prime + 1))
 
 
-@dataclass(frozen=True)
 class RhoMap:
     """Integer matrix of the incidence homomorphism with its index labels.
 
@@ -275,9 +277,12 @@ class RhoMap:
     a -> b is the chosen orientation.
     """
 
-    matrix: tuple
-    row_labels: tuple
-    col_labels: tuple
+    __slots__ = ("matrix", "row_labels", "col_labels")
+
+    def __init__(self, matrix: tuple, row_labels: tuple, col_labels: tuple):
+        self.matrix = matrix
+        self.row_labels = row_labels
+        self.col_labels = col_labels
 
     @property
     def nrows(self) -> int:
@@ -386,12 +391,14 @@ def vdim_log(tree: LogPssTree) -> int:
     return tree.deg_x0 - 2 * kernel_dim(tree)
 
 
-@dataclass(frozen=True)
 class BalancingCertificate:
     """Strictly positive vertex vectors and edge scalings witnessing balance."""
 
-    vertex_values: dict  # vertex -> tuple of Fractions (length k + k')
-    edge_scalars: dict   # (a, b) -> Fraction, keyed by stored orientation
+    __slots__ = ("vertex_values", "edge_scalars")
+
+    def __init__(self, vertex_values: dict, edge_scalars: dict):
+        self.vertex_values = vertex_values  # vertex -> tuple of Fractions (length k + k')
+        self.edge_scalars = edge_scalars    # (a, b) -> Fraction, keyed by stored orientation
 
     def verify(self, tree: LogPssTree) -> bool:
         n = tree.index_range

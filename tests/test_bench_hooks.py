@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -29,3 +31,14 @@ def test_traced_names_resolve_in_logcy():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module_name}.{qualname}")
     assert not missing, missing
+
+
+def test_tracer_installs_in_a_fresh_interpreter():
+    """Tracer.install() imports logcy.cli, then looks up sys.modules["logcy.<module>"]
+    for every module it wraps, though no command has used most of them yet:
+    each must already be registered there."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import logcy.cli; import tracing; "
+            "tracer = tracing.Tracer(); tracer.install(); tracer.uninstall()")
+    proc = subprocess.run([sys.executable, "-c", code, str(TRACING.parent)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

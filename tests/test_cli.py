@@ -572,6 +572,39 @@ def test_out_flag_spellings_write_the_file(fixtures, tmp_path, capsys, spelling)
     assert out.read_text() == render_report(run(argv)[1])
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_an_input_error(fixtures, tmp_path, capsys, target):
+    path = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+    argv = ["complex", "homology", "--faces", fixtures["cycle.json"]]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(path)])
+    assert exit_info.value.code == EXIT_INPUT
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "complex homology"
+    assert report["inputs"] == run(argv)[1]["inputs"]
+    assert report["error"]["type"] == "input"
+    assert report["error"]["message"].startswith(f"cannot write {path}: ")
+
+
+@pytest.mark.parametrize("spelling", [["--out", "{}"], ["--out={}"], ["--ou", "{}"]],
+                         ids=["separate", "equals", "prefix"])
+def test_out_in_a_batch_job_is_refused(fixtures, tmp_path, spelling):
+    out = tmp_path / "report.json"
+    job = ["complex", "core", "--faces", fixtures["cone.json"]] + [
+        arg.format(out) for arg in spelling]
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": job}, {"args": sibling}]}))
+    code, report = run(["batch", "--manifest", str(manifest)])
+    assert code == EXIT_INPUT
+    jobs = report["result"]["jobs"]
+    assert [entry["exit"] for entry in jobs] == [EXIT_INPUT, EXIT_OK]
+    assert jobs[0]["report"]["error"]["type"] == "input"
+    assert "--out" in jobs[0]["report"]["error"]["message"]
+    assert jobs[1]["report"] == run(sibling)[1]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_help_keeps_stdout_one_json_report(fixtures, tmp_path, capsys, flag):
     usage = {"error": {"type": "usage", "message": "help requested"}}
