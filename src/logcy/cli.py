@@ -18,14 +18,18 @@ the parser execute no compute module, and one command executes only the
 modules it uses.  A `from .homology import name` here would execute
 homology at import.
 
-Input is checked where it is declared: argv by argparse, against the flag
-table in build_parser(); each JSON file by schema.validate, against the dict
-that --schema prints, first thing in its *_from_json parser (here for the
-energy input and the batch manifest).  Errors name the flag or JSON path.
+Input is checked where it is declared.  Argv is checked in two steps:
+argparse checks the flags, their types and choices against the flag table in
+build_parser(), and the handlers check the values it leaves as strings, with
+_require for a flag the command needs and parse_rational (or the field or
+face parser) for the value's syntax.  An empty value is checked like any
+other, never replaced by the default.  Each JSON file is checked by
+schema.validate, against the dict that --schema prints, first thing in its
+*_from_json parser (here for the energy input and the batch manifest).
+Errors name the flag or JSON path.
 """
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -33,7 +37,7 @@ from fractions import Fraction
 from . import (complexes, energy, groebner, homology, mirror, poly, rees, sr_algebra, stratum,
                trees)
 from .errors import InputError, UnsupportedStructureError
-from .fields import QQ, field_from_name
+from .fields import field_from_name
 from .rationals import RATIONAL, format_rational, parse_rational
 from .schema import validate
 
@@ -88,6 +92,8 @@ MANIFEST_SCHEMA = {
 
 
 def _read_json(path: str):
+    import hashlib  # OpenSSL's start-up cost, paid only by a process that reads a file
+
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -130,7 +136,7 @@ def _cmd_complex(args, inputs):
     data, digest = _read_json(_require(args, "faces"))
     inputs["faces"] = {"path": args.faces, "sha256": digest}
     cx = complexes.complex_from_json(data)
-    coeff_field = field_from_name(args.field or "Q")
+    coeff_field = field_from_name(args.field)
     if args.complex_op == "homology":
         table = homology.reduced_homology(cx, coeff_field)
         return {"field": coeff_field.name, "betti": table.to_json()}
@@ -176,7 +182,7 @@ def _cmd_ring(args, inputs):
         weights = [parse_rational(x) for x in _require(args, "weights").split(",")]
         ring = rees.WeightedPresentation(names, weights, [])  # checks the names and weights
         order = ring.order()
-        gens = [poly.parse_polynomial(text, ring.vars, QQ) for text in _require(args, "gens")]
+        gens = [poly.parse_polynomial(text, ring.vars) for text in _require(args, "gens")]
         basis = groebner.groebner_basis(gens, order)
         return {"basis": [g.to_string(order) for g in basis]}
 
@@ -325,8 +331,9 @@ def _cmd_example(args, inputs):
         n = _require(args, "n")
         fixture = mirror.ConicBundleFixture(
             n, args.na, args.nb,
-            parse_rational(args.kappa1) if args.kappa1 else min(Fraction(2), Fraction(2 * n - 1, 2)),
-            parse_rational(args.kappa2) if args.kappa2 else Fraction(1))
+            (parse_rational(args.kappa1) if args.kappa1 is not None
+             else min(Fraction(2), Fraction(2 * n - 1, 2))),
+            parse_rational(args.kappa2) if args.kappa2 is not None else Fraction(1))
         pres = mirror.conic_bundle_presentation(fixture)
         payload = {"presentation": pres.to_json()}
         if args.smooth:
@@ -335,7 +342,7 @@ def _cmd_example(args, inputs):
         if args.gr:
             sr_fixture = mirror.conic_bundle_sr_fixture(fixture)
             graded = rees.associated_graded(pres)
-            bound = parse_rational(args.bound) if args.bound else Fraction(8)
+            bound = parse_rational(args.bound) if args.bound is not None else Fraction(8)
             gr_levels = graded.hilbert_up_to(bound)
             sr_levels = sr_fixture.hilbert_up_to(bound)
             payload["gr"] = graded.to_json()
@@ -359,7 +366,8 @@ def _cmd_example(args, inputs):
             }
         if check == "singular-line":
             if args.mode == "numeric":
-                coeffs = [parse_rational(x) for x in (args.coeffs or "0,0,0,0,0,0,0").split(",")]
+                text = "0,0,0,0,0,0,0" if args.coeffs is None else args.coeffs
+                coeffs = [parse_rational(x) for x in text.split(",")]
                 family = mirror.HypersurfaceFamily(coeffs)
             else:
                 family = mirror.HypersurfaceFamily()
@@ -371,7 +379,7 @@ def _cmd_example(args, inputs):
             }
         if check == "sr":
             fixture = mirror.appendix_c_sr_presentation()
-            bound = parse_rational(args.bound) if args.bound else Fraction(5)
+            bound = parse_rational(args.bound) if args.bound is not None else Fraction(5)
             quotient_levels = fixture.presentation.hilbert_up_to(bound)
             theta_levels = sr_algebra.graded_dimension(mirror.appendix_c_configuration(), bound)
             return {

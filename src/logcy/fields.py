@@ -1,61 +1,25 @@
-"""Coefficient fields for the polynomial engine: exact rationals and prime
-fields F_p.  Symbolic parameters are not coefficients; they are ordinary
-polynomial variables over one of these fields.
+"""Coefficient fields of homology ranks: the rationals Q and prime fields F_p.
+
+These are tags, read by exactlin.pivot_columns (which reduces mod p for F_p)
+and printed by name in homology reports; they do no arithmetic.  Polynomials
+and theta elements are always over Q, with fractions.Fraction coefficients.
 """
 
 import math
-from fractions import Fraction
 
 from .errors import InputError
-from .rationals import format_rational
 
 
 class RationalField:
-    """The field of exact rationals; elements are fractions.Fraction."""
+    """The tag of Q."""
 
     name = "Q"
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def from_fraction(self, q):
-        return Fraction(q)
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def invert(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverting 0 in Q")
-        return 1 / x
-
-    def is_zero(self, x):
-        return x == 0
-
-    def fmt(self, x):
-        return format_rational(x)
 
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
 
-    def __hash__(self):
-        return hash("QQ")
-
+QQ = RationalField()
 
 # Every prime field has p below this: the primality test trial-divides up to
 # sqrt(p), under 50 000 divisions.
@@ -63,7 +27,7 @@ PRIME_LIMIT = 2 ** 31
 
 
 class PrimeField:
-    """F_p with elements stored as ints in 0..p-1, for primes p < PRIME_LIMIT."""
+    """The tag of F_p, for primes p < PRIME_LIMIT."""
 
     def __init__(self, p):
         if p >= PRIME_LIMIT:
@@ -72,53 +36,9 @@ class PrimeField:
             raise InputError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
-
-    def from_int(self, n):
-        return n % self.p
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        den = q.denominator % self.p
-        if den == 0:
-            raise InputError(f"denominator of {q} vanishes mod {self.p}")
-        return (q.numerator * pow(den, self.p - 2, self.p)) % self.p
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
-
-    def invert(self, x):
-        if x % self.p == 0:
-            raise ZeroDivisionError(f"inverting 0 in F_{self.p}")
-        return pow(x, self.p - 2, self.p)
-
-    def is_zero(self, x):
-        return x % self.p == 0
-
-    def fmt(self, x):
-        return str(x % self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-
-QQ = RationalField()
 
 
 def field_from_name(name: str):

@@ -1,5 +1,5 @@
 """Buchberger's algorithm, normal forms, weighted Hilbert functions, and the
-Jacobian smoothness certificate.
+Jacobian smoothness certificate, for polynomials over Q.
 
 Pair selection is the normal strategy: critical pairs sit in a heap keyed
 once, when the pair is made, by (order key of the lcm, i, j), so the
@@ -35,16 +35,16 @@ class _Element:
 
     __slots__ = ("terms", "lead", "inv_lc", "tail", "cofactors")
 
-    def __init__(self, terms, lead, field, cofactors=None):
+    def __init__(self, terms, lead, cofactors=None):
         self.terms = terms
         self.lead = lead
-        self.inv_lc = field.invert(terms[lead])
+        self.inv_lc = 1 / terms[lead]
         self.tail = [(e, c) for e, c in terms.items() if e != lead]
         self.cofactors = cofactors
 
 
 def _element(poly, order, cofactors=None):
-    return _Element(poly.terms, poly.leading(order)[0], poly.field, cofactors)
+    return _Element(poly.terms, poly.leading(order)[0], cofactors)
 
 
 def _heap_entry(key, exps):
@@ -53,27 +53,26 @@ def _heap_entry(key, exps):
     return (-weight, -degree, tuple(map(neg, exps)), exps)
 
 
-def _add_shifted(target, terms, shift, coeff, field, fresh=None):
+def _add_shifted(target, terms, shift, coeff, fresh=None):
     """target += coeff * x^shift * terms, in place; terms is an iterable of
     (exponents, coefficient) pairs and coeff is nonzero.  Monomials new to
     target are appended to the list fresh, when one is given."""
-    fadd, fmul, is_zero = field.add, field.mul, field.is_zero
     for exps, c in terms:
         m = tuple(map(add, exps, shift))
-        value = fmul(c, coeff)
+        value = c * coeff
         old = target.get(m)
         if old is None:
             if fresh is not None:
                 fresh.append(m)
         else:
-            value = fadd(old, value)
-            if is_zero(value):
+            value += old
+            if not value:
                 del target[m]
                 continue
         target[m] = value
 
 
-def _reduce(terms, cofactors, divisors, order, field):
+def _reduce(terms, cofactors, divisors, order):
     """Full division of the term dict `terms`, which is consumed.
 
     Returns the remainder as a term dict in descending order, so its first
@@ -98,34 +97,34 @@ def _reduce(terms, cofactors, divisors, order, field):
             rem[exps] = coeff
             continue
         shift = tuple(map(sub, exps, g.lead))
-        factor = field.neg(field.mul(coeff, g.inv_lc))
+        factor = -coeff * g.inv_lc
         # every new term is below exps, so a stripped monomial never returns
         fresh = []
-        _add_shifted(terms, g.tail, shift, factor, field, fresh)
+        _add_shifted(terms, g.tail, shift, factor, fresh)
         for m in fresh:
             heappush(heap, _heap_entry(key, m))
         if cofactors is not None:
             for cof, g_cof in zip(cofactors, g.cofactors):
-                _add_shifted(cof, g_cof.items(), shift, factor, field)
+                _add_shifted(cof, g_cof.items(), shift, factor)
     return rem
 
 
-def _s_polynomial(f, g, field):
+def _s_polynomial(f, g):
     """S-polynomial of two elements: (term dict, cofactor dicts or None)."""
     lcm = tuple(map(max, f.lead, g.lead))
     f_shift = tuple(map(sub, lcm, f.lead))
     g_shift = tuple(map(sub, lcm, g.lead))
-    g_coeff = field.neg(g.inv_lc)
+    g_coeff = -g.inv_lc
     terms = {}
-    _add_shifted(terms, f.tail, f_shift, f.inv_lc, field)
-    _add_shifted(terms, g.tail, g_shift, g_coeff, field)
+    _add_shifted(terms, f.tail, f_shift, f.inv_lc)
+    _add_shifted(terms, g.tail, g_shift, g_coeff)
     cofactors = None
     if f.cofactors is not None:
         cofactors = []
         for f_cof, g_cof in zip(f.cofactors, g.cofactors):
             cof = {}
-            _add_shifted(cof, f_cof.items(), f_shift, f.inv_lc, field)
-            _add_shifted(cof, g_cof.items(), g_shift, g_coeff, field)
+            _add_shifted(cof, f_cof.items(), f_shift, f.inv_lc)
+            _add_shifted(cof, g_cof.items(), g_shift, g_coeff)
             cofactors.append(cof)
     return terms, cofactors
 
@@ -133,8 +132,7 @@ def _s_polynomial(f, g, field):
 def _buchberger(gens, order, with_trace):
     """Reduced basis as (term dict, cofactor dicts or None) pairs, largest
     leading monomial first."""
-    field = gens[0].field
-    one = {(0,) * len(gens[0].vars): field.one}
+    one = {(0,) * len(gens[0].vars): Fraction(1)}
     basis = []
     for idx, g in enumerate(gens):
         if g.is_zero():
@@ -172,18 +170,18 @@ def _buchberger(gens, order, with_trace):
                and (min(j, k), max(j, k)) not in pending
                for k, lead_k in enumerate(leads)):
             continue
-        terms, cofactors = _s_polynomial(basis[i], basis[j], field)
-        rem = _reduce(terms, cofactors, basis, order, field)
+        terms, cofactors = _s_polynomial(basis[i], basis[j])
+        rem = _reduce(terms, cofactors, basis, order)
         if not rem:
             continue
-        basis.append(_Element(rem, next(iter(rem)), field, cofactors))
+        basis.append(_Element(rem, next(iter(rem)), cofactors))
         leads.append(basis[-1].lead)
         add_pairs(len(basis) - 1)
 
-    return _minimal_reduced(basis, order, field)
+    return _minimal_reduced(basis, order)
 
 
-def _minimal_reduced(basis, order, field):
+def _minimal_reduced(basis, order):
     # drop elements whose leading term another element divides
     leads = [g.lead for g in basis]
     kept = []
@@ -194,15 +192,14 @@ def _minimal_reduced(basis, order, field):
     # interreduce against the other kept elements and make leading
     # coefficients 1; kept leading terms divide no other, so each survives
     reduced = []
-    fmul = field.mul
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
         cofactors = None if g.cofactors is None else [dict(c) for c in g.cofactors]
-        terms = _reduce(dict(g.terms), cofactors, others, order, field)
-        inv = field.invert(terms[g.lead])
-        reduced.append((g.lead, {e: fmul(c, inv) for e, c in terms.items()},
+        terms = _reduce(dict(g.terms), cofactors, others, order)
+        inv = 1 / terms[g.lead]
+        reduced.append((g.lead, {e: c * inv for e, c in terms.items()},
                         None if cofactors is None else
-                        [{e: fmul(c, inv) for e, c in cof.items()} for cof in cofactors]))
+                        [{e: c * inv for e, c in cof.items()} for cof in cofactors]))
     reduced.sort(key=lambda item: order.key(item[0]), reverse=True)
     return [(terms, cofactors) for _, terms, cofactors in reduced]
 
@@ -216,15 +213,13 @@ def groebner_basis(gens, order: WeightedOrder, with_trace=False):
     gens = list(gens)
     if not gens:
         return ([], []) if with_trace else []
-    field = gens[0].field
-    for g in gens[1:]:
-        if g.vars != gens[0].vars or g.field != field:
-            raise InputError("generators live in different rings")
     variables = gens[0].vars
+    if any(g.vars != variables for g in gens):
+        raise InputError("generators live in different rings")
     reduced = _buchberger(gens, order, with_trace)
-    basis = [Polynomial(variables, field, terms) for terms, _ in reduced]
+    basis = [Polynomial(variables, terms) for terms, _ in reduced]
     if with_trace:
-        return basis, [[Polynomial(variables, field, c) for c in cofactors]
+        return basis, [[Polynomial(variables, c) for c in cofactors]
                        for _, cofactors in reduced]
     return basis
 
@@ -234,7 +229,7 @@ def reduce_modulo(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
     live = [_element(g, order) for g in basis if not g.is_zero()]
     if not live:
         return f
-    return Polynomial(f.vars, f.field, _reduce(dict(f.terms), None, live, order, f.field))
+    return Polynomial(f.vars, _reduce(dict(f.terms), None, live, order))
 
 
 def is_groebner(basis, order: WeightedOrder) -> bool:
@@ -242,8 +237,8 @@ def is_groebner(basis, order: WeightedOrder) -> bool:
     basis = [g for g in basis if not g.is_zero()]
     live = [_element(g, order) for g in basis]
     for f, g in combinations(live, 2):
-        terms, _ = _s_polynomial(f, g, basis[0].field)
-        if _reduce(terms, None, live, order, basis[0].field):
+        terms, _ = _s_polynomial(f, g)
+        if _reduce(terms, None, live, order):
             return False
     return True
 
@@ -251,19 +246,16 @@ def is_groebner(basis, order: WeightedOrder) -> bool:
 class Ideal:
     """A generator list with a cached reduced Groebner basis per order."""
 
-    def __init__(self, gens, variables=None, field=None):
+    def __init__(self, gens, variables=None):
         gens = tuple(gens)
         if gens:
             variables = gens[0].vars
-            field = gens[0].field
-            for g in gens:
-                if g.vars != variables or g.field != field:
-                    raise InputError("generators live in different rings")
-        elif variables is None or field is None:
-            raise InputError("the zero ideal needs explicit variables and field")
+            if any(g.vars != variables for g in gens):
+                raise InputError("generators live in different rings")
+        elif variables is None:
+            raise InputError("the zero ideal needs explicit variables")
         self.gens = gens
         self.vars = tuple(variables)
-        self.field = field
         self._cache = {}
 
     def groebner(self, order: WeightedOrder):
@@ -274,7 +266,7 @@ class Ideal:
         return cached
 
     def normal_form(self, f: Polynomial, order: WeightedOrder) -> Polynomial:
-        if f.vars != self.vars or f.field != self.field:
+        if f.vars != self.vars:
             raise InputError("polynomial lives in a different ring than the ideal")
         return reduce_modulo(f, self.groebner(order), order)
 
@@ -346,9 +338,7 @@ class SmoothnessCertificate:
         self.cofactors = cofactors
 
     def replay(self) -> Polynomial:
-        variables = self.generators[0].vars
-        field = self.generators[0].field
-        total = Polynomial.zero(variables, field)
+        total = Polynomial.zero(self.generators[0].vars)
         for g, c in zip(self.generators, self.cofactors):
             total = total + g * c
         return total
@@ -361,9 +351,7 @@ def _determinant(matrix):
         raise InputError("determinant of an empty matrix")
     if n == 1:
         return matrix[0][0]
-    variables = matrix[0][0].vars
-    field = matrix[0][0].field
-    total = Polynomial.zero(variables, field)
+    total = Polynomial.zero(matrix[0][0].vars)
     for col in range(n):
         entry = matrix[0][col]
         if entry.is_zero():
@@ -399,7 +387,7 @@ def jacobian_smooth(ideal: Ideal, expected_codim: int, order: WeightedOrder | No
     if len(basis) == 1 and basis[0].total_degree() == 0:
         # basis[0] is monic, hence exactly 1
         cert = SmoothnessCertificate(tuple(augmented), tuple(traces[0]))
-        if not (cert.replay() - Polynomial.constant(ideal.vars, 1, ideal.field)).is_zero():
+        if not (cert.replay() - Polynomial.constant(ideal.vars, 1)).is_zero():
             raise InputError("internal error: smoothness certificate failed to replay")
         return True, cert
     return False, None

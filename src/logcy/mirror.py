@@ -1,22 +1,22 @@
 """Built-in fixtures: the conic-bundle mirror ring and the three-divisor
 hypersurface family with a persistent singular line.
 
-The conic-bundle ring is k[u_1..u_n, w1, w2] / (u_1...u_n - Na - Nb*w1,
-w1*w2 - 1) with weights 1 on the u's and ample weights on w1, w2; its
-degeneration and smoothness behavior are exercised against the polynomial
-engine.  The hypersurface family deforms u(x1*x2*x3 - u) by the seven
-admissible monomials and is singular along a line for every parameter value.
-Its symbolic coefficients are the polynomial variables a1..a7 over Q, so the
-symbolic family lives in Q[x1, x2, x3, u, a1, ..., a7].
+Every polynomial here has rational coefficients.  The conic-bundle ring is
+Q[u_1..u_n, w1, w2] / (u_1...u_n - Na - Nb*w1, w1*w2 - 1) with weights 1 on
+the u's and ample weights on w1, w2; its degeneration and smoothness
+behavior are exercised against the polynomial engine.  The hypersurface
+family deforms u(x1*x2*x3 - u) by the seven admissible monomials and is
+singular along a line for every parameter value.  Its symbolic coefficients
+are the polynomial variables a1..a7, so the symbolic family lives in
+Q[x1, x2, x3, u, a1, ..., a7].
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .complexes import SimplicialComplex
 from .errors import InputError
-from .fields import QQ
-from .groebner import Ideal, jacobian_smooth
+from .groebner import jacobian_smooth
 from .poly import COUNT_LIMIT, Polynomial, parse_polynomial
 from .rees import WeightedPresentation
 from .stratum import DivisorConfiguration
@@ -51,13 +51,13 @@ def conic_bundle_presentation(fixture: ConicBundleFixture) -> WeightedPresentati
     """Relations u_1...u_n = Na + Nb*w1 and w1*w2 = 1 with the fixture weights."""
     names = tuple(f"u{i}" for i in range(1, fixture.n + 1)) + ("w1", "w2")
     weights = [Fraction(1)] * fixture.n + [fixture.kappa_w1, fixture.kappa_w2]
-    u_product = Polynomial.monomial(names, (1,) * fixture.n + (0, 0), QQ.one, QQ)
-    w1 = Polynomial.variable(names, "w1", QQ)
-    w2 = Polynomial.variable(names, "w2", QQ)
-    one = Polynomial.constant(names, 1, QQ)
-    rel1 = u_product - one.scale(Fraction(fixture.na)) - w1.scale(Fraction(fixture.nb))
+    u_product = Polynomial.monomial(names, (1,) * fixture.n + (0, 0), 1)
+    w1 = Polynomial.variable(names, "w1")
+    w2 = Polynomial.variable(names, "w2")
+    one = Polynomial.constant(names, 1)
+    rel1 = u_product - one.scale(fixture.na) - w1.scale(fixture.nb)
     rel2 = w1 * w2 - one
-    return WeightedPresentation(names, weights, [rel1, rel2], QQ)
+    return WeightedPresentation(names, weights, [rel1, rel2])
 
 
 def conic_bundle_smooth_check(fixture: ConicBundleFixture, n_max: int = 3) -> dict:
@@ -110,9 +110,9 @@ def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> WeightedPresentation
     weights = [Fraction(1)] * fixture.n + [fixture.kappa_w1, fixture.kappa_w2]
     facets = conic_bundle_dual_complex_facets(fixture.n)
     # minimal non-faces of the fixture complex, written directly
-    all_u = Polynomial.monomial(names, (1,) * fixture.n + (0, 0), QQ.one, QQ)
-    w1w2 = Polynomial.monomial(names, (0,) * fixture.n + (1, 1), QQ.one, QQ)
-    pres = WeightedPresentation(names, weights, [all_u, w1w2], QQ)
+    all_u = Polynomial.monomial(names, (1,) * fixture.n + (0, 0), 1)
+    w1w2 = Polynomial.monomial(names, (0,) * fixture.n + (1, 1), 1)
+    pres = WeightedPresentation(names, weights, [all_u, w1w2])
     # sanity: the written relations are exactly the fixture's minimal non-faces
     declared = {frozenset(names[:fixture.n]), frozenset(("w1", "w2"))}
     if set(SimplicialComplex.from_facets(facets).minimal_nonfaces()) != declared:
@@ -181,7 +181,7 @@ class HypersurfaceFamily:
         padding = (0,) * (len(self.vars) - len(APPENDIX_C_VARS))
         total = Polynomial.zero(self.vars)
         for exps, coeff in zip(ordered, self.coefficients):
-            total = total + coeff * Polynomial.monomial(self.vars, exps + padding, QQ.one)
+            total = total + coeff * Polynomial.monomial(self.vars, exps + padding, 1)
         return total
 
     def family_polynomial(self) -> Polynomial:
@@ -197,10 +197,9 @@ def singular_line_residuals(f: Polynomial) -> list:
     coefficients a1..a7 in symbolic mode); an empty list certifies the line
     lies in the singular locus.
     """
-    field = f.field
     line_vars = ("c",) + tuple(v for v in f.vars if v not in APPENDIX_C_VARS)
-    zero = Polynomial.zero(line_vars, field)
-    c_poly = Polynomial.variable(line_vars, "c", field)
+    zero = Polynomial.zero(line_vars)
+    c_poly = Polynomial.variable(line_vars, "c")
     assignment = {"x1": zero, "x2": zero, "x3": c_poly, "u": zero}
     residuals = []
     for label, poly in [("f", f)] + [(f"df/d{v}", f.derivative(v)) for v in APPENDIX_C_VARS]:
@@ -236,10 +235,10 @@ def appendix_c_sr_presentation() -> ThetaQuotientFixture:
     """
     names = ("x1", "x2", "x3", "u", "v")
     weights = [Fraction(1)] * 3 + [Fraction(3), Fraction(3)]
-    rel1 = parse_polynomial("x1*x2*x3 - u - v", names, QQ)
-    rel2 = parse_polynomial("u*v", names, QQ)
-    pres = WeightedPresentation(names, weights, [rel1, rel2], QQ)
-    hyper = parse_polynomial("u*(x1*x2*x3 - u)", APPENDIX_C_VARS, QQ)
+    rel1 = parse_polynomial("x1*x2*x3 - u - v", names)
+    rel2 = parse_polynomial("u*v", names)
+    pres = WeightedPresentation(names, weights, [rel1, rel2])
+    hyper = parse_polynomial("u*(x1*x2*x3 - u)", APPENDIX_C_VARS)
     return ThetaQuotientFixture(pres, hyper)
 
 

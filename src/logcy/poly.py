@@ -1,7 +1,7 @@
-"""Sparse multivariate polynomials over exact coefficient rings.
+"""Sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict from exponent tuples to nonzero coefficients, tied to
-a fixed tuple of variable names and a coefficient ring from fields.py.
+A polynomial is a dict from exponent tuples to nonzero Fraction
+coefficients, tied to a fixed tuple of variable names.
 Monomial comparisons go through WeightedOrder: positive rational weights
 ordered by weighted degree with a graded-lexicographic tiebreak, so every
 order used here is a total order refining the weight filtration.
@@ -12,7 +12,6 @@ from math import floor, lcm
 from operator import mul
 
 from .errors import InputError
-from .fields import QQ
 from .rationals import format_rational
 
 # The most table cells, or monomials walked, that a count up to a weight bound
@@ -85,13 +84,16 @@ def unit_order(nvars: int) -> WeightedOrder:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a fixed variable tuple."""
+    """Immutable sparse polynomial over Q in a fixed variable tuple.
 
-    __slots__ = ("vars", "field", "terms")
+    terms maps exponent tuples to nonzero Fraction coefficients; the
+    constructor makes each given coefficient a Fraction and drops zeros.
+    """
 
-    def __init__(self, variables, field, terms=None):
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
-        self.field = field
         clean = {}
         if terms:
             for exps, coeff in terms.items():
@@ -100,75 +102,65 @@ class Polynomial:
                     raise InputError("exponent tuple length does not match variable count")
                 if any(e < 0 for e in exps):
                     raise InputError("polynomial exponents must be nonnegative")
-                if not field.is_zero(coeff):
-                    clean[exps] = field.add(clean.get(exps, field.zero), coeff)
-        self.terms = {e: c for e, c in clean.items() if not field.is_zero(c)}
+                if coeff:
+                    clean[exps] = Fraction(coeff)
+        self.terms = clean
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables, field=QQ):
-        return cls(variables, field, {})
+    def zero(cls, variables):
+        return cls(variables, {})
 
     @classmethod
-    def constant(cls, variables, value, field=QQ):
-        return cls(variables, field, {(0,) * len(tuple(variables)): field.from_fraction(value)})
+    def constant(cls, variables, value):
+        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
-    def variable(cls, variables, name, field=QQ):
+    def variable(cls, variables, name):
         variables = tuple(variables)
         if name not in variables:
             raise InputError(f"unknown variable {name!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, field, {exps: field.one})
+        return cls(variables, {exps: 1})
 
     @classmethod
-    def monomial(cls, variables, exps, coeff, field=QQ):
-        return cls(variables, field, {tuple(exps): coeff})
+    def monomial(cls, variables, exps, coeff):
+        return cls(variables, {tuple(exps): coeff})
 
     # -- ring operations --------------------------------------------------------
 
     def _check_same_ring(self, other):
-        if self.vars != other.vars or self.field != other.field:
+        if self.vars != other.vars:
             raise InputError("polynomials live in different rings")
 
     def __add__(self, other):
         self._check_same_ring(other)
-        field = self.field
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = field.add(out.get(exps, field.zero), c)
-            if field.is_zero(s):
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Polynomial(self.vars, field, out)
+            out[exps] = out[exps] + c if exps in out else c
+        return Polynomial(self.vars, out)
 
     def __neg__(self):
-        field = self.field
-        return Polynomial(self.vars, field, {e: field.neg(c) for e, c in self.terms.items()})
+        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_same_ring(other)
-        field = self.field
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                s = field.add(out.get(exps, field.zero), field.mul(c1, c2))
-                if field.is_zero(s):
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return Polynomial(self.vars, field, out)
+                c = c1 * c2
+                out[exps] = out[exps] + c if exps in out else c
+        return Polynomial(self.vars, out)
 
     def __pow__(self, n):
         if n < 0:
             raise InputError("negative polynomial powers are not defined")
-        out = Polynomial.constant(self.vars, 1, self.field)
+        out = Polynomial.constant(self.vars, 1)
         base = self
         while n:
             if n & 1:
@@ -178,28 +170,20 @@ class Polynomial:
         return out
 
     def scale(self, coeff):
-        field = self.field
-        if field.is_zero(coeff):
-            return Polynomial.zero(self.vars, field)
-        return Polynomial(self.vars, field,
-                          {e: field.mul(c, coeff) for e, c in self.terms.items()})
+        return Polynomial(self.vars, {e: c * coeff for e, c in self.terms.items()})
 
     def mul_term(self, exps, coeff):
         """Multiply by a single term coeff * x^exps."""
-        field = self.field
-        if field.is_zero(coeff):
-            return Polynomial.zero(self.vars, field)
         exps = tuple(exps)
-        return Polynomial(self.vars, field,
-                          {tuple(a + b for a, b in zip(e, exps)): field.mul(c, coeff)
-                           for e, c in self.terms.items()})
+        return Polynomial(self.vars, {tuple(a + b for a, b in zip(e, exps)): c * coeff
+                                      for e, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and other.vars == self.vars
-                and other.field == self.field and other.terms == self.terms)
+                and other.terms == self.terms)
 
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.keys()))))
@@ -229,15 +213,13 @@ class Polynomial:
     def top_weight_form(self, order: WeightedOrder) -> "Polynomial":
         """Sum of the terms of maximal weighted degree."""
         top = self.weighted_degree(order) * order.scale
-        return Polynomial(self.vars, self.field,
-                          {e: c for e, c in self.terms.items()
-                           if order.int_degree(e) == top})
+        return Polynomial(self.vars, {e: c for e, c in self.terms.items()
+                                      if order.int_degree(e) == top})
 
     def derivative(self, name) -> "Polynomial":
         if name not in self.vars:
             raise InputError(f"unknown variable {name!r}")
         idx = self.vars.index(name)
-        field = self.field
         out = {}
         for exps, c in self.terms.items():
             e = exps[idx]
@@ -245,10 +227,8 @@ class Polynomial:
                 continue
             new = list(exps)
             new[idx] = e - 1
-            coeff = field.mul(c, field.from_int(e))
-            if not field.is_zero(coeff):
-                out[tuple(new)] = coeff
-        return Polynomial(self.vars, field, out)
+            out[tuple(new)] = c * e
+        return Polynomial(self.vars, out)
 
     def substitute(self, mapping: dict) -> "Polynomial":
         """Compose with variable -> Polynomial assignments.
@@ -257,22 +237,19 @@ class Polynomial:
         polynomials must live in a common ring, which also hosts the result.
         """
         images = dict(mapping)
-        target = None
+        tvars = None
         for img in images.values():
-            if target is None:
-                target = (img.vars, img.field)
-            elif (img.vars, img.field) != target:
+            if tvars is None:
+                tvars = img.vars
+            elif img.vars != tvars:
                 raise InputError("substitution images live in different rings")
-        if target is None:
-            target = (self.vars, self.field)
-        tvars, tfield = target
-        if tfield != self.field:
-            raise InputError("substitution cannot change the coefficient ring")
+        if tvars is None:
+            tvars = self.vars
         for name in self.vars:
             if name not in images:
-                images[name] = Polynomial.variable(tvars, name, tfield)
-        result = Polynomial.zero(tvars, tfield)
-        one = Polynomial.constant(tvars, 1, tfield)
+                images[name] = Polynomial.variable(tvars, name)
+        result = Polynomial.zero(tvars)
+        one = Polynomial.constant(tvars, 1)
         # cache powers per variable to keep repeated exponents cheap
         powers = {name: {1: images[name]} for name in self.vars}
         for exps, coeff in sorted(self.terms.items()):
@@ -307,7 +284,7 @@ class Polynomial:
                 else:
                     new[pos] = e
             out[tuple(new)] = c
-        return Polynomial(new_vars, self.field, out)
+        return Polynomial(new_vars, out)
 
     # -- printing ----------------------------------------------------------------
 
@@ -324,7 +301,7 @@ class Polynomial:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            cstr = self.field.fmt(coeff)
+            cstr = format_rational(coeff)
             if factors and cstr == "1":
                 pieces.append("*".join(factors))
             elif factors and cstr == "-1":
@@ -347,10 +324,9 @@ class _Parser:
     """Recursive descent for:  expr := term (+|- term)*, term := factor (* factor)*,
     factor := atom (^ INT)*, atom := rational | name | ( expr ) | - factor."""
 
-    def __init__(self, text, variables, field):
+    def __init__(self, text, variables):
         self.text = text
         self.vars = tuple(variables)
-        self.field = field
         self.tokens = self._lex(text)
         self.pos = 0
 
@@ -437,10 +413,10 @@ class _Parser:
                 kind2, denom = self._next()
                 if kind2 != "num" or denom == 0:
                     raise InputError("malformed rational literal")
-                return Polynomial.constant(self.vars, Fraction(numer, denom), self.field)
-            return Polynomial.constant(self.vars, Fraction(numer), self.field)
+                return Polynomial.constant(self.vars, Fraction(numer, denom))
+            return Polynomial.constant(self.vars, numer)
         if kind == "name":
-            return Polynomial.variable(self.vars, value, self.field)
+            return Polynomial.variable(self.vars, value)
         if kind == "(":
             poly = self._expr()
             kind2, _ = self._next()
@@ -458,6 +434,6 @@ def is_variable_name(text: str) -> bool:
         return False
 
 
-def parse_polynomial(text: str, variables, field=QQ) -> Polynomial:
+def parse_polynomial(text: str, variables) -> Polynomial:
     """Parse the documented grammar: rationals, names, + - * ^ and parentheses."""
-    return _Parser(text, variables, field).parse()
+    return _Parser(text, variables).parse()

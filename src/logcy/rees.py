@@ -1,18 +1,18 @@
 """Positively filtered presentations, associated graded rings, and Rees families.
 
-A WeightedPresentation is a finitely presented algebra with positive weights
-on its generators; the weights induce an ascending filtration with F_0 = k.
-The associated graded ring is computed from top-weight forms of a reduced
-Groebner basis (top forms of raw generators can generate a strictly smaller
-ideal, so the basis comes first).  The Rees algebra gives the one-parameter
-family interpolating between the ring and its graded degeneration.
+A WeightedPresentation is a finitely presented algebra over Q (its relations
+have rational coefficients) with positive weights on its generators; the
+weights induce an ascending filtration with F_0 = Q.  The associated graded
+ring is computed from top-weight forms of a reduced Groebner basis (top
+forms of raw generators can generate a strictly smaller ideal, so the basis
+comes first).  The Rees algebra gives the one-parameter family interpolating
+between the ring and its graded degeneration.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .errors import InputError
-from .fields import QQ
 from .groebner import Ideal, hilbert_function_up_to, ideals_equal
 from .poly import Polynomial, WeightedOrder, is_variable_name, parse_polynomial
 from .rationals import RATIONAL, format_rational, parse_rational
@@ -22,7 +22,7 @@ from .schema import validate
 class WeightedPresentation:
     """Variables with positive rational weights and a list of relations."""
 
-    def __init__(self, variables, weights, relations, field=QQ):
+    def __init__(self, variables, weights, relations):
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise InputError("duplicate variable names")
@@ -35,12 +35,11 @@ class WeightedPresentation:
             raise InputError("one weight per variable is required")
         if any(w <= 0 for w in self.weights):
             raise InputError("weights must be positive (the filtration starts at k*1)")
-        self.field = field
         rels = []
         for rel in relations:
             if isinstance(rel, str):
-                rel = parse_polynomial(rel, self.vars, field)
-            if rel.vars != self.vars or rel.field != field:
+                rel = parse_polynomial(rel, self.vars)
+            if rel.vars != self.vars:
                 raise InputError("relation lives in a different ring")
             if rel.is_zero():
                 raise InputError("zero relations are not allowed")
@@ -55,7 +54,7 @@ class WeightedPresentation:
         """The relation ideal; one object per presentation, so its Groebner
         basis cache is shared by every caller."""
         if self._ideal is None:
-            self._ideal = Ideal(self.relations, self.vars, self.field)
+            self._ideal = Ideal(self.relations, self.vars)
         return self._ideal
 
     def hilbert_up_to(self, bound) -> dict:
@@ -123,7 +122,7 @@ def associated_graded(pres: WeightedPresentation) -> WeightedPresentation:
     """
     basis, order = _reduced_basis(pres)
     tops = [g.top_weight_form(order) for g in basis]
-    return WeightedPresentation(pres.vars, pres.weights, tops, pres.field)
+    return WeightedPresentation(pres.vars, pres.weights, tops)
 
 
 def rees_algebra(pres: WeightedPresentation) -> ReesPresentation:
@@ -149,9 +148,8 @@ def rees_algebra(pres: WeightedPresentation) -> ReesPresentation:
             if gap.denominator != 1 or gap < 0:
                 raise InputError("internal error: non-integral homogenization gap")
             terms[(int(gap),) + exps] = coeff
-        homogenized.append(Polynomial(new_vars, pres.field, terms))
-    rees_pres = WeightedPresentation(new_vars, [Fraction(1)] + int_weights,
-                                     homogenized, pres.field)
+        homogenized.append(Polynomial(new_vars, terms))
+    rees_pres = WeightedPresentation(new_vars, [Fraction(1)] + int_weights, homogenized)
     return ReesPresentation(rees_pres, rescale)
 
 
@@ -167,20 +165,20 @@ def fiber_at(rees: ReesPresentation, value) -> WeightedPresentation:
     t = pres.vars[0]
     original_vars = pres.vars[1:]
     original_weights = [w / rees.rescale for w in pres.weights[1:]]
-    const = Polynomial.constant(pres.vars, value, pres.field)
+    const = Polynomial.constant(pres.vars, value)
     substituted = []
     for rel in pres.relations:
         image = rel.substitute({t: const})
         if image.is_zero():
             continue
         substituted.append(image.change_variables(original_vars))
-    return WeightedPresentation(original_vars, original_weights, substituted, pres.field)
+    return WeightedPresentation(original_vars, original_weights, substituted)
 
 
 def presentations_ideal_equal(first: WeightedPresentation,
                               second: WeightedPresentation) -> bool:
     """Mutual membership of relation ideals (same ambient ring required)."""
-    if first.vars != second.vars or first.field != second.field:
+    if first.vars != second.vars:
         raise InputError("presentations live in different ambient rings")
     order = first.order()
     return ideals_equal(first.ideal(), second.ideal(), order)

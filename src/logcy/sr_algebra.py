@@ -5,8 +5,10 @@ stratum (and satisfying the exact pole-order constraint) together with a
 connected component of that stratum.  The product of two basis symbols sums
 the multiplicity vectors and collects the components of the deeper stratum
 whose restrictions match both factors; products leaving the basis set
-truncate to zero.  Both directions of the Stanley-Reisner correspondence
-live here too: sr_presentation and its inverse stanley_reisner_complex.
+truncate to zero.  A ThetaElement is a combination of basis symbols with
+rational (Fraction) coefficients.  Both directions of the Stanley-Reisner
+correspondence live here too: sr_presentation and its inverse
+stanley_reisner_complex.
 """
 
 import re
@@ -15,8 +17,8 @@ from math import ceil, floor, lcm
 
 from .complexes import SimplicialComplex
 from .errors import InputError
-from .fields import QQ
 from .poly import Polynomial, WeightedOrder, require_countable
+from .rationals import format_rational
 from .rees import WeightedPresentation
 from .stratum import DivisorConfiguration
 
@@ -60,74 +62,58 @@ class ThetaBasisElement:
 
 
 class ThetaElement:
-    """Finite linear combination of basis symbols over Q or F_p."""
+    """Finite linear combination of basis symbols with Fraction coefficients."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, field=QQ, coeffs=None):
-        self.field = field
-        clean = {}
-        if coeffs:
-            for elem, c in coeffs.items():
-                if not field.is_zero(c):
-                    clean[elem] = c
-        self.coeffs = clean
+    def __init__(self, coeffs=None):
+        self.coeffs = {elem: c for elem, c in coeffs.items() if c} if coeffs else {}
 
     @classmethod
-    def zero(cls, field=QQ):
-        return cls(field, {})
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def basis(cls, elem: ThetaBasisElement, field=QQ):
-        return cls(field, {elem: field.one})
+    def basis(cls, elem: ThetaBasisElement):
+        return cls({elem: Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __add__(self, other):
-        if other.field != self.field:
-            raise InputError("field tags differ")
         out = dict(self.coeffs)
         for elem, c in other.coeffs.items():
-            s = self.field.add(out.get(elem, self.field.zero), c)
-            if self.field.is_zero(s):
-                out.pop(elem, None)
-            else:
-                out[elem] = s
-        return ThetaElement(self.field, out)
+            out[elem] = out[elem] + c if elem in out else c
+        return ThetaElement(out)
 
     def scale(self, coeff):
-        if self.field.is_zero(coeff):
-            return ThetaElement.zero(self.field)
-        return ThetaElement(self.field,
-                            {e: self.field.mul(c, coeff) for e, c in self.coeffs.items()})
+        return ThetaElement({e: c * coeff for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
-        return (isinstance(other, ThetaElement) and other.field == self.field
-                and other.coeffs == self.coeffs)
+        return isinstance(other, ThetaElement) and other.coeffs == self.coeffs
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.coeffs.items())))
+        return hash(frozenset(self.coeffs.items()))
 
     def sorted_terms(self, config: DivisorConfiguration):
         return sorted(self.coeffs.items(), key=lambda item: item[0].key(config))
 
     def to_json(self, config: DivisorConfiguration) -> list:
         return [
-            {"v": list(elem.v), "component": elem.component, "coeff": self.field.fmt(c)}
+            {"v": list(elem.v), "component": elem.component, "coeff": format_rational(c)}
             for elem, c in self.sorted_terms(config)
         ]
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        parts = [f"{self.field.fmt(c)}*{elem!r}" for elem, c in
+        parts = [f"{format_rational(c)}*{elem!r}" for elem, c in
                  sorted(self.coeffs.items(), key=lambda kv: (kv[0].v, kv[0].component))]
         return " + ".join(parts)
 
 
 def multiply_basis(config: DivisorConfiguration, x: ThetaBasisElement,
-                   y: ThetaBasisElement, field=QQ) -> ThetaElement:
+                   y: ThetaBasisElement) -> ThetaElement:
     """Product of two basis symbols.
 
     The result is supported on the components of the summed-multiplicity
@@ -136,34 +122,30 @@ def multiply_basis(config: DivisorConfiguration, x: ThetaBasisElement,
     """
     total = tuple(a + b for a, b in zip(x.v, y.v))
     if not config.in_basis(total):
-        return ThetaElement.zero(field)
+        return ThetaElement.zero()
     support = DivisorConfiguration.support(total)
     to_x = config.component_map(support, DivisorConfiguration.support(x.v))
     to_y = config.component_map(support, DivisorConfiguration.support(y.v))
     out = {}
     for comp in config.components(support):
         if to_x[comp] == x.component and to_y[comp] == y.component:
-            out[ThetaBasisElement._unchecked(total, comp)] = field.one
-    return ThetaElement(field, out)
+            out[ThetaBasisElement._unchecked(total, comp)] = Fraction(1)
+    return ThetaElement(out)
 
 
 def multiply(config: DivisorConfiguration, f: ThetaElement, g: ThetaElement) -> ThetaElement:
     """Bilinear extension of the basis product."""
-    if f.field != g.field:
-        raise InputError("field tags differ")
-    field = f.field
-    result = ThetaElement.zero(field)
+    result = ThetaElement.zero()
     for ex, cx in f.coeffs.items():
         for ey, cy in g.coeffs.items():
-            prod = multiply_basis(config, ex, ey, field)
-            result = result + prod.scale(field.mul(cx, cy))
+            result = result + multiply_basis(config, ex, ey).scale(cx * cy)
     return result
 
 
-def unit_element(config: DivisorConfiguration, field=QQ) -> ThetaElement:
+def unit_element(config: DivisorConfiguration) -> ThetaElement:
     zero_vec = (0,) * config.k
     comp = config.components(frozenset())[0]
-    return ThetaElement.basis(ThetaBasisElement(config, zero_vec, comp), field)
+    return ThetaElement.basis(ThetaBasisElement(config, zero_vec, comp))
 
 
 def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
@@ -278,7 +260,7 @@ def sr_presentation(cx: SimplicialComplex, weights=None) -> WeightedPresentation
     relations = []
     for nonface in cx.minimal_nonfaces():
         exps = tuple(1 if v in nonface else 0 for v in verts)
-        relations.append(Polynomial.monomial(names, exps, QQ.one))
+        relations.append(Polynomial.monomial(names, exps, 1))
     return WeightedPresentation(names, weights, relations)
 
 
@@ -304,13 +286,13 @@ _THETA_TERM = re.compile(
     r"theta\[(?P<vec>\s*(?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)(?:;(?P<comp>\d+))?\]\s*$")
 
 
-def parse_theta_expression(text: str, config: DivisorConfiguration, field=QQ) -> ThetaElement:
+def parse_theta_expression(text: str, config: DivisorConfiguration) -> ThetaElement:
     """Parse expressions like "theta[1,0,0;0] + 2*theta[0,1,0]".
 
     The component may be omitted when the indexed stratum is connected.
     Terms are joined by "+"; coefficients are integers.
     """
-    result = ThetaElement.zero(field)
+    result = ThetaElement.zero()
     text = text.strip()
     if not text:
         raise InputError("empty theta expression")
@@ -336,5 +318,5 @@ def parse_theta_expression(text: str, config: DivisorConfiguration, field=QQ) ->
         else:
             component = int(comp_text)
         elem = ThetaBasisElement(config, vec, component)
-        result = result + ThetaElement(field, {elem: field.from_int(coeff)})
+        result = result + ThetaElement({elem: Fraction(coeff)})
     return result

@@ -512,6 +512,27 @@ def test_bad_argv_is_an_input_error_alone_and_in_a_batch(fixtures, tmp_path, kin
     assert batch["result"]["jobs"][1]["report"] == run(sibling)[1]
 
 
+# kind -> argv of a flag given an empty value (fixture names stand for their paths)
+_EMPTY_VALUE = {
+    "complex-homology-field": ["complex", "homology", "--faces", "cycle.json", "--field", ""],
+    "example-conic-kappa1": ["example", "conic", "--n", "3", "--kappa1", ""],
+    "example-conic-kappa2": ["example", "conic", "--n", "3", "--kappa2", ""],
+    "example-conic-gr-bound": ["example", "conic", "--n", "3", "--gr", "--bound", ""],
+    "example-appc-numeric-coeffs": ["example", "appc", "--check", "singular-line",
+                                    "--mode", "numeric", "--coeffs", ""],
+    "example-appc-sr-bound": ["example", "appc", "--check", "sr", "--bound", ""],
+    "sr-hilbert-bound": ["sr", "hilbert", "--config", "appc.json", "--bound", ""],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EMPTY_VALUE))
+def test_an_empty_flag_value_is_an_input_error_not_the_default(fixtures, kind):
+    code, report = run([fixtures.get(arg, arg) for arg in _EMPTY_VALUE[kind]])
+    assert code == EXIT_INPUT
+    assert report["error"]["type"] == "input"
+    assert "''" in report["error"]["message"]
+
+
 def test_appc_numeric_coefficients_are_read(tmp_path):
     code, report = run(["example", "appc", "--check", "singular-line", "--mode", "numeric",
                         "--coeffs", "1,2,3,4,5,6,7"])

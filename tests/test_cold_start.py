@@ -18,15 +18,16 @@ import logcy
 from test_cli import fixtures  # noqa: F401  (the fixture the CLI tests write their files with)
 
 # Prints one JSON list: the executed logcy modules and whether dataclasses
-# is imported, first after `import logcy.cli`, then after each job of
-# argv[1] (with its exit code).
+# and hashlib are imported, first after `import logcy.cli`, then after each
+# job of argv[1] (with its exit code).
 _PROBE = """
 import json, sys, types
 
 def state():
     modules = sorted(name for name, module in sys.modules.items()
                      if name.startswith("logcy.") and type(module) is types.ModuleType)
-    return {"modules": modules, "dataclasses": "dataclasses" in sys.modules}
+    return {"modules": modules, "dataclasses": "dataclasses" in sys.modules,
+            "hashlib": "hashlib" in sys.modules}
 
 import logcy.cli
 steps = [state()]
@@ -119,6 +120,15 @@ def test_import_and_the_parser_execute_no_compute_module(fixtures):  # noqa: F81
     assert job["exit"] == 0
     assert set(job["modules"]) - set(PLUMBING) == {
         "logcy.complexes", "logcy.homology", "logcy.exactlin"}
+
+
+def test_hashlib_waits_for_the_first_input_file(fixtures):  # noqa: F811
+    imported, example, reads_file = _probe([
+        ["example", "appc", "--check", "admissible"],
+        ["complex", "homology", "--faces", fixtures["cycle.json"]]])
+    assert not imported["hashlib"]
+    assert example["exit"] == 0 and not example["hashlib"]
+    assert reads_file["exit"] == 0 and reads_file["hashlib"]
 
 
 def test_no_subcommand_imports_dataclasses(fixtures, tmp_path):  # noqa: F811

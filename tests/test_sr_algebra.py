@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from logcy.complexes import SimplicialComplex, full_simplex, sphere_boundary
 from logcy.errors import InputError
-from logcy.fields import QQ, PrimeField
 from logcy.groebner import reduce_modulo
 from logcy.mirror import appendix_c_configuration
 from logcy.poly import Polynomial
@@ -96,21 +95,6 @@ def test_associativity_witness(appc):
         multiply(appc, x1, multiply(appc, x2, x3))
 
 
-def test_field_tag_mismatch(appc):
-    f2 = PrimeField(2)
-    a = ThetaElement.basis(ThetaBasisElement(appc, (1, 0, 0), 0), f2)
-    b = ThetaElement.basis(ThetaBasisElement(appc, (0, 1, 0), 0), QQ)
-    with pytest.raises(InputError):
-        multiply(appc, a, b)
-
-
-def test_prime_field_coefficients(appc):
-    f2 = PrimeField(2)
-    a = ThetaElement.basis(ThetaBasisElement(appc, (1, 0, 0), 0), f2)
-    doubled = a + a
-    assert doubled.is_zero()
-
-
 def test_commutativity_and_associativity_random_configs():
     rng = random.Random(17)
     for _ in range(12):
@@ -162,7 +146,7 @@ def test_structure_constants_match_monomials_mod_sr_ideal():
                 # exponents aligned with the complex's actual vertex list
                 mono = Polynomial.monomial(pres.vars,
                                            tuple(v1[i - 1] + v2[i - 1] for i in dual.vertices),
-                                           QQ.one, QQ)
+                                           1)
                 nf = reduce_modulo(mono, basis_gb, order)
                 if theta_prod.is_zero():
                     assert nf.is_zero()
