@@ -31,8 +31,7 @@ _EXPORTS = {
                   "sphere_boundary"),
     "errors": ("DegenerateChordError", "InputError", "LogcyError", "UnsupportedStructureError"),
     "fields": ("QQ", "PrimeField"),
-    "groebner": ("Ideal", "groebner_basis", "hilbert_function_up_to", "ideal_membership",
-                 "ideals_equal", "is_groebner", "jacobian_smooth", "normal_form"),
+    "groebner": ("groebner_basis", "hilbert_function_up_to", "is_groebner", "jacobian_smooth"),
     "homology": ("BettiTable", "GorensteinReport", "gorenstein_verdict",
                  "is_rational_homology_manifold", "is_rational_homology_sphere",
                  "local_homology_at_face", "reduced_homology"),

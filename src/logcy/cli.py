@@ -210,7 +210,7 @@ def _cmd_ring(args, inputs):
         codim = _require(args, "codim")
         if codim < 1:
             raise InputError(f"--codim must be at least 1, got {codim}")
-        smooth, cert = groebner.jacobian_smooth(pres.ideal(), codim)
+        smooth, cert = groebner.jacobian_smooth(pres.relations, codim)
         payload = {"smooth": smooth}
         if cert is not None:
             payload["certificate"] = {

@@ -1,6 +1,10 @@
 """Buchberger's algorithm, normal forms, weighted Hilbert functions, and the
 Jacobian smoothness certificate, for polynomials over Q.
 
+Every function works on generator lists, or on a Groebner basis its caller
+has already computed; nothing here caches a basis.  A caller that needs one
+basis more than once keeps it (rees.WeightedPresentation.basis).
+
 Pair selection is the normal strategy: critical pairs sit in a heap keyed
 once, when the pair is made, by (order key of the lcm, i, j), so the
 smallest lcm in the active order comes first and ties go to the smaller
@@ -243,56 +247,9 @@ def is_groebner(basis, order: WeightedOrder) -> bool:
     return True
 
 
-class Ideal:
-    """A generator list with a cached reduced Groebner basis per order."""
-
-    def __init__(self, gens, variables=None):
-        gens = tuple(gens)
-        if gens:
-            variables = gens[0].vars
-            if any(g.vars != variables for g in gens):
-                raise InputError("generators live in different rings")
-        elif variables is None:
-            raise InputError("the zero ideal needs explicit variables")
-        self.gens = gens
-        self.vars = tuple(variables)
-        self._cache = {}
-
-    def groebner(self, order: WeightedOrder):
-        cached = self._cache.get(order)
-        if cached is None:
-            cached = groebner_basis(self.gens, order)
-            self._cache[order] = cached
-        return cached
-
-    def normal_form(self, f: Polynomial, order: WeightedOrder) -> Polynomial:
-        if f.vars != self.vars:
-            raise InputError("polynomial lives in a different ring than the ideal")
-        return reduce_modulo(f, self.groebner(order), order)
-
-    def contains(self, f: Polynomial, order: WeightedOrder) -> bool:
-        return self.normal_form(f, order).is_zero()
-
-    def __repr__(self):
-        return f"Ideal({[g.to_string() for g in self.gens]})"
-
-
-def normal_form(f: Polynomial, ideal: Ideal, order: WeightedOrder) -> Polynomial:
-    return ideal.normal_form(f, order)
-
-
-def ideal_membership(f: Polynomial, ideal: Ideal, order: WeightedOrder) -> bool:
-    return ideal.contains(f, order)
-
-
-def ideals_equal(first: Ideal, second: Ideal, order: WeightedOrder) -> bool:
-    """Mutual membership of generators."""
-    return (all(second.contains(g, order) for g in first.gens)
-            and all(first.contains(g, order) for g in second.gens))
-
-
-def hilbert_function_up_to(ideal: Ideal, order: WeightedOrder, bound) -> dict:
-    """Counts of standard monomials per weight level up to the bound.
+def hilbert_function_up_to(basis, order: WeightedOrder, bound) -> dict:
+    """Counts of standard monomials per weight level up to the bound, for
+    the ideal whose Groebner basis in this order is `basis`.
 
     Keys are all weight values realized by ambient monomials of weight at
     most the bound, so empty graded pieces report 0 rather than vanishing
@@ -303,12 +260,11 @@ def hilbert_function_up_to(ideal: Ideal, order: WeightedOrder, bound) -> dict:
     logcy.poly.COUNT_LIMIT it raises InputError first.
     """
     weights = order.int_weights
-    if len(weights) != len(ideal.vars):
+    if basis and len(weights) != len(basis[0].vars):
         raise InputError("order weight count does not match the variable count")
     levels = order.level_counts(bound)
     require_countable(sum(levels))  # the monomials the walk visits
     top = len(levels) - 1  # the walk is in scaled weights
-    basis = ideal.groebner(order)
     leads = [g.leading(order)[0] for g in basis]
     counts = {}
     nvars = len(weights)
@@ -362,7 +318,7 @@ def _determinant(matrix):
     return total
 
 
-def jacobian_smooth(ideal: Ideal, expected_codim: int, order: WeightedOrder | None = None):
+def jacobian_smooth(relations, expected_codim: int):
     """Jacobian criterion for a complete-intersection presentation.
 
     Returns (True, certificate) when 1 lies in the ideal generated by the
@@ -370,24 +326,25 @@ def jacobian_smooth(ideal: Ideal, expected_codim: int, order: WeightedOrder | No
     the singular locus is empty over the algebraic closure.  (False, None)
     means "not verified smooth"; no claim of an actual singularity is made.
     """
-    if len(ideal.gens) != expected_codim:
+    relations = list(relations)
+    if len(relations) != expected_codim:
         raise UnsupportedStructureError(
             f"expected {expected_codim} generators for a codimension-{expected_codim} "
-            f"complete intersection, got {len(ideal.gens)}")
-    order = order or unit_order(len(ideal.vars))
-    jac = [[g.derivative(v) for v in ideal.vars] for g in ideal.gens]
+            f"complete intersection, got {len(relations)}")
+    variables = relations[0].vars
+    jac = [[g.derivative(v) for v in variables] for g in relations]
     minors = []
-    for cols in combinations(range(len(ideal.vars)), expected_codim):
+    for cols in combinations(range(len(variables)), expected_codim):
         sub = [[row[c] for c in cols] for row in jac]
         det = _determinant(sub)
         if not det.is_zero():
             minors.append(det)
-    augmented = list(ideal.gens) + minors
-    basis, traces = groebner_basis(augmented, order, with_trace=True)
+    augmented = relations + minors
+    basis, traces = groebner_basis(augmented, unit_order(len(variables)), with_trace=True)
     if len(basis) == 1 and basis[0].total_degree() == 0:
         # basis[0] is monic, hence exactly 1
         cert = SmoothnessCertificate(tuple(augmented), tuple(traces[0]))
-        if not (cert.replay() - Polynomial.constant(ideal.vars, 1)).is_zero():
+        if not (cert.replay() - Polynomial.constant(variables, 1)).is_zero():
             raise InputError("internal error: smoothness certificate failed to replay")
         return True, cert
     return False, None

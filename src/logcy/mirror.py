@@ -70,7 +70,7 @@ def conic_bundle_smooth_check(fixture: ConicBundleFixture, n_max: int = 3) -> di
                                  min(fixture.kappa_w1, Fraction(2 * n - 1, 2)),
                                  fixture.kappa_w2)
         pres = conic_bundle_presentation(sub)
-        smooth, cert = jacobian_smooth(pres.ideal(), expected_codim=2)
+        smooth, cert = jacobian_smooth(pres.relations, expected_codim=2)
         results[n] = (smooth, cert)
     return results
 

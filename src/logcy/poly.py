@@ -56,14 +56,17 @@ class WeightedOrder:
 
     def level_counts(self, bound) -> list:
         """Entry w counts the exponent vectors of int_degree w, for w from 0
-        to floor(bound * scale); empty when the bound is negative.
+        to floor(bound * scale).
 
         A knapsack table, one variable at a time.  It refuses, before
-        allocating, more than COUNT_LIMIT levels.
+        allocating, a negative bound and more than COUNT_LIMIT levels.
         """
-        top = floor(Fraction(bound) * self.scale)
+        bound = Fraction(bound)
+        if bound < 0:
+            raise InputError("the weight bound must be nonnegative")
+        top = floor(bound * self.scale)
         require_countable(top + 1)
-        table = [1] + [0] * top if top >= 0 else []
+        table = [1] + [0] * top
         for step in self.int_weights:
             for w in range(step, top + 1):
                 table[w] += table[w - step]

@@ -7,13 +7,17 @@ ring is computed from top-weight forms of a reduced Groebner basis (top
 forms of raw generators can generate a strictly smaller ideal, so the basis
 comes first).  The Rees algebra gives the one-parameter family interpolating
 between the ring and its graded degeneration.
+
+A presentation owns its reduced Groebner basis in its own weighted order
+(WeightedPresentation.basis), computed on first use and kept; no command
+needs a basis of a presentation in another order.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .errors import InputError
-from .groebner import Ideal, hilbert_function_up_to, ideals_equal
+from .groebner import groebner_basis, hilbert_function_up_to, reduce_modulo
 from .poly import Polynomial, WeightedOrder, is_variable_name, parse_polynomial
 from .rationals import RATIONAL, format_rational, parse_rational
 from .schema import validate
@@ -45,20 +49,20 @@ class WeightedPresentation:
                 raise InputError("zero relations are not allowed")
             rels.append(rel)
         self.relations = tuple(rels)
-        self._ideal = None
+        self._basis = None
 
     def order(self) -> WeightedOrder:
         return WeightedOrder(self.weights)
 
-    def ideal(self) -> Ideal:
-        """The relation ideal; one object per presentation, so its Groebner
-        basis cache is shared by every caller."""
-        if self._ideal is None:
-            self._ideal = Ideal(self.relations, self.vars)
-        return self._ideal
+    def basis(self) -> list:
+        """Reduced Groebner basis of the relations in self.order(), computed
+        on first use and kept for every later caller."""
+        if self._basis is None:
+            self._basis = groebner_basis(self.relations, self.order())
+        return self._basis
 
     def hilbert_up_to(self, bound) -> dict:
-        return hilbert_function_up_to(self.ideal(), self.order(), bound)
+        return hilbert_function_up_to(self.basis(), self.order(), bound)
 
     def to_json(self) -> dict:
         return {
@@ -104,13 +108,12 @@ PRESENTATION_SCHEMA = {
 }
 
 
-def _reduced_basis(pres: WeightedPresentation):
-    order = pres.order()
-    basis = pres.ideal().groebner(order)
+def _reduced_basis(pres: WeightedPresentation) -> list:
+    basis = pres.basis()
     if len(basis) == 1 and basis[0].total_degree() == 0:
         raise InputError("the relations generate the unit ideal; "
                          "the filtration is not positive on this quotient")
-    return basis, order
+    return basis
 
 
 def associated_graded(pres: WeightedPresentation) -> WeightedPresentation:
@@ -120,8 +123,8 @@ def associated_graded(pres: WeightedPresentation) -> WeightedPresentation:
     for the weight filtration, which is the standard guarantee; top forms of
     an arbitrary generating set need not.
     """
-    basis, order = _reduced_basis(pres)
-    tops = [g.top_weight_form(order) for g in basis]
+    order = pres.order()
+    tops = [g.top_weight_form(order) for g in _reduced_basis(pres)]
     return WeightedPresentation(pres.vars, pres.weights, tops)
 
 
@@ -136,7 +139,7 @@ def rees_algebra(pres: WeightedPresentation) -> ReesPresentation:
         raise InputError("variable name 't' collides with the presentation")
     rescale = lcm(*(w.denominator for w in pres.weights))
     int_weights = [w * rescale for w in pres.weights]
-    basis, _ = _reduced_basis(pres)
+    basis = _reduced_basis(pres)
     scaled_order = WeightedOrder(int_weights)
     new_vars = ("t",) + pres.vars
     homogenized = []
@@ -177,8 +180,14 @@ def fiber_at(rees: ReesPresentation, value) -> WeightedPresentation:
 
 def presentations_ideal_equal(first: WeightedPresentation,
                               second: WeightedPresentation) -> bool:
-    """Mutual membership of relation ideals (same ambient ring required)."""
+    """Mutual membership of relation ideals (same ambient ring required).
+
+    Each side's relations are reduced by the other side's basis, in that
+    side's order; a remainder modulo a Groebner basis decides membership
+    whatever the order.
+    """
     if first.vars != second.vars:
         raise InputError("presentations live in different ambient rings")
-    order = first.order()
-    return ideals_equal(first.ideal(), second.ideal(), order)
+    return all(reduce_modulo(rel, other.basis(), other.order()).is_zero()
+               for one, other in ((first, second), (second, first))
+               for rel in one.relations)

@@ -166,14 +166,13 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
 
     A table has one cell per (level, pole-order sum possible within the
     bound).  When that is more than logcy.poly.COUNT_LIMIT cells, it raises
-    InputError before allocating anything.
+    InputError before allocating a table; level_counts refuses a negative
+    bound before that.
     """
-    bound = Fraction(weight_bound)
-    if bound < 0:
-        raise InputError("the weight bound must be nonnegative")
     order = WeightedOrder(config.kappa)
+    levels = order.level_counts(weight_bound)
     steps = order.int_weights
-    top = floor(bound * order.scale)
+    top = len(levels) - 1
     pole_scale = lcm(*(x.denominator for x in config.a))
     poles = [int((1 - x) * pole_scale) for x in config.a]
     # p / w is a mean of the rates b_i / s_i, so p stays between these
@@ -197,7 +196,7 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
     empty[-low] = 1
     grow(frozenset(), empty, 0)
     return {Fraction(w, order.scale): totals[w]
-            for w, n in enumerate(order.level_counts(bound)) if n}
+            for w, n in enumerate(levels) if n}
 
 
 def _add_index(table, step, pole, span):

@@ -94,9 +94,11 @@ class DivisorConfiguration:
             if not comps or len(index) < 2:
                 continue
             for i, j in combinations(sorted(index), 2):
-                via_i = self._compose(index, index - {i}, index - {i, j})
-                via_j = self._compose(index, index - {j}, index - {i, j})
-                if via_i != via_j:
+                to_i = self._adjacent_map(index, index - {i})
+                to_j = self._adjacent_map(index, index - {j})
+                below_i = self._adjacent_map(index - {i}, index - {i, j})
+                below_j = self._adjacent_map(index - {j}, index - {i, j})
+                if any(below_i[to_i[c]] != below_j[to_j[c]] for c in comps):
                     raise InputError(
                         f"component maps do not compose consistently below {sorted(index)}")
         # user-supplied non-adjacent maps must agree with compositions
@@ -123,13 +125,6 @@ class DivisorConfiguration:
         if not set(assign.values()) <= set(dst_comps):
             raise InputError(f"map {sorted(src)}->{sorted(dst)} hits unknown components")
         return assign
-
-    def _compose(self, src, mid, dst):
-        first = self._adjacent_map(src, mid)
-        if mid == dst:
-            return first
-        second = self._adjacent_map(mid, dst) if len(mid - dst) == 1 else self._compose_chain(mid, dst)
-        return {c: second[first[c]] for c in first}
 
     def _compose_chain(self, src, dst):
         assign = {c: c for c in self.strata[src]}

@@ -469,6 +469,18 @@ _BAD_ARGV = {
                                       "--bound is too large"),
     "example-appc-sr-bound-runaway": (["example", "appc", "--check", "sr", "--bound", "1e400"],
                                       "--bound is too large"),
+    "sr-hilbert-bound-negative": (["sr", "hilbert", "--config", "appc.json", "--bound", "-1"],
+                                  "the weight bound must be nonnegative"),
+    "ring-gr-bound-negative": (["ring", "gr", "--pres", "pres.json", "--bound", "-1"],
+                               "the weight bound must be nonnegative"),
+    "ring-degenerate-bound-negative": (["ring", "degenerate", "--pres", "pres.json",
+                                        "--sr-config", "appc.json", "--bound", "-1"],
+                                       "the weight bound must be nonnegative"),
+    "example-appc-sr-bound-negative": (["example", "appc", "--check", "sr", "--bound", "-1"],
+                                       "the weight bound must be nonnegative"),
+    "example-conic-gr-bound-negative": (["example", "conic", "--n", "3", "--gr",
+                                         "--bound", "-1"],
+                                        "the weight bound must be nonnegative"),
     "example-conic-gr-n-runaway": (["example", "conic", "--n", "40", "--gr"],
                                    "--n is too large"),
     "complex-homology-field-2^61-1": (["complex", "homology", "--faces", "cycle.json",

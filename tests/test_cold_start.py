@@ -39,14 +39,13 @@ print(json.dumps(steps))
 
 PLUMBING = ["logcy.cli", "logcy.errors", "logcy.fields", "logcy.rationals", "logcy.schema"]
 
-# every name logcy/__init__.py exported when it imported its modules eagerly
+# every name logcy/__init__.py exports
 PUBLIC = {
     "complexes": ["SimplicialComplex", "cross_polytope_boundary", "full_simplex",
                   "sphere_boundary"],
     "errors": ["DegenerateChordError", "InputError", "LogcyError", "UnsupportedStructureError"],
     "fields": ["QQ", "PrimeField"],
-    "groebner": ["Ideal", "groebner_basis", "hilbert_function_up_to", "ideal_membership",
-                 "ideals_equal", "is_groebner", "jacobian_smooth", "normal_form"],
+    "groebner": ["groebner_basis", "hilbert_function_up_to", "is_groebner", "jacobian_smooth"],
     "homology": ["BettiTable", "GorensteinReport", "gorenstein_verdict",
                  "is_rational_homology_manifold", "is_rational_homology_sphere",
                  "local_homology_at_face", "reduced_homology"],

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcy.errors import UnsupportedStructureError
-from logcy.groebner import (Ideal, groebner_basis, hilbert_function_up_to,
-                            ideal_membership, ideals_equal, is_groebner,
-                            jacobian_smooth, normal_form, reduce_modulo)
+from logcy.groebner import (groebner_basis, hilbert_function_up_to, is_groebner,
+                            jacobian_smooth, reduce_modulo)
 from logcy.poly import Polynomial, WeightedOrder, parse_polynomial, unit_order
+from logcy.rees import WeightedPresentation, presentations_ideal_equal
 
 XY = ("x", "y")
 
@@ -104,92 +104,92 @@ def test_all_s_polynomials_reduce_for_cached_bases():
                                for j, lead in enumerate(leads) if j != i)
 
 
+def normal_form(f, gens, order):
+    return reduce_modulo(f, groebner_basis(gens, order), order)
+
+
 def test_normal_form_examples():
     order = unit_order(2)
     g = poly("x^2 - y")
-    ideal = Ideal([g])
-    assert normal_form(g, ideal, order).is_zero()
-    assert normal_form(poly("x^2"), ideal, order) == poly("y")
-    assert ideal_membership(poly("1"), Ideal([poly("x"), poly("x + 1")]), order)
+    assert normal_form(g, [g], order).is_zero()
+    assert normal_form(poly("x^2"), [g], order) == poly("y")
+    assert normal_form(poly("1"), [poly("x"), poly("x + 1")], order).is_zero()
 
 
 def test_normal_form_idempotent():
     rng = random.Random(19)
     order = unit_order(2)
-    ideal = Ideal([poly("x^2 - y"), poly("y^3 - x*y")])
+    gens = [poly("x^2 - y"), poly("y^3 - x*y")]
     monos = ["x", "y", "x*y", "x^2*y", "y^4", "1"]
     for _ in range(30):
         terms = rng.sample(monos, rng.randint(1, 4))
         f = poly(" + ".join(terms))
-        once = normal_form(f, ideal, order)
-        assert normal_form(once, ideal, order) == once
+        once = normal_form(f, gens, order)
+        assert normal_form(once, gens, order) == once
 
 
-def test_normal_form_recomputes_under_new_order():
-    ideal = Ideal([poly("x^2 - y")])
-    first = ideal.normal_form(poly("x^2"), unit_order(2))
-    second = ideal.normal_form(poly("x^2"), WeightedOrder([1, 5]))
+def test_normal_form_depends_on_the_order():
+    gens = [poly("x^2 - y")]
+    first = normal_form(poly("x^2"), gens, unit_order(2))
+    second = normal_form(poly("x^2"), gens, WeightedOrder([1, 5]))
     assert first == poly("y")
     # under weights (1,5) the leading term of x^2 - y is y, so x^2 is reduced
     assert second == poly("x^2")
 
 
 def test_hilbert_truncated_polynomial_ring():
-    ideal = Ideal([poly("x^3", ("x",))])
-    counts = hilbert_function_up_to(ideal, WeightedOrder([1]), 4)
+    order = WeightedOrder([1])
+    counts = hilbert_function_up_to(groebner_basis([poly("x^3", ("x",))], order), order, 4)
     assert counts == {Fraction(0): 1, Fraction(1): 1, Fraction(2): 1,
                       Fraction(3): 0, Fraction(4): 0}
 
 
 def test_hilbert_coordinate_cross():
-    ideal = Ideal([poly("x*y")])
-    counts = hilbert_function_up_to(ideal, unit_order(2), 2)
+    order = unit_order(2)
+    counts = hilbert_function_up_to(groebner_basis([poly("x*y")], order), order, 2)
     assert counts == {Fraction(0): 1, Fraction(1): 2, Fraction(2): 2}
 
 
 def test_hilbert_invariant_under_generator_permutation_and_redundancy():
     order = unit_order(2)
     gens = [poly("x^2 - y"), poly("x*y - 1")]
-    base = hilbert_function_up_to(Ideal(gens), order, 5)
-    permuted = hilbert_function_up_to(Ideal(gens[::-1]), order, 5)
-    redundant = hilbert_function_up_to(
-        Ideal(gens + [gens[0] + gens[1], gens[0].mul_term((1, 1), Fraction(2))]), order, 5)
+    redundant_gens = gens + [gens[0] + gens[1], gens[0].mul_term((1, 1), Fraction(2))]
+    base, permuted, redundant = (hilbert_function_up_to(groebner_basis(g, order), order, 5)
+                                 for g in (gens, gens[::-1], redundant_gens))
     assert base == permuted == redundant
 
 
 def test_hilbert_zero_ideal():
-    ideal = Ideal([], variables=("x",))
-    counts = hilbert_function_up_to(ideal, WeightedOrder([1]), 3)
+    counts = hilbert_function_up_to([], WeightedOrder([1]), 3)
     assert counts == {Fraction(n): 1 for n in range(4)}
 
 
 def test_jacobian_smooth_circle():
-    ideal = Ideal([poly("x^2 + y^2 - 1")])
-    smooth, cert = jacobian_smooth(ideal, 1)
+    smooth, cert = jacobian_smooth([poly("x^2 + y^2 - 1")], 1)
     assert smooth
     assert cert.replay() == Polynomial.constant(XY, 1)
 
 
 def test_jacobian_double_point_not_verified():
-    ideal = Ideal([poly("x^2", ("x",))])
-    smooth, cert = jacobian_smooth(ideal, 1)
+    smooth, cert = jacobian_smooth([poly("x^2", ("x",))], 1)
     assert not smooth
     assert cert is None
 
 
 def test_jacobian_codim_mismatch_unsupported():
-    ideal = Ideal([poly("x^2 + y^2 - 1"), poly("x*y")])
     with pytest.raises(UnsupportedStructureError):
-        jacobian_smooth(ideal, 1)
+        jacobian_smooth([poly("x^2 + y^2 - 1"), poly("x*y")], 1)
 
 
 def test_ideals_equal():
-    order = unit_order(2)
-    first = Ideal([poly("x^2 - y"), poly("y^2 - x")])
-    second = Ideal([poly("y^2 - x"), poly("x^2 - y"), poly("x^3 - x*y")])
-    assert ideals_equal(first, second, order)
-    third = Ideal([poly("x - y")])
-    assert not ideals_equal(first, third, order)
+    def ideal(*texts):
+        return WeightedPresentation(XY, [1, 1], texts)
+
+    first = ideal("x^2 - y", "y^2 - x")
+    second = ideal("y^2 - x", "x^2 - y", "x^3 - x*y")
+    assert presentations_ideal_equal(first, second)
+    third = ideal("x - y")
+    assert not presentations_ideal_equal(first, third)
 
 
 def test_reduce_modulo_empty_basis():

@@ -190,7 +190,7 @@ def test_appendix_c_eliminating_v_gives_hypersurface():
 
 def test_appendix_c_quotient_not_verified_smooth():
     fixture = mirror.appendix_c_sr_presentation()
-    smooth, cert = jacobian_smooth(fixture.presentation.ideal(), 2)
+    smooth, cert = jacobian_smooth(fixture.presentation.relations, 2)
     assert not smooth and cert is None
 
 

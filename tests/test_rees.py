@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcy.errors import InputError
-from logcy.poly import parse_polynomial
+from logcy.groebner import reduce_modulo
+from logcy.poly import Polynomial, parse_polynomial
 from logcy.rees import (ReesPresentation, WeightedPresentation, associated_graded,
                         fiber_at, presentation_from_json, presentations_ideal_equal,
                         rees_algebra)
@@ -48,9 +51,8 @@ def test_associated_graded_needs_basis_not_raw_generators():
     # after a reduction step, which the Groebner basis performs
     p = pres(("x", "y"), [1, 1], ["x^2 - y", "x^2 + y^3 - y"])
     graded = associated_graded(p)
-    order = graded.order()
-    ideal = graded.ideal()
-    assert ideal.contains(parse_polynomial("y^3", p.vars), order)
+    y_cubed = parse_polynomial("y^3", p.vars)
+    assert reduce_modulo(y_cubed, graded.basis(), graded.order()).is_zero()
 
 
 def test_gr_idempotent_random():
@@ -133,6 +135,48 @@ def test_special_fiber_equals_gr_random():
         assert presentations_ideal_equal(special, graded)
         assert special.hilbert_up_to(6) == fiber_at(family, 1).hilbert_up_to(6)
         checked += 1
+
+
+WEIGHTS = st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(3, 2)])
+
+
+@st.composite
+def relation_lists(draw, nvars, size):
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.integers(-3, 3).filter(bool)
+    return draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=3),
+                         min_size=1, max_size=size))
+
+
+def _sympy_grlex(names, relations):
+    import sympy
+    symbols = sympy.symbols(names)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+                 for exps, c in rel.terms.items())
+             for rel in relations]
+    return set(sympy.groebner(exprs, *symbols, order="grlex").exprs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_presentations_ideal_equal_matches_sympy_across_orders(data):
+    nvars = data.draw(st.integers(2, 3))
+    names = ("x", "y", "z")[:nvars]
+    first = [Polynomial(names, t) for t in data.draw(relation_lists(nvars, 2))]
+    if data.draw(st.booleans()):
+        # the same ideal: the relations reversed, plus a combination of them
+        shift = data.draw(st.tuples(*[st.integers(0, 1)] * nvars))
+        scale = Polynomial.constant(names, data.draw(st.integers(-2, 2)))
+        combination = first[0].mul_term(shift, Fraction(1)) + first[-1] * scale
+        second = first[::-1] + ([] if combination.is_zero() else [combination])
+    else:
+        second = [Polynomial(names, t) for t in data.draw(relation_lists(nvars, 2))]
+    one = pres(names, data.draw(st.lists(WEIGHTS, min_size=nvars, max_size=nvars)), first)
+    other = pres(names, data.draw(st.lists(WEIGHTS, min_size=nvars, max_size=nvars)), second)
+    expected = _sympy_grlex(names, first) == _sympy_grlex(names, second)
+    assert presentations_ideal_equal(one, other) == expected
+    assert presentations_ideal_equal(other, one) == expected
 
 
 def test_unit_weight_zero_piece_is_one_dimensional():

@@ -162,6 +162,30 @@ def test_missing_map_with_disconnected_target_rejected():
     assert config.component_map(frozenset((1, 2)), frozenset((1,))) == {0: 1}
 
 
+def _two_sheet_configuration(maps):
+    # k = 3; every stratum is connected except D_1, which has two components
+    strata = {frozenset(index): (0,) for size in range(4)
+              for index in combinations((1, 2, 3), size)}
+    strata[frozenset((1,))] = (0, 1)
+    return DivisorConfiguration(3, [1, 1, 1], [1, 1, 1], strata,
+                                {(frozenset(src), frozenset(dst)): assign
+                                 for (src, dst), assign in maps.items()})
+
+
+def test_diamond_with_disagreeing_maps_rejected():
+    maps = {((1, 2), (1,)): {0: 0}, ((1, 3), (1,)): {0: 1}}
+    with pytest.raises(InputError, match="component maps do not compose consistently"):
+        _two_sheet_configuration(maps)
+
+
+def test_supplied_map_disagreeing_with_composition_rejected():
+    maps = {((1, 2), (1,)): {0: 0}, ((1, 3), (1,)): {0: 0}}
+    config = _two_sheet_configuration(maps)
+    assert config.component_map(frozenset((1, 2, 3)), frozenset((1,))) == {0: 0}
+    with pytest.raises(InputError, match="disagrees with composition"):
+        _two_sheet_configuration({**maps, ((1, 2, 3), (1,)): {0: 1}})
+
+
 def test_json_roundtrip():
     config = appendix_c_configuration()
     data = config.to_json()
