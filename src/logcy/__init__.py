@@ -40,7 +40,7 @@ _EXPORTS = {
              "presentations_ideal_equal", "rees_algebra"),
     "sr_algebra": ("ThetaBasisElement", "ThetaElement", "graded_dimension", "multiply",
                    "multiply_basis", "parse_theta_expression", "sr_presentation",
-                   "theta_basis_up_to", "unit_element"),
+                   "unit_element"),
     "stratum": ("DivisorConfiguration", "configuration_from_json"),
     "trees": ("BalancingCertificate", "LogPssTree", "RhoMap", "TreeEdge", "balancing_feasible",
               "build_rho", "kernel_dim", "obstruction_dim", "partition_count", "tree_from_json",

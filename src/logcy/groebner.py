@@ -331,6 +331,8 @@ def jacobian_smooth(relations, expected_codim: int):
         raise UnsupportedStructureError(
             f"expected {expected_codim} generators for a codimension-{expected_codim} "
             f"complete intersection, got {len(relations)}")
+    if not relations:
+        raise InputError("the Jacobian criterion needs at least one relation")
     variables = relations[0].vars
     jac = [[g.derivative(v) for v in variables] for g in relations]
     minors = []

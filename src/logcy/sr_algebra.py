@@ -13,7 +13,7 @@ stanley_reisner_complex.
 
 import re
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 
 from .complexes import SimplicialComplex
 from .errors import InputError
@@ -155,8 +155,8 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
     within the bound, so levels with no basis symbols report zero.
 
     It counts without enumerating.  Weights scale to integer steps s_i
-    (kappa_i times the lcm of their denominators), pole orders to integers
-    b_i ((1 - a_i) times the lcm of theirs).  The keys are the levels of
+    (kappa_i times the lcm of their denominators); the pole orders are the
+    integers b_i of config.poles.  The keys are the levels of
     WeightedOrder(kappa).level_counts.  For each index set I with a nonempty
     stratum, a table f_I(w, p) counts the vectors of support exactly I by
     scaled weight w and pole-order sum p.  I grows one index i at a time, by
@@ -173,8 +173,7 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
     levels = order.level_counts(weight_bound)
     steps = order.int_weights
     top = len(levels) - 1
-    pole_scale = lcm(*(x.denominator for x in config.a))
-    poles = [int((1 - x) * pole_scale) for x in config.a]
+    poles = config.poles
     # p / w is a mean of the rates b_i / s_i, so p stays between these
     rates = [Fraction(b, s) for b, s in zip(poles, steps)]
     low, high = ceil(top * min(0, *rates)), floor(top * max(0, *rates))
@@ -208,35 +207,6 @@ def _add_index(table, step, pole, span):
     for level in range(step * span, len(table), span):
         for cell in range(level + first, level + stop):
             out[cell] = table[cell - shift] + out[cell - shift]
-    return out
-
-
-def theta_basis_up_to(config: DivisorConfiguration, weight_bound) -> list:
-    """All basis symbols with weight at most the bound, in canonical order.
-
-    The walk gives an index a positive multiplicity only while the stratum of
-    the grown support is nonempty; every larger support is then empty too.
-    """
-    bound = Fraction(weight_bound)
-    out = []
-    k = config.k
-
-    def walk(idx, vec, weight, support):
-        if idx == k:
-            if config.in_basis(vec):
-                for comp in config.components(support):
-                    out.append(ThetaBasisElement(config, vec, comp))
-            return
-        grown = support | {idx + 1}
-        m = 0
-        while weight + config.kappa[idx] * m <= bound:
-            walk(idx + 1, vec + (m,), weight + config.kappa[idx] * m, grown if m else support)
-            if not config.components(grown):
-                break
-            m += 1
-
-    walk(0, (), Fraction(0), frozenset())
-    out.sort(key=lambda e: e.key(config))
     return out
 
 

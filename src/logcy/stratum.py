@@ -9,6 +9,8 @@ form ride along; all arithmetic is exact.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from .complexes import SimplicialComplex
 from .errors import InputError, UnsupportedStructureError
@@ -19,12 +21,15 @@ from .schema import require_distinct, validate
 class DivisorConfiguration:
     """Immutable stratum poset of a k-component normal-crossings divisor.
 
-    strata maps frozenset index sets I to tuples of component ids (empty
-    tuple = empty stratum).  Component ids are opaque small integers scoped
-    per stratum; identities across strata exist only through the component
-    maps.  Maps are supplied for adjacent pairs I = J \\ {j} and composed on
-    demand; a missing adjacent map is derived automatically when the target
-    stratum is connected.
+    strata maps each nonempty stratum's frozenset index set I to its tuple
+    of component ids; an index set that is absent is an empty stratum.
+    Component ids are opaque small integers scoped per stratum; identities
+    across strata exist only through the component maps.  Each map from a
+    nonempty D_I to D_{I - i} is settled once, on construction: the supplied
+    one, or the only map when D_{I - i} is connected.  component_map
+    composes these; any other supplied map must agree with that composition.
+    poles holds the pole orders 1 - a_i scaled to integers by the lcm of the
+    denominators of the a_i.
     """
 
     def __init__(self, k, kappa, a, strata, maps=None, log_nef=None):
@@ -37,20 +42,19 @@ class DivisorConfiguration:
             raise InputError("kappa and a must have length k")
         if any(x <= 0 for x in self.kappa):
             raise InputError("all ample weights kappa_i must be positive")
+        scale = lcm(*(x.denominator for x in self.a))
+        self.poles = tuple(int((1 - x) * scale) for x in self.a)
 
-        self.strata = {}
+        cells = {}
         for key, comps in strata.items():
             index = frozenset(key)
-            if not all(isinstance(i, int) and 1 <= i <= k for i in index):
+            if not self._in_range(index):
                 raise InputError(f"stratum index {sorted(index)} out of range 1..{k}")
             comps = tuple(comps)
             if len(set(comps)) != len(comps):
                 raise InputError(f"duplicate component ids in stratum {sorted(index)}")
-            self.strata[index] = comps
-        # omitted strata are empty
-        for size in range(k + 1):
-            for index in combinations(range(1, k + 1), size):
-                self.strata.setdefault(frozenset(index), ())
+            cells[index] = comps
+        self.strata = {index: comps for index, comps in cells.items() if comps}
 
         if log_nef is None:
             log_nef = all(x <= 1 for x in self.a)
@@ -58,101 +62,92 @@ class DivisorConfiguration:
             raise InputError("log nef requires every a_i <= 1")
         self.log_nef = bool(log_nef)
 
-        self._adjacent_maps = {}
-        if maps:
-            for (src, dst), assign in maps.items():
-                self._register_map(frozenset(src), frozenset(dst), dict(assign))
-        self._validate()
+        supplied = {}
+        for (src, dst), assign in (maps or {}).items():
+            src, dst = frozenset(src), frozenset(dst)
+            if not dst <= src:
+                raise InputError(f"map target {sorted(dst)} is not a subset of {sorted(src)}")
+            supplied[(src, dst)] = dict(assign)
+        self._validate(supplied)
 
-    # -- construction helpers -------------------------------------------------
+    def _in_range(self, index):
+        return all(isinstance(i, int) and 1 <= i <= self.k for i in index)
 
-    def _register_map(self, src, dst, assign):
-        if not dst <= src:
-            raise InputError(f"map target {sorted(dst)} is not a subset of {sorted(src)}")
-        # non-adjacent maps are accepted too and verified against composition
-        self._adjacent_maps[(src, dst)] = assign
-
-    def _validate(self):
-        if not self.strata[frozenset()]:
+    def _validate(self, supplied):
+        base = self.strata.get(frozenset(), ())
+        if not base:
             raise InputError("the empty stratum (M itself) must be nonempty")
-        if len(self.strata[frozenset()]) != 1:
+        if len(base) != 1:
             raise InputError("M must be connected (exactly one component at the empty index)")
-        for index, comps in self.strata.items():
-            if comps:
-                for i in index:
-                    if not self.strata[index - {i}]:
-                        raise InputError(
-                            f"stratum {sorted(index)} nonempty but {sorted(index - {i})} empty")
-        # every adjacent pair below a nonempty stratum needs a (derivable) map
-        for index, comps in self.strata.items():
-            if not comps:
-                continue
+        for index in self.strata:
             for i in index:
-                self._adjacent_map(index, index - {i})
+                if index - {i} not in self.strata:
+                    raise InputError(
+                        f"stratum {sorted(index)} nonempty but {sorted(index - {i})} empty")
+        # settle the map of every adjacent pair below a nonempty stratum
+        self._adjacent_maps = maps = {}
+        for src, src_comps in self.strata.items():
+            for i in src:
+                dst = src - {i}
+                dst_comps = self.strata[dst]
+                assign = supplied.get((src, dst))
+                if assign is None:
+                    if len(dst_comps) != 1:
+                        raise InputError(
+                            f"missing component map {sorted(src)} -> {sorted(dst)} "
+                            f"(target has {len(dst_comps)} components)")
+                    assign = dict.fromkeys(src_comps, dst_comps[0])
+                if set(assign) != set(src_comps):
+                    raise InputError(
+                        f"map {sorted(src)}->{sorted(dst)} does not cover all components")
+                if not set(assign.values()) <= set(dst_comps):
+                    raise InputError(f"map {sorted(src)}->{sorted(dst)} hits unknown components")
+                maps[(src, dst)] = assign
         # composition consistency on index-difference-2 diamonds
         for index, comps in self.strata.items():
-            if not comps or len(index) < 2:
-                continue
             for i, j in combinations(sorted(index), 2):
-                to_i = self._adjacent_map(index, index - {i})
-                to_j = self._adjacent_map(index, index - {j})
-                below_i = self._adjacent_map(index - {i}, index - {i, j})
-                below_j = self._adjacent_map(index - {j}, index - {i, j})
+                to_i, to_j = maps[(index, index - {i})], maps[(index, index - {j})]
+                below_i = maps[(index - {i}, index - {i, j})]
+                below_j = maps[(index - {j}, index - {i, j})]
                 if any(below_i[to_i[c]] != below_j[to_j[c]] for c in comps):
                     raise InputError(
                         f"component maps do not compose consistently below {sorted(index)}")
-        # user-supplied non-adjacent maps must agree with compositions
-        for (src, dst), assign in self._adjacent_maps.items():
-            if len(src - dst) > 1 and self.strata[src]:
-                if assign != self.component_map(src, dst):
-                    raise InputError(
-                        f"supplied map {sorted(src)}->{sorted(dst)} disagrees with composition")
-
-    def _adjacent_map(self, src, dst):
-        key = (src, dst)
-        assign = self._adjacent_maps.get(key)
-        src_comps, dst_comps = self.strata[src], self.strata[dst]
-        if assign is None:
-            if len(dst_comps) == 1:
-                assign = {c: dst_comps[0] for c in src_comps}
-                self._adjacent_maps[key] = assign
-            else:
+        # every other supplied map must agree with the composition
+        for (src, dst), assign in supplied.items():
+            if (src, dst) in maps:
+                continue
+            if src not in self.strata:
+                raise InputError(f"supplied map {sorted(src)}->{sorted(dst)} "
+                                 "does not start at a nonempty stratum")
+            if assign != self.component_map(src, dst):
                 raise InputError(
-                    f"missing component map {sorted(src)} -> {sorted(dst)} "
-                    f"(target has {len(dst_comps)} components)")
-        if set(assign.keys()) != set(src_comps):
-            raise InputError(f"map {sorted(src)}->{sorted(dst)} does not cover all components")
-        if not set(assign.values()) <= set(dst_comps):
-            raise InputError(f"map {sorted(src)}->{sorted(dst)} hits unknown components")
-        return assign
-
-    def _compose_chain(self, src, dst):
-        assign = {c: c for c in self.strata[src]}
-        current = src
-        # peel off the largest surplus index at each step (any chain agrees
-        # once the diamond condition has been checked)
-        for i in sorted(src - dst, reverse=True):
-            step = self._adjacent_map(current, current - {i})
-            assign = {c: step[assign[c]] for c in assign}
-            current = current - {i}
-        return assign
+                    f"supplied map {sorted(src)}->{sorted(dst)} disagrees with composition")
 
     # -- queries ---------------------------------------------------------------
 
     def components(self, index) -> tuple:
+        """Component ids of D_index: () when the stratum is empty."""
         index = frozenset(index)
-        if index not in self.strata:
+        if index not in self.strata and not self._in_range(index):
             raise InputError(f"stratum index {sorted(index)} out of range")
-        return self.strata[index]
+        return self.strata.get(index, ())
 
     def component_map(self, src, dst) -> dict:
         """Composed component map from stratum src down to dst (dst subset of src)."""
         src, dst = frozenset(src), frozenset(dst)
         if not dst <= src:
             raise InputError("component_map requires dst to be a subset of src")
-        if not self.strata[src]:
+        comps = self.strata.get(src) or self.components(src)  # the latter checks the range
+        if not comps:
             raise InputError(f"stratum {sorted(src)} is empty")
-        return self._compose_chain(src, dst)
+        assign = {c: c for c in comps}
+        # peel off the largest surplus index at each step (any chain agrees
+        # once the diamond condition has been checked)
+        for i in sorted(src - dst, reverse=True):
+            step = self._adjacent_maps[(src, src - {i})]
+            assign = {c: step[assign[c]] for c in assign}
+            src = src - {i}
+        return assign
 
     def check_vector(self, v) -> tuple:
         v = tuple(v)
@@ -169,10 +164,7 @@ class DivisorConfiguration:
     def in_basis(self, v) -> bool:
         """True iff v indexes basis elements: nonempty stratum and sum (1-a_i) v_i = 0."""
         v = self.check_vector(v)
-        if not self.strata[self.support(v)]:
-            return False
-        total = sum((1 - self.a[i]) * v[i] for i in range(self.k))
-        return total == 0
+        return self.support(v) in self.strata and sum(map(mul, self.poles, v)) == 0
 
     def weight(self, v) -> Fraction:
         v = self.check_vector(v)
@@ -191,7 +183,7 @@ class DivisorConfiguration:
                 raise UnsupportedStructureError(
                     f"stratum {sorted(index)} has {len(self.strata[index])} components; "
                     "the dual complex is only simplicial when all strata are connected")
-        return SimplicialComplex(index for index, comps in self.strata.items() if comps)
+        return SimplicialComplex(self.strata)
 
     def delta_zero_subcomplex(self) -> SimplicialComplex:
         """Faces of the dual complex all of whose vertices have a_i = 1."""
@@ -204,18 +196,13 @@ class DivisorConfiguration:
     # -- JSON ---------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        strata = [
-            {"I": sorted(index), "components": list(comps)}
-            for index, comps in sorted(self.strata.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            if comps
-        ]
+        cells = sorted(self.strata.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        strata = [{"I": sorted(index), "components": list(comps)} for index, comps in cells]
         maps = []
-        for index, comps in sorted(self.strata.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-            if not comps:
-                continue
+        for index, _ in cells:
             for i in sorted(index):
                 dst = index - {i}
-                assign = self._adjacent_map(index, dst)
+                assign = self._adjacent_maps[(index, dst)]
                 maps.append({
                     "from": sorted(index),
                     "to": sorted(dst),

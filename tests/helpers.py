@@ -159,16 +159,6 @@ def graded_dimension_oracle(config, weight_bound):
     return counts
 
 
-def theta_basis_oracle(config, weight_bound):
-    """theta_basis_up_to by visiting every vector in the weight box."""
-    from logcy.sr_algebra import ThetaBasisElement
-    out = [ThetaBasisElement(config, vec, comp)
-           for vec, _ in _weight_box(config, weight_bound) if config.in_basis(vec)
-           for comp in config.components(DivisorConfiguration.support(vec))]
-    out.sort(key=lambda e: e.key(config))
-    return out
-
-
 def random_downward_closed(rng: random.Random, k: int):
     """Random downward-closed family of subsets of {1..k} containing the empty set."""
     faces = {frozenset()}

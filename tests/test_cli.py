@@ -301,6 +301,20 @@ def test_cli_entrypoint_subprocess(fixtures):
     assert payload["result"]["betti"] == {"-1": 0, "0": 0, "1": 1}
 
 
+def test_many_empty_divisors_cost_nothing(tmp_path):
+    # k = 60 with only D_1, D_2 and D_1 n D_2 nonempty: the 2^60 empty index
+    # sets are never visited
+    config = tmp_path / "k60.json"
+    config.write_text(json.dumps(dict(_CONFIG3, k=60, kappa=["1"] * 60, a=["1"] * 60)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logcy.cli", "sr", "hilbert", "--config", str(config),
+         "--bound", "2"],
+        capture_output=True, timeout=20)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["result"]["levels"] == [
+        {"weight": "0", "count": 1}, {"weight": "1", "count": 2}, {"weight": "2", "count": 3}]
+
+
 def test_out_flag_writes_file(fixtures, tmp_path):
     out = tmp_path / "report.json"
     proc = subprocess.run(
@@ -321,6 +335,10 @@ _TREE = {"k": 1, "root": 0, "deg_x0": 0, "vertices": [{"id": 0, "depth": []}], "
 _EDGE_TREE = dict(_TREE, vertices=[{"id": 0, "depth": []}, {"id": 1, "depth": [1]}])
 _PRES = {"vars": ["x", "y"], "weights": ["1", "1"], "relations": ["x*y"]}
 _CONFIG = {"k": 1, "kappa": ["1"], "a": ["1"]}
+# k = 3 with D_1, D_2 and D_1 n D_2 nonempty, each connected
+_CONFIG3 = {"k": 3, "kappa": ["1"] * 3, "a": ["1"] * 3, "strata": [
+    {"I": [1], "components": [0]}, {"I": [2], "components": [0]},
+    {"I": [1, 2], "components": [0]}]}
 
 # kind -> (group, op, input flag, input JSON, text the error message must name)
 _BAD_INPUTS = {
@@ -389,6 +407,14 @@ _BAD_INPUTS = {
     "sr-map-repeated": ("sr", "hilbert", "--config", dict(_CONFIG, maps=[
         {"from": [1], "to": [], "assign": {"0": 0}}] * 2),
         "configuration JSON maps[1] repeats the from and to of maps[0]"),
+    "sr-map-from-out-of-range": ("sr", "hilbert", "--config", dict(_CONFIG3, maps=[
+        {"from": [1, 9], "to": [1], "assign": {"0": 0}}]), "supplied map [1, 9]->[1]"),
+    "sr-map-from-out-of-range-not-adjacent": ("sr", "hilbert", "--config", dict(_CONFIG3, maps=[
+        {"from": [1, 2, 9], "to": [1], "assign": {"0": 0}}]), "supplied map [1, 2, 9]->[1]"),
+    "sr-map-from-empty-stratum": ("sr", "hilbert", "--config", dict(_CONFIG3, maps=[
+        {"from": [2, 3], "to": [2], "assign": {"0": 0}}]), "supplied map [2, 3]->[2]"),
+    "sr-map-to-itself-not-identity": ("sr", "hilbert", "--config", dict(_CONFIG3, maps=[
+        {"from": [1], "to": [1], "assign": {"0": 5}}]), "supplied map [1]->[1]"),
 }
 
 # the other file of an energy job, by the flag its bad input goes to

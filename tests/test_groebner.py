@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcy.errors import UnsupportedStructureError
+from logcy.errors import InputError, UnsupportedStructureError
 from logcy.groebner import (groebner_basis, hilbert_function_up_to, is_groebner,
                             jacobian_smooth, reduce_modulo)
 from logcy.poly import Polynomial, WeightedOrder, parse_polynomial, unit_order
@@ -179,6 +179,11 @@ def test_jacobian_double_point_not_verified():
 def test_jacobian_codim_mismatch_unsupported():
     with pytest.raises(UnsupportedStructureError):
         jacobian_smooth([poly("x^2 + y^2 - 1"), poly("x*y")], 1)
+
+
+def test_jacobian_without_relations_is_an_input_error():
+    with pytest.raises(InputError, match="at least one relation"):
+        jacobian_smooth([], 0)
 
 
 def test_ideals_equal():

@@ -15,11 +15,10 @@ from logcy.mirror import appendix_c_configuration
 from logcy.poly import Polynomial
 from logcy.sr_algebra import (ThetaBasisElement, ThetaElement, graded_dimension,
                               multiply, multiply_basis, parse_theta_expression,
-                              sr_presentation, theta_basis_up_to, unit_element)
+                              sr_presentation, unit_element)
 from logcy.stratum import DivisorConfiguration
 
-from helpers import (basis_elements, graded_dimension_oracle, random_configuration,
-                     theta_basis_oracle)
+from helpers import basis_elements, graded_dimension_oracle, random_configuration
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +208,6 @@ def test_counts_match_the_box_walk(rng, numerator, denominator):
     config = random_configuration(rng, cy_prob=0.3)
     bound = Fraction(numerator, denominator)
     assert graded_dimension(config, bound) == graded_dimension_oracle(config, bound)
-    assert theta_basis_up_to(config, bound) == theta_basis_oracle(config, bound)
 
 
 def test_graded_dimension_closed_form_beyond_the_box_walk():
@@ -220,12 +218,6 @@ def test_graded_dimension_closed_form_beyond_the_box_walk():
         frozenset((1, 2)): (0,)})
     assert graded_dimension(config, 2000) == {Fraction(w): w + 1 for w in range(2001)}
 
-
-def test_theta_basis_up_to_sorted(appc):
-    basis = theta_basis_up_to(appc, 3)
-    weights = [appc.weight(e.v) for e in basis]
-    assert weights == sorted(weights)
-    assert sum(1 for e in basis) == sum(graded_dimension(appc, 3).values())
 
 
 def test_parse_theta_expression(appc):

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcy.errors import InputError, UnsupportedStructureError
 from logcy.mirror import appendix_c_configuration
@@ -138,8 +140,6 @@ def test_component_maps_compose_on_random_models():
     for _ in range(25):
         config = random_configuration(rng, k_max=4)
         for index, comps in config.strata.items():
-            if not comps or len(index) < 2:
-                continue
             for i, j in combinations(sorted(index), 2):
                 via_i = {c: config.component_map(index - {i}, index - {i, j})[
                     config.component_map(index, index - {i})[c]] for c in comps}
@@ -148,8 +148,44 @@ def test_component_maps_compose_on_random_models():
                 assert via_i == via_j
         # identity maps
         for index, comps in config.strata.items():
-            if comps:
-                assert config.component_map(index, index) == {c: c for c in comps}
+            assert config.component_map(index, index) == {c: c for c in comps}
+
+
+def test_strata_hold_only_the_nonempty_strata():
+    strata = {frozenset(s): (0,) for s in [(), (1,), (2,), (1, 2)]}
+    strata[frozenset((3,))] = ()
+    config = DivisorConfiguration(3, [1, 1, 1], [1, 1, 1], strata)
+    assert config.strata == {index: comps for index, comps in strata.items() if comps}
+    assert config.components((3,)) == config.components((1, 2, 3)) == ()
+    with pytest.raises(InputError, match="out of range"):
+        config.components((1, 4))
+    rng = random.Random(17)
+    for _ in range(25):
+        assert all(random_configuration(rng).strata.values())
+
+
+def test_every_adjacent_map_is_settled_on_construction():
+    rng = random.Random(29)
+    configs = [projective_plane_boundary(), appendix_c_configuration()]
+    configs += [random_configuration(rng) for _ in range(25)]
+    for config in configs:
+        assert set(config._adjacent_maps) == {
+            (index, index - {i}) for index in config.strata for i in index}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_component_map_is_the_chain_peeling_the_smallest_index_first(rng):
+    config = random_configuration(rng)
+    for src, comps in config.strata.items():
+        for size in range(len(src) + 1):
+            for dst in map(frozenset, combinations(sorted(src), size)):
+                assign, current = {c: c for c in comps}, src
+                for i in sorted(src - dst):
+                    step = config._adjacent_maps[(current, current - {i})]
+                    assign = {c: step[assign[c]] for c in assign}
+                    current = current - {i}
+                assert config.component_map(src, dst) == assign
 
 
 def test_missing_map_with_disconnected_target_rejected():
