@@ -181,7 +181,7 @@ def _cmd_ring(args, inputs):
         names = [x.strip() for x in _require(args, "vars").split(",")]
         weights = [parse_rational(x) for x in _require(args, "weights").split(",")]
         ring = rees.WeightedPresentation(names, weights, [])  # checks the names and weights
-        order = ring.order()
+        order = ring.order
         gens = [poly.parse_polynomial(text, ring.vars) for text in _require(args, "gens")]
         basis = groebner.groebner_basis(gens, order)
         return {"basis": [g.to_string(order) for g in basis]}

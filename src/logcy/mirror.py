@@ -23,6 +23,10 @@ from .stratum import DivisorConfiguration
 
 APPENDIX_C_PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 
+# The largest n that conic_bundle_smooth_check takes: its time grows about as
+# n^3, one Jacobian Groebner basis per dimension 2..n, to 1.5 s at n = 40.
+SMOOTH_LIMIT = 40
+
 
 # -- conic bundle ------------------------------------------------------------------
 
@@ -61,9 +65,13 @@ def conic_bundle_presentation(fixture: ConicBundleFixture) -> WeightedPresentati
 
 
 def conic_bundle_smooth_check(fixture: ConicBundleFixture, n_max: int = 3) -> dict:
-    """Jacobian-criterion verdict per dimension 2..n_max (certificates included)."""
+    """Jacobian-criterion verdict per dimension 2..n_max (certificates included);
+    n_max above SMOOTH_LIMIT is refused before any Groebner work."""
     if fixture.na == 0 and fixture.nb == 0:
         raise InputError("at least one of Na, Nb must be nonzero")
+    if n_max > SMOOTH_LIMIT:
+        raise InputError(f"--n is too large for the smoothness check: it computes a Groebner "
+                         f"basis per dimension 2..n, and n above {SMOOTH_LIMIT} is refused")
     results = {}
     for n in range(2, n_max + 1):
         sub = ConicBundleFixture(n, fixture.na, fixture.nb,
@@ -197,15 +205,12 @@ def singular_line_residuals(f: Polynomial) -> list:
     coefficients a1..a7 in symbolic mode); an empty list certifies the line
     lies in the singular locus.
     """
-    line_vars = ("c",) + tuple(v for v in f.vars if v not in APPENDIX_C_VARS)
-    zero = Polynomial.zero(line_vars)
-    c_poly = Polynomial.variable(line_vars, "c")
-    assignment = {"x1": zero, "x2": zero, "x3": c_poly, "u": zero}
     residuals = []
     for label, poly in [("f", f)] + [(f"df/d{v}", f.derivative(v)) for v in APPENDIX_C_VARS]:
-        restricted = poly.substitute(assignment)
+        restricted = poly.evaluate({"x1": 0, "x2": 0, "u": 0})
         if not restricted.is_zero():
-            residuals.append((label, restricted))
+            line_vars = tuple("c" if v == "x3" else v for v in restricted.vars)
+            residuals.append((label, Polynomial(line_vars, restricted.terms)))
     return residuals
 
 

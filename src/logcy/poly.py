@@ -4,7 +4,8 @@ A polynomial is a dict from exponent tuples to nonzero Fraction
 coefficients, tied to a fixed tuple of variable names.
 Monomial comparisons go through WeightedOrder: positive rational weights
 ordered by weighted degree with a graded-lexicographic tiebreak, so every
-order used here is a total order refining the weight filtration.
+order used here is a total order refining the weight filtration.  The one
+map between rings is Polynomial.evaluate; there is no composition.
 """
 
 from fractions import Fraction
@@ -40,16 +41,13 @@ class WeightedOrder:
     def __init__(self, weights):
         self.weights = tuple(Fraction(w) for w in weights)
         if any(w <= 0 for w in self.weights):
-            raise InputError("monomial order weights must be positive")
+            raise InputError("weights must be positive (the filtration starts at k*1)")
         self.scale = lcm(*(w.denominator for w in self.weights))
         self.int_weights = tuple(int(w * self.scale) for w in self.weights)
 
     def int_degree(self, exps) -> int:
         """Weighted degree times scale, an integer."""
         return sum(map(mul, self.int_weights, exps))
-
-    def weighted_degree(self, exps) -> Fraction:
-        return Fraction(self.int_degree(exps), self.scale)
 
     def key(self, exps):
         return (self.int_degree(exps), sum(exps), exps)
@@ -208,14 +206,11 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def weighted_degree(self, order: WeightedOrder) -> Fraction:
-        if not self.terms:
-            raise InputError("the zero polynomial has no weighted degree")
-        return Fraction(max(map(order.int_degree, self.terms)), order.scale)
-
     def top_weight_form(self, order: WeightedOrder) -> "Polynomial":
         """Sum of the terms of maximal weighted degree."""
-        top = self.weighted_degree(order) * order.scale
+        if not self.terms:
+            raise InputError("the zero polynomial has no top-weight form")
+        top = max(map(order.int_degree, self.terms))
         return Polynomial(self.vars, {e: c for e, c in self.terms.items()
                                       if order.int_degree(e) == top})
 
@@ -233,61 +228,25 @@ class Polynomial:
             out[tuple(new)] = c * e
         return Polynomial(self.vars, out)
 
-    def substitute(self, mapping: dict) -> "Polynomial":
-        """Compose with variable -> Polynomial assignments.
+    def evaluate(self, values: dict) -> "Polynomial":
+        """Set the named variables to the given rationals.
 
-        Unmapped variables are carried through unchanged.  All image
-        polynomials must live in a common ring, which also hosts the result.
+        The result lives in the remaining variables, in their order.
         """
-        images = dict(mapping)
-        tvars = None
-        for img in images.values():
-            if tvars is None:
-                tvars = img.vars
-            elif img.vars != tvars:
-                raise InputError("substitution images live in different rings")
-        if tvars is None:
-            tvars = self.vars
-        for name in self.vars:
-            if name not in images:
-                images[name] = Polynomial.variable(tvars, name)
-        result = Polynomial.zero(tvars)
-        one = Polynomial.constant(tvars, 1)
-        # cache powers per variable to keep repeated exponents cheap
-        powers = {name: {1: images[name]} for name in self.vars}
-        for exps, coeff in sorted(self.terms.items()):
-            term = one.scale(coeff)
-            for name, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                cache = powers[name]
-                while e not in cache:
-                    m = max(cache)
-                    cache[m + 1] = cache[m] * images[name]
-                term = term * cache[e]
-            result = result + term
-        return result
-
-    def change_variables(self, new_vars) -> "Polynomial":
-        """Reinterpret over a different variable tuple, matching by name.
-
-        Variables dropped from the tuple must not occur in any term.
-        """
-        new_vars = tuple(new_vars)
-        positions = []
-        for name in self.vars:
-            positions.append(new_vars.index(name) if name in new_vars else None)
+        for name in values:
+            if name not in self.vars:
+                raise InputError(f"unknown variable {name!r}")
+        fixed = [(i, Fraction(values[name])) for i, name in enumerate(self.vars)
+                 if name in values]
+        kept = [i for i, name in enumerate(self.vars) if name not in values]
         out = {}
         for exps, c in self.terms.items():
-            new = [0] * len(new_vars)
-            for pos, e in zip(positions, exps):
-                if pos is None:
-                    if e != 0:
-                        raise InputError("cannot drop a variable that still occurs")
-                else:
-                    new[pos] = e
-            out[tuple(new)] = c
-        return Polynomial(new_vars, out)
+            for i, value in fixed:
+                if exps[i]:
+                    c *= value ** exps[i]
+            rest = tuple(exps[i] for i in kept)
+            out[rest] = out[rest] + c if rest in out else c
+        return Polynomial(tuple(self.vars[i] for i in kept), out)
 
     # -- printing ----------------------------------------------------------------
 

@@ -8,13 +8,10 @@ forms of raw generators can generate a strictly smaller ideal, so the basis
 comes first).  The Rees algebra gives the one-parameter family interpolating
 between the ring and its graded degeneration.
 
-A presentation owns its reduced Groebner basis in its own weighted order
-(WeightedPresentation.basis), computed on first use and kept; no command
-needs a basis of a presentation in another order.
+A presentation builds its WeightedOrder once and owns its reduced Groebner
+basis in that order, computed on first use and kept.  The Rees family is
+homogenized in the order's integer degrees; a fiber evaluates t.
 """
-
-from fractions import Fraction
-from math import lcm
 
 from .errors import InputError
 from .groebner import groebner_basis, hilbert_function_up_to, reduce_modulo
@@ -34,11 +31,11 @@ class WeightedPresentation:
             if not is_variable_name(name):
                 raise InputError(f"variable name {name!r} is not a name the polynomial "
                                  f"grammar reads: a letter or _, then letters, digits or _")
-        self.weights = tuple(Fraction(w) for w in weights)
-        if len(self.weights) != len(self.vars):
+        weights = tuple(weights)
+        if len(weights) != len(self.vars):
             raise InputError("one weight per variable is required")
-        if any(w <= 0 for w in self.weights):
-            raise InputError("weights must be positive (the filtration starts at k*1)")
+        self.order = WeightedOrder(weights)
+        self.weights = self.order.weights
         rels = []
         for rel in relations:
             if isinstance(rel, str):
@@ -51,28 +48,25 @@ class WeightedPresentation:
         self.relations = tuple(rels)
         self._basis = None
 
-    def order(self) -> WeightedOrder:
-        return WeightedOrder(self.weights)
-
     def basis(self) -> list:
-        """Reduced Groebner basis of the relations in self.order(), computed
+        """Reduced Groebner basis of the relations in self.order, computed
         on first use and kept for every later caller."""
         if self._basis is None:
-            self._basis = groebner_basis(self.relations, self.order())
+            self._basis = groebner_basis(self.relations, self.order)
         return self._basis
 
     def hilbert_up_to(self, bound) -> dict:
-        return hilbert_function_up_to(self.basis(), self.order(), bound)
+        return hilbert_function_up_to(self.basis(), self.order, bound)
 
     def to_json(self) -> dict:
         return {
             "vars": list(self.vars),
             "weights": [format_rational(w) for w in self.weights],
-            "relations": [rel.to_string(self.order()) for rel in self.relations],
+            "relations": [rel.to_string(self.order) for rel in self.relations],
         }
 
     def __repr__(self):
-        rels = [rel.to_string(self.order()) for rel in self.relations]
+        rels = [rel.to_string(self.order) for rel in self.relations]
         return f"WeightedPresentation(vars={self.vars}, weights={self.weights}, relations={rels})"
 
 
@@ -123,59 +117,44 @@ def associated_graded(pres: WeightedPresentation) -> WeightedPresentation:
     for the weight filtration, which is the standard guarantee; top forms of
     an arbitrary generating set need not.
     """
-    order = pres.order()
-    tops = [g.top_weight_form(order) for g in _reduced_basis(pres)]
+    tops = [g.top_weight_form(pres.order) for g in _reduced_basis(pres)]
     return WeightedPresentation(pres.vars, pres.weights, tops)
 
 
 def rees_algebra(pres: WeightedPresentation) -> ReesPresentation:
     """Homogenize a weighted Groebner basis by a degree-one parameter t.
 
-    Rational weights are first cleared to integers by a global rescaling
-    (recorded in the result); each basis element then gains t powers filling
-    every term up to the relation's top weight.
+    The homogenization works in the integer degrees of the presentation's
+    order, whose weights are the original ones times order.scale (recorded
+    in the result as rescale); each basis element gains t powers filling
+    every term up to the relation's top degree.
     """
     if "t" in pres.vars:
         raise InputError("variable name 't' collides with the presentation")
-    rescale = lcm(*(w.denominator for w in pres.weights))
-    int_weights = [w * rescale for w in pres.weights]
-    basis = _reduced_basis(pres)
-    scaled_order = WeightedOrder(int_weights)
+    order = pres.order
     new_vars = ("t",) + pres.vars
     homogenized = []
-    for g in basis:
-        top = g.weighted_degree(scaled_order)
-        terms = {}
-        for exps, coeff in g.terms.items():
-            gap = top - scaled_order.weighted_degree(exps)
-            if gap.denominator != 1 or gap < 0:
-                raise InputError("internal error: non-integral homogenization gap")
-            terms[(int(gap),) + exps] = coeff
-        homogenized.append(Polynomial(new_vars, terms))
-    rees_pres = WeightedPresentation(new_vars, [Fraction(1)] + int_weights, homogenized)
-    return ReesPresentation(rees_pres, rescale)
+    for g in _reduced_basis(pres):
+        degrees = {exps: order.int_degree(exps) for exps in g.terms}
+        top = max(degrees.values())
+        homogenized.append(Polynomial(new_vars, {(top - degree,) + exps: g.terms[exps]
+                                                 for exps, degree in degrees.items()}))
+    rees_pres = WeightedPresentation(new_vars, (1,) + order.int_weights, homogenized)
+    return ReesPresentation(rees_pres, order.scale)
 
 
 def fiber_at(rees: ReesPresentation, value) -> WeightedPresentation:
-    """Substitute the family parameter and restate over the original variables.
+    """Evaluate the family parameter t at value, over the original variables.
 
     value 0 gives the associated-graded candidate; any nonzero value gives a
     presentation isomorphic to the original ring (witnessed by rescaling each
-    variable by value^weight).  Weights are reported in original units.
+    variable by value^weight).  Weights are reported in original units.  No
+    image is zero: each term keeps its own monomial, and the top-degree ones carry no t.
     """
-    value = Fraction(value)
     pres = rees.presentation
-    t = pres.vars[0]
-    original_vars = pres.vars[1:]
     original_weights = [w / rees.rescale for w in pres.weights[1:]]
-    const = Polynomial.constant(pres.vars, value)
-    substituted = []
-    for rel in pres.relations:
-        image = rel.substitute({t: const})
-        if image.is_zero():
-            continue
-        substituted.append(image.change_variables(original_vars))
-    return WeightedPresentation(original_vars, original_weights, substituted)
+    return WeightedPresentation(pres.vars[1:], original_weights,
+                                [rel.evaluate({"t": value}) for rel in pres.relations])
 
 
 def presentations_ideal_equal(first: WeightedPresentation,
@@ -188,6 +167,6 @@ def presentations_ideal_equal(first: WeightedPresentation,
     """
     if first.vars != second.vars:
         raise InputError("presentations live in different ambient rings")
-    return all(reduce_modulo(rel, other.basis(), other.order()).is_zero()
+    return all(reduce_modulo(rel, other.basis(), other.order).is_zero()
                for one, other in ((first, second), (second, first))
                for rel in one.relations)

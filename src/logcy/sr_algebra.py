@@ -279,11 +279,11 @@ def parse_theta_expression(text: str, config: DivisorConfiguration) -> ThetaElem
         comp_text = match.group("comp")
         if comp_text is None:
             comps = config.components(DivisorConfiguration.support(vec))
-            if len(comps) != 1:
+            if len(comps) > 1:
                 raise InputError(
                     f"stratum {sorted(DivisorConfiguration.support(vec))} has "
                     f"{len(comps)} components; specify one as theta[...;c]")
-            component = comps[0]
+            component = comps[0] if comps else None  # empty: ThetaBasisElement refuses vec
         else:
             component = int(comp_text)
         elem = ThetaBasisElement(config, vec, component)

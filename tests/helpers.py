@@ -17,6 +17,7 @@ from logcy.complexes import SimplicialComplex
 from logcy.errors import InputError
 from logcy.exactlin import rank
 from logcy.homology import BettiTable
+from logcy.poly import Polynomial
 from logcy.stratum import DivisorConfiguration
 from logcy.trees import LogPssTree, TreeEdge
 
@@ -40,6 +41,22 @@ def _connected_components(tokens, edges):
         comps.append(frozenset(seen))
         remaining -= seen
     return sorted(comps, key=min)
+
+
+def substitute(f, images, ring):
+    """Oracle: compose f with variable -> Polynomial images, expanded over ring.
+
+    The images live in ring; a variable of f without an image must be a
+    variable of ring too, and stands for itself.
+    """
+    result = Polynomial.zero(ring)
+    for exps, coeff in f.terms.items():
+        term = Polynomial.constant(ring, coeff)
+        for name, e in zip(f.vars, exps):
+            image = images[name] if name in images else Polynomial.variable(ring, name)
+            term = term * image ** e
+        result = result + term
+    return result
 
 
 def random_configuration(rng: random.Random, k_max=4, comp_max=2, cy_prob=0.5,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from logcy import cli
+from logcy import cli, mirror
 from logcy.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED, main,
                        render_report, run)
 
@@ -226,6 +226,22 @@ def test_conic_gr_at_the_largest_budgeted_n():
     assert report["result"]["grMatchesFixture"] is True
 
 
+def test_conic_smooth_below_the_limit_runs():
+    code, report = run(["example", "conic", "--n", "20", "--smooth"])
+    assert code == EXIT_OK
+    assert report["result"]["smooth"] == {str(n): True for n in range(2, 21)}
+
+
+def test_conic_smooth_past_the_limit_is_refused_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "logcy.cli", "example", "conic",
+         "--n", str(mirror.SMOOTH_LIMIT + 1), "--smooth"],
+        capture_output=True, timeout=20)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    message = json.loads(proc.stdout)["error"]["message"]
+    assert f"n above {mirror.SMOOTH_LIMIT} is refused" in message
+
+
 def test_schema_flags(fixtures):
     for argv in (["complex", "homology", "--schema"],
                  ["sr", "multiply", "--schema"],
@@ -415,6 +431,8 @@ _BAD_INPUTS = {
         {"from": [2, 3], "to": [2], "assign": {"0": 0}}]), "supplied map [2, 3]->[2]"),
     "sr-map-to-itself-not-identity": ("sr", "hilbert", "--config", dict(_CONFIG3, maps=[
         {"from": [1], "to": [1], "assign": {"0": 5}}]), "supplied map [1]->[1]"),
+    "sr-multiply-theta-on-empty-stratum": ("sr", "multiply", "--config", _CONFIG,
+                                           "vector (1,) does not index a basis element"),
 }
 
 # the other file of an energy job, by the flag its bad input goes to
@@ -427,6 +445,8 @@ def _bad_input_job(tmp_path, fixtures, kind):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(payload))
     argv = [group, op, flag, str(path)]
+    if (group, op) == ("sr", "multiply"):  # the job also needs its two theta symbols
+        argv += ["--lhs", "theta[1]", "--rhs", "theta[0]"]
     if group == "energy":
         other, name = _ENERGY_OTHER[flag]
         argv += [other, fixtures[name]]

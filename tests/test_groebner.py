@@ -282,4 +282,4 @@ def test_integer_order_key_sorts_like_rational_key(data):
     assert (sorted(monomials, key=order.key)
             == sorted(monomials, key=lambda e: _rational_key(order.weights, e)))
     for e in monomials:
-        assert order.weighted_degree(e) == _rational_key(order.weights, e)[0]
+        assert Fraction(order.int_degree(e), order.scale) == _rational_key(order.weights, e)[0]

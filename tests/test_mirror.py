@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import substitute
 from logcy import mirror
 from logcy.errors import InputError
 from logcy.groebner import jacobian_smooth
@@ -19,7 +20,7 @@ F = Fraction
 def test_conic_presentation_default():
     pres = mirror.conic_bundle_presentation(mirror.ConicBundleFixture(2, 1, 1, F(3, 2), 1))
     assert pres.vars == ("u1", "u2", "w1", "w2")
-    texts = {r.to_string(pres.order()) for r in pres.relations}
+    texts = {r.to_string(pres.order) for r in pres.relations}
     assert parse_polynomial("u1*u2 - 1 - w1", pres.vars) in pres.relations
     assert parse_polynomial("w1*w2 - 1", pres.vars) in pres.relations
 
@@ -150,9 +151,7 @@ def test_family_polynomial_symbolic_shape():
 @given(st.lists(st.fractions(max_denominator=12), min_size=7, max_size=7))
 def test_symbolic_family_specializes_to_the_numeric_family(coefficients):
     f = mirror.HypersurfaceFamily().family_polynomial()
-    values = {a: Polynomial.constant(f.vars, c)
-              for a, c in zip(mirror.APPENDIX_C_PARAMS, coefficients)}
-    specialized = f.substitute(values).change_variables(mirror.APPENDIX_C_VARS)
+    specialized = f.evaluate(dict(zip(mirror.APPENDIX_C_PARAMS, coefficients)))
     assert specialized == mirror.HypersurfaceFamily(coefficients).family_polynomial()
 
 
@@ -179,13 +178,11 @@ def test_appendix_c_presentation_matches_theta_counts():
 
 def test_appendix_c_eliminating_v_gives_hypersurface():
     fixture = mirror.appendix_c_sr_presentation()
-    pres = fixture.presentation
-    names = pres.vars
-    substitution = {"v": parse_polynomial("x1*x2*x3 - u", names)}
-    rel1, rel2 = pres.relations
-    assert rel1.substitute(substitution).is_zero()
-    image = rel2.substitute(substitution).change_variables(mirror.APPENDIX_C_VARS)
-    assert image == fixture.hypersurface
+    ring = mirror.APPENDIX_C_VARS
+    images = {"v": parse_polynomial("x1*x2*x3 - u", ring)}
+    rel1, rel2 = fixture.presentation.relations
+    assert substitute(rel1, images, ring).is_zero()
+    assert substitute(rel2, images, ring) == fixture.hypersurface
 
 
 def test_appendix_c_quotient_not_verified_smooth():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcy.errors import InputError
 from logcy.fields import QQ, PrimeField, field_from_name
@@ -82,30 +84,57 @@ def test_derivative():
         f.derivative("z")
 
 
-def test_substitute_composition():
-    f = parse_polynomial("u*v", ("u", "v"))
-    zero = Polynomial.zero(("u", "v"))
-    assert f.substitute({"u": zero}).is_zero()
+def test_evaluate_sets_the_named_variables():
+    assert parse_polynomial("u*v", ("u", "v")).evaluate({"u": 0}).is_zero()
     g = parse_polynomial("x1*x2*x3 - u - v", ("x1", "x2", "x3", "u", "v"))
-    z5 = Polynomial.zero(("x1", "x2", "x3", "u", "v"))
-    image = g.substitute({"x1": z5, "x2": z5, "u": z5})
-    assert image == parse_polynomial("-v", ("x1", "x2", "x3", "u", "v"))
+    assert g.evaluate({"x1": 0, "x2": 0, "u": 0}) == parse_polynomial("-v", ("x3", "v"))
+    f = parse_polynomial("x^2*y + y - 1/2", XY)
+    assert f.evaluate({"x": Fraction(1, 2)}) == parse_polynomial("5/4*y - 1/2", ("y",))
+    assert f.evaluate({"x": 1, "y": 2}) == Polynomial.constant((), Fraction(7, 2))
+    assert f.evaluate({}) == f
 
 
-def test_substitute_into_new_ring():
-    f = parse_polynomial("x^2 + y", XY)
-    t = ("t",)
-    t_poly = Polynomial.variable(t, "t")
-    image = f.substitute({"x": t_poly, "y": t_poly * t_poly})
-    assert image == parse_polynomial("2*t^2", t)
+def test_evaluate_keeps_the_order_of_the_remaining_variables():
+    f = parse_polynomial("z*x^2 + y", ("z", "y", "x"))
+    assert f.evaluate({"y": 3}) == parse_polynomial("z*x^2 + 3", ("z", "x"))
 
 
-def test_change_variables():
-    f = parse_polynomial("x^2", XY)
-    g = f.change_variables(("x",))
-    assert g == parse_polynomial("x^2", ("x",))
+def test_evaluate_merges_and_cancels_terms():
+    f = parse_polynomial("x*y - x + y^2", XY)
+    assert f.evaluate({"y": 1}) == parse_polynomial("1", ("x",))
+    assert parse_polynomial("x*y - x", XY).evaluate({"y": 1}).is_zero()
+
+
+def test_evaluate_unknown_variable():
     with pytest.raises(InputError):
-        parse_polynomial("x*y", XY).change_variables(("x",))
+        parse_polynomial("x", XY).evaluate({"z": 1})
+
+
+def _sympy_expr(f, symbols):
+    import sympy
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(symbols[name]**e for name, e in zip(f.vars, exps)))
+                for exps, c in f.terms.items()), sympy.Integer(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluate_matches_sympy_subs(data):
+    import sympy
+    names = ("w", "x", "y", "z")[:data.draw(st.integers(2, 4))]
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(names)), coeffs,
+                                      max_size=6))
+    f = Polynomial(names, terms)
+    values = {name: data.draw(st.just(Fraction(0))
+                              | st.fractions(min_value=-4, max_value=4, max_denominator=5))
+              for name in data.draw(st.lists(st.sampled_from(names), unique=True))}
+    symbols = dict(zip(names, sympy.symbols(names)))
+    expected = _sympy_expr(f, symbols).subs(
+        {symbols[name]: sympy.Rational(v.numerator, v.denominator) for name, v in values.items()})
+    image = f.evaluate(values)
+    assert image.vars == tuple(name for name in names if name not in values)
+    assert sympy.expand(_sympy_expr(image, symbols) - expected) == 0
 
 
 def test_prime_field_arithmetic():

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import substitute
 from logcy.errors import InputError
 from logcy.groebner import reduce_modulo
-from logcy.poly import Polynomial, parse_polynomial
+from logcy.poly import Polynomial, WeightedOrder, parse_polynomial
 from logcy.rees import (ReesPresentation, WeightedPresentation, associated_graded,
                         fiber_at, presentation_from_json, presentations_ideal_equal,
                         rees_algebra)
@@ -41,7 +42,7 @@ def test_associated_graded_fixes_homogeneous():
     graded = associated_graded(target)
     # x^2 - y is already weight-homogeneous (weights 2 = 2); the redundant
     # generator drops out of the reduced basis
-    assert [r.to_string(graded.order()) for r in graded.relations] == ["x^2 - y"]
+    assert [r.to_string(graded.order) for r in graded.relations] == ["x^2 - y"]
     again = associated_graded(graded)
     assert [r.terms for r in again.relations] == [r.terms for r in graded.relations]
 
@@ -52,7 +53,7 @@ def test_associated_graded_needs_basis_not_raw_generators():
     p = pres(("x", "y"), [1, 1], ["x^2 - y", "x^2 + y^3 - y"])
     graded = associated_graded(p)
     y_cubed = parse_polynomial("y^3", p.vars)
-    assert reduce_modulo(y_cubed, graded.basis(), graded.order()).is_zero()
+    assert reduce_modulo(y_cubed, graded.basis(), graded.order).is_zero()
 
 
 def test_gr_idempotent_random():
@@ -87,9 +88,9 @@ def test_rees_homogeneous_input_keeps_relations():
 
 def test_rees_relations_are_weight_homogeneous():
     family = rees_algebra(pres(("x", "y"), [1, 2], ["x^2 - y", "y^2 - x"]))
-    order = family.presentation.order()
+    order = family.presentation.order
     for rel in family.presentation.relations:
-        degrees = {order.weighted_degree(e) for e in rel.terms}
+        degrees = {Fraction(order.int_degree(e), order.scale) for e in rel.terms}
         assert len(degrees) == 1
 
 
@@ -146,6 +147,45 @@ def relation_lists(draw, nvars, size):
     coeffs = st.integers(-3, 3).filter(bool)
     return draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=3),
                          min_size=1, max_size=size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fibers_are_the_substitution_the_ring_and_its_graded_ring(data):
+    nvars = data.draw(st.integers(2, 3))
+    names = ("x", "y", "z")[:nvars]
+    weights = data.draw(st.lists(st.fractions(min_value=Fraction(1, 6), max_value=3,
+                                              max_denominator=6),
+                                 min_size=nvars, max_size=nvars))
+    p = pres(names, weights, [Polynomial(names, t) for t in data.draw(relation_lists(nvars, 3))])
+    try:
+        family = rees_algebra(p)
+    except InputError:  # the unit ideal
+        assume(False)
+    value = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    t_image = {"t": Polynomial.constant(names, value)}
+    fiber = fiber_at(family, value)
+    assert fiber.weights == p.weights
+    assert fiber.relations == tuple(substitute(rel, t_image, names)
+                                    for rel in family.presentation.relations)
+    assert fiber_at(family, 1).relations == tuple(p.basis())
+    assert fiber_at(family, 0).relations == associated_graded(p).relations
+
+
+def test_to_json_and_hilbert_reuse_the_presentation_order(monkeypatch):
+    p = pres(("x", "y"), [1, Fraction(1, 2)], ["x^2 - y", "x*y - 1"])
+    p.basis()
+    built = []
+    init = WeightedOrder.__init__
+
+    def counting_init(order, weights):
+        built.append(weights)
+        init(order, weights)
+
+    monkeypatch.setattr(WeightedOrder, "__init__", counting_init)
+    p.to_json()
+    p.hilbert_up_to(4)
+    assert built == []
 
 
 def _sympy_grlex(names, relations):

@@ -134,7 +134,7 @@ def test_structure_constants_match_monomials_mod_sr_ideal():
         config = DivisorConfiguration(k, [1] * k, [1] * k, strata)
         dual = config.dual_complex()
         pres = sr_presentation(dual)
-        order = pres.order()
+        order = pres.order
         basis_gb = pres.basis()
         vectors = [v for v in product(range(3), repeat=k) if config.in_basis(v)]
         for v1 in vectors:
