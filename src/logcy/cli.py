@@ -39,7 +39,7 @@ from . import (complexes, energy, groebner, homology, mirror, poly, rees, sr_alg
 from .errors import InputError, UnsupportedStructureError
 from .fields import field_from_name
 from .rationals import RATIONAL, format_rational, parse_rational
-from .schema import validate
+from .schema import require_distinct, validate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -124,9 +124,11 @@ def _parse_face(text: str):
     if not text:
         return []
     try:
-        return [int(x) for x in text.split(",")]
+        face = [int(x) for x in text.split(",")]
     except ValueError:
         raise InputError(f"malformed face {text!r}; expected comma-separated integers") from None
+    require_distinct(face, "--face", "", "vertex")
+    return face
 
 
 # -- handler implementations -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Abstract simplicial complexes: facets, minimal nonfaces, link, star, core.
+"""Abstract simplicial complexes: facets, minimal nonfaces, link, core.
 
 A complex is stored as the full downward-closed family of faces (frozensets
 of integer vertex labels).  The empty face is present in every nonempty
@@ -8,8 +8,8 @@ from the complex whose only face is the empty set.
 
 from itertools import combinations
 
-from .errors import InputError
-from .schema import validate
+from .errors import COUNT_LIMIT, InputError
+from .schema import require_distinct, validate
 
 
 class SimplicialComplex:
@@ -57,9 +57,6 @@ class SimplicialComplex:
             raise InputError("dimension of the void complex is undefined")
         return max(len(f) for f in self.faces) - 1
 
-    def has_face(self, face) -> bool:
-        return frozenset(face) in self.faces
-
     def facets(self) -> list:
         """Faces that no single vertex extends to a face, sorted for deterministic output."""
         faces = self.faces
@@ -79,24 +76,12 @@ class SimplicialComplex:
         return sorted((f for f in self.faces if len(f) == d + 1),
                       key=lambda f: sorted(f))
 
-    def euler_characteristic(self) -> int:
-        """Alternating count of nonempty faces."""
-        return sum((-1) ** (len(f) - 1) for f in self.faces if f)
-
     def link(self, face) -> "SimplicialComplex":
         """link(F) = { G - F : G a face containing F }."""
         face = frozenset(face)
         if face not in self.faces:
             raise InputError(f"link: {sorted(face)} is not a face")
         return SimplicialComplex(g - face for g in self.faces if face <= g)
-
-    def star(self, face) -> "SimplicialComplex":
-        """Subcomplex generated by all faces containing the given face."""
-        face = frozenset(face)
-        if face not in self.faces:
-            raise InputError(f"star: {sorted(face)} is not a face")
-        top = [g for g in self.faces if face <= g]
-        return SimplicialComplex.from_facets(top)
 
     def induced(self, vertex_subset) -> "SimplicialComplex":
         keep = frozenset(vertex_subset)
@@ -138,37 +123,16 @@ COMPLEX_SCHEMA = {
 
 
 def complex_from_json(data) -> SimplicialComplex:
-    """Read a complex from {"facets": [[...], ...]}."""
-    validate(data, COMPLEX_SCHEMA)
-    return SimplicialComplex.from_facets(data["facets"])
+    """Read a complex from {"facets": [[...], ...]}.
 
-
-def sphere_boundary(d: int) -> SimplicialComplex:
-    """Boundary of the simplex on d+2 vertices: a triangulated d-sphere."""
-    if d < -1:
-        raise InputError("sphere dimension must be >= -1")
-    n = d + 2
-    verts = range(1, n + 1)
-    return SimplicialComplex.from_facets(combinations(verts, n - 1) if n > 1 else [[]])
-
-
-def full_simplex(n_vertices: int) -> SimplicialComplex:
-    if n_vertices < 0:
-        raise InputError("vertex count must be nonnegative")
-    if n_vertices == 0:
-        return SimplicialComplex.empty_face_only()
-    return SimplicialComplex.from_facets([range(1, n_vertices + 1)])
-
-
-def cross_polytope_boundary(n: int) -> SimplicialComplex:
-    """Boundary of the n-dimensional cross-polytope: a triangulated (n-1)-sphere.
-
-    Vertices are 1..2n with antipodal pairs (2i-1, 2i); faces are the subsets
-    avoiding every antipodal pair.  n = 3 is the octahedron.
+    A facet of n vertices has 2^n faces; when the facets' counts add up to
+    more than logcy.errors.COUNT_LIMIT, it raises InputError before building any.
     """
-    if n < 1:
-        raise InputError("cross polytope dimension must be >= 1")
-    pairs = [(2 * i - 1, 2 * i) for i in range(1, n + 1)]
-    import itertools
-    facets = [frozenset(choice) for choice in itertools.product(*pairs)]
+    validate(data, COMPLEX_SCHEMA)
+    facets = data["facets"]
+    for idx, facet in enumerate(facets):
+        require_distinct(facet, "complex JSON", f"facets[{idx}]", "vertex")
+    if sum(1 << len(facet) for facet in facets) > COUNT_LIMIT:
+        raise InputError(f"complex JSON facets are too large: a facet of n vertices has "
+                         f"2^n faces, and more than {COUNT_LIMIT} in all are refused")
     return SimplicialComplex.from_facets(facets)

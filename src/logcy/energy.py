@@ -101,10 +101,6 @@ class ChordLabel:
         if any(x < 0 for x in self.v):
             raise InputError("chord winding vectors are nonnegative")
 
-    def with_winding(self, v) -> "ChordLabel":
-        return ChordLabel(self.point_id, self.indices, self.alpha0, self.alpha1,
-                          tuple(v), self.f0, self.f1)
-
 
 def chord_from_json(data, k: int) -> ChordLabel:
     validate(data, CHORD_SCHEMA)

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and their one work budget.
 
 Exit-code mapping used by the CLI: InputError -> 2, UnsupportedStructureError -> 3.
 Mathematical "false" verdicts are ordinary return values, never exceptions.
 """
+
+# The most table cells, monomials walked or faces built that one step may take
+# before it raises InputError: a count up to --bound (graded_dimension,
+# hilbert_function_up_to), the conic fixture, a complex read from JSON and a
+# Stanley-Reisner complex.  The largest --bound count the tests and benchmark
+# inputs make is under 1% of it; the largest complex the benchmark reads,
+# 64 facets of 6 vertices, is under 2%.
+COUNT_LIMIT = 250_000
 
 
 class LogcyError(Exception):

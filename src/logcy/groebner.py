@@ -236,17 +236,6 @@ def reduce_modulo(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
     return Polynomial(f.vars, _reduce(dict(f.terms), None, live, order))
 
 
-def is_groebner(basis, order: WeightedOrder) -> bool:
-    """Check that every S-polynomial of the basis reduces to zero."""
-    basis = [g for g in basis if not g.is_zero()]
-    live = [_element(g, order) for g in basis]
-    for f, g in combinations(live, 2):
-        terms, _ = _s_polynomial(f, g)
-        if _reduce(terms, None, live, order):
-            return False
-    return True
-
-
 def hilbert_function_up_to(basis, order: WeightedOrder, bound) -> dict:
     """Counts of standard monomials per weight level up to the bound, for
     the ideal whose Groebner basis in this order is `basis`.
@@ -257,7 +246,7 @@ def hilbert_function_up_to(basis, order: WeightedOrder, bound) -> dict:
     counting: the w entry is dim F_w / F_{w-1} of the quotient.
 
     It walks every monomial within the bound; when they number more than
-    logcy.poly.COUNT_LIMIT it raises InputError first.
+    logcy.errors.COUNT_LIMIT it raises InputError first.
     """
     weights = order.int_weights
     if basis and len(weights) != len(basis[0].vars):

@@ -15,9 +15,9 @@ from fractions import Fraction
 from itertools import product
 
 from .complexes import SimplicialComplex
-from .errors import InputError
+from .errors import COUNT_LIMIT, InputError
 from .groebner import jacobian_smooth
-from .poly import COUNT_LIMIT, Polynomial, parse_polynomial
+from .poly import Polynomial, parse_polynomial
 from .rees import WeightedPresentation
 from .stratum import DivisorConfiguration
 
@@ -109,7 +109,7 @@ def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> WeightedPresentation
 
     Checking the written relations against the facets generates about
     n * 2^(n+1) vertex subsets; when that is more than
-    logcy.poly.COUNT_LIMIT, it raises InputError first.
+    logcy.errors.COUNT_LIMIT, it raises InputError first.
     """
     if fixture.n * 2 ** (fixture.n + 1) > COUNT_LIMIT:
         raise InputError(f"--n is too large for the Stanley-Reisner fixture: checking it "

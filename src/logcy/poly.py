@@ -12,13 +12,8 @@ from fractions import Fraction
 from math import floor, lcm
 from operator import mul
 
-from .errors import InputError
+from .errors import COUNT_LIMIT, InputError
 from .rationals import format_rational
-
-# The most table cells, or monomials walked, that a count up to a weight bound
-# may take (sr_algebra.graded_dimension, groebner.hilbert_function_up_to).
-# The largest count the tests and benchmark inputs make is under 1% of it.
-COUNT_LIMIT = 250_000
 
 
 def require_countable(size):
@@ -69,12 +64,6 @@ class WeightedOrder:
             for w in range(step, top + 1):
                 table[w] += table[w - step]
         return table
-
-    def __eq__(self, other):
-        return isinstance(other, WeightedOrder) and other.weights == self.weights
-
-    def __hash__(self):
-        return hash(self.weights)
 
     def __repr__(self):
         return f"WeightedOrder({[format_rational(w) for w in self.weights]})"

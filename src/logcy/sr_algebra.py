@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .complexes import SimplicialComplex
-from .errors import InputError
+from .errors import COUNT_LIMIT, InputError
 from .poly import Polynomial, WeightedOrder, require_countable
 from .rationals import format_rational
 from .rees import WeightedPresentation
@@ -165,7 +165,7 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
     closed.  Level w gains f_I(w, 0) times the component count of D_I.
 
     A table has one cell per (level, pole-order sum possible within the
-    bound).  When that is more than logcy.poly.COUNT_LIMIT cells, it raises
+    bound).  When that is more than logcy.errors.COUNT_LIMIT cells, it raises
     InputError before allocating a table; level_counts refuses a negative
     bound before that.
     """
@@ -235,7 +235,8 @@ def sr_presentation(cx: SimplicialComplex, weights=None) -> WeightedPresentation
 
 def stanley_reisner_complex(pres: WeightedPresentation):
     """Inverse of sr_presentation on vertices 1..n, vertex i being the i-th
-    variable; None unless every relation is one squarefree monomial."""
+    variable; None unless every relation is one squarefree monomial.  It
+    raises InputError once it has built more than logcy.errors.COUNT_LIMIT faces."""
     nonfaces = []
     for rel in pres.relations:
         exps = next(iter(rel.terms))  # relations are nonzero
@@ -246,6 +247,9 @@ def stanley_reisner_complex(pres: WeightedPresentation):
     while layer:  # grow the faces one vertex at a time, above their largest vertex
         layer = [f for f in layer if not any(nf <= f for nf in nonfaces)]
         faces.extend(layer)
+        if len(faces) > COUNT_LIMIT:
+            raise InputError(f"the Stanley-Reisner complex of the relations is too large: "
+                             f"more than {COUNT_LIMIT} faces are refused")
         layer = [f | {v} for f in layer for v in range(max(f, default=0) + 1, n + 1)]
     return SimplicialComplex(faces)
 

@@ -14,7 +14,7 @@ from operator import mul
 
 from .complexes import SimplicialComplex
 from .errors import InputError, UnsupportedStructureError
-from .rationals import RATIONAL, format_rational, parse_rational
+from .rationals import RATIONAL, parse_rational
 from .schema import require_distinct, validate
 
 
@@ -193,30 +193,6 @@ class DivisorConfiguration:
         order_one = [i for i in range(1, self.k + 1) if self.a[i - 1] == 1]
         return cx.induced(order_one)
 
-    # -- JSON ---------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        cells = sorted(self.strata.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        strata = [{"I": sorted(index), "components": list(comps)} for index, comps in cells]
-        maps = []
-        for index, _ in cells:
-            for i in sorted(index):
-                dst = index - {i}
-                assign = self._adjacent_maps[(index, dst)]
-                maps.append({
-                    "from": sorted(index),
-                    "to": sorted(dst),
-                    "assign": {str(c): assign[c] for c in sorted(assign)},
-                })
-        return {
-            "k": self.k,
-            "kappa": [format_rational(x) for x in self.kappa],
-            "a": [format_rational(x) for x in self.a],
-            "strata": strata,
-            "maps": maps,
-            "logNef": self.log_nef,
-        }
-
 
 def configuration_from_json(data) -> DivisorConfiguration:
     """Read a configuration from the documented JSON schema.
@@ -225,6 +201,11 @@ def configuration_from_json(data) -> DivisorConfiguration:
     stratum is connected.
     """
     validate(data, CONFIGURATION_SCHEMA)
+    for idx, entry in enumerate(data.get("strata", [])):
+        require_distinct(entry["I"], "configuration JSON", f"strata[{idx}].I", "index")
+    for idx, entry in enumerate(data.get("maps", [])):
+        require_distinct(entry["from"], "configuration JSON", f"maps[{idx}].from", "index")
+        require_distinct(entry["to"], "configuration JSON", f"maps[{idx}].to", "index")
     require_distinct([frozenset(entry["I"]) for entry in data.get("strata", [])],
                      "configuration JSON", "strata", "I")
     require_distinct([(frozenset(entry["from"]), frozenset(entry["to"]))

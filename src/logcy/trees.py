@@ -174,31 +174,20 @@ class LogPssTree:
             raise InputError("invalid tree: " + "; ".join(
                 f"[{v.where}] {v.clause}: {v.detail}" for v in bad))
 
-    # -- JSON ------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "kPrime": self.k_prime,
-            "root": self.root,
-            "deg_x0": self.deg_x0,
-            "vertices": [{"id": v, "depth": sorted(d)} for v, d in sorted(self.vertices.items())],
-            "edges": [
-                {"a": e.a, "b": e.b, "depthE": sorted(e.depth),
-                 "contact": {f"{e.a}->{e.b}": list(e.contact)}}
-                for e in self.edges
-            ],
-            "legs": [{"vertex": v, "label": label} for v, label in self.legs],
-        }
-
 
 def tree_from_json(data) -> LogPssTree:
     validate(data, TREE_SCHEMA)
     require_distinct([entry["id"] for entry in data["vertices"]],
                      "tree JSON", "vertices", "id")
-    vertices = {entry["id"]: frozenset(entry.get("depth", [])) for entry in data["vertices"]}
+    vertices = {}
+    for idx, entry in enumerate(data["vertices"]):
+        depth = entry.get("depth", [])
+        require_distinct(depth, "tree JSON", f"vertices[{idx}].depth", "index")
+        vertices[entry["id"]] = frozenset(depth)
     edges = []
-    for entry in data["edges"]:
+    for idx, entry in enumerate(data["edges"]):
+        depth = entry.get("depthE", [])
+        require_distinct(depth, "tree JSON", f"edges[{idx}].depthE", "index")
         a, b = entry["a"], entry["b"]
         forward = entry["contact"].get(f"{a}->{b}")
         backward = entry["contact"].get(f"{b}->{a}")
@@ -207,7 +196,7 @@ def tree_from_json(data) -> LogPssTree:
         if forward is not None and backward is not None and forward != [-x for x in backward]:
             raise InputError(f"edge {a}-{b} contact vectors are not antisymmetric")
         vec = tuple(forward) if forward is not None else tuple(-x for x in backward)
-        edges.append(TreeEdge(a, b, frozenset(entry.get("depthE", [])), vec))
+        edges.append(TreeEdge(a, b, frozenset(depth), vec))
     legs = [(entry["vertex"], entry.get("label")) for entry in data.get("legs", [])]
     return LogPssTree(data["k"], vertices, edges, data["root"], legs, data["deg_x0"],
                       data.get("kPrime", 0))
@@ -262,13 +251,6 @@ TREE_SCHEMA = {
 }
 
 
-def marked_leg_contact(k: int, k_prime: int, j: int) -> tuple:
-    """The contact vector of a marked leg: a single 1 in slot j of the marked block."""
-    if not 1 <= j <= k_prime:
-        raise InputError(f"marked index {j} leaves 1..{k_prime}")
-    return tuple(1 if i == k + j else 0 for i in range(1, k + k_prime + 1))
-
-
 class RhoMap:
     """Integer matrix of the incidence homomorphism with its index labels.
 
@@ -283,10 +265,6 @@ class RhoMap:
         self.matrix = matrix
         self.row_labels = row_labels
         self.col_labels = col_labels
-
-    @property
-    def nrows(self) -> int:
-        return len(self.row_labels)
 
     @property
     def ncols(self) -> int:

@@ -8,14 +8,16 @@ and compose consistently by construction.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
 from logcy import linprog
 from logcy.complexes import SimplicialComplex
+from logcy.energy import ChordLabel
 from logcy.errors import InputError
 from logcy.exactlin import rank
+from logcy.groebner import reduce_modulo
 from logcy.homology import BettiTable
 from logcy.poly import Polynomial
 from logcy.stratum import DivisorConfiguration
@@ -57,6 +59,20 @@ def substitute(f, images, ring):
             term = term * image ** e
         result = result + term
     return result
+
+
+def is_groebner(basis, order):
+    """Oracle: Buchberger's criterion, every S-polynomial of the basis
+    reduces to zero modulo the basis."""
+    basis = [g for g in basis if not g.is_zero()]
+    for f, g in combinations(basis, 2):
+        (ef, cf), (eg, cg) = f.leading(order), g.leading(order)
+        lcm = tuple(map(max, ef, eg))
+        spoly = (f.mul_term([a - b for a, b in zip(lcm, ef)], 1 / cf)
+                 - g.mul_term([a - b for a, b in zip(lcm, eg)], 1 / cg))
+        if not reduce_modulo(spoly, basis, order).is_zero():
+            return False
+    return True
 
 
 def random_configuration(rng: random.Random, k_max=4, comp_max=2, cy_prob=0.5,
@@ -188,6 +204,36 @@ def random_downward_closed(rng: random.Random, k: int):
     return faces
 
 
+def sphere_boundary(d):
+    """Boundary of the simplex on d+2 vertices: a triangulated d-sphere."""
+    return SimplicialComplex.from_facets(combinations(range(1, d + 3), d + 1))
+
+
+def full_simplex(n_vertices):
+    """The simplex on vertices 1..n_vertices, with every face."""
+    return SimplicialComplex.from_facets([range(1, n_vertices + 1)])
+
+
+def cross_polytope_boundary(n):
+    """Boundary of the n-dimensional cross-polytope: a triangulated (n-1)-sphere.
+
+    Vertices are 1..2n with antipodal pairs (2i-1, 2i); faces are the subsets
+    avoiding every antipodal pair.  n = 3 is the octahedron.
+    """
+    return SimplicialComplex.from_facets(product(*((2 * i - 1, 2 * i) for i in range(1, n + 1))))
+
+
+def star(cx, face):
+    """Subcomplex generated by all faces containing the given face."""
+    face = frozenset(face)
+    return SimplicialComplex.from_facets(g for g in cx.faces if face <= g)
+
+
+def euler_characteristic(cx):
+    """Alternating count of nonempty faces."""
+    return sum((-1) ** (len(f) - 1) for f in cx.faces if f)
+
+
 def facets_oracle(cx):
     """Inclusion-maximal faces by comparing every pair of faces."""
     maximal = [
@@ -201,8 +247,7 @@ def core_oracle(cx):
     """Induced subcomplex on the vertices whose star is a proper subcomplex."""
     if cx.is_void:
         return SimplicialComplex.void()
-    kept = [v for v in cx.vertices
-            if cx.star([v]).faces != cx.faces]
+    kept = [v for v in cx.vertices if star(cx, [v]).faces != cx.faces]
     return cx.induced(kept)
 
 
@@ -255,6 +300,12 @@ def reduced_homology_oracle(cx, coeff_field):
     boundary = [0] + [boundary_rank(n) for n in range(1, d + 2)] + [0]
     betti = tuple(len(faces[n]) - boundary[n] - boundary[n + 1] for n in range(d + 2))
     return BettiTable(coeff_field.name, -1, betti)
+
+
+def winding(chord, v):
+    """The chord with its winding vector replaced by v."""
+    return ChordLabel(chord.point_id, chord.indices, chord.alpha0, chord.alpha1,
+                      tuple(v), chord.f0, chord.f1)
 
 
 def random_tree(rng: random.Random, k_max=3, max_vertices=6):

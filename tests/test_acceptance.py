@@ -17,7 +17,7 @@ from itertools import combinations
 import pytest
 
 from logcy import mirror
-from logcy.complexes import SimplicialComplex, cross_polytope_boundary, full_simplex, sphere_boundary
+from logcy.complexes import SimplicialComplex
 from logcy.energy import (ChordLabel, EnergyParameters, OrbitLabel, chord_action_approx,
                           chord_weight, orbit_action_approx, pss_energy, pss_energy_approx,
                           weighted_winding)
@@ -29,7 +29,8 @@ from logcy.rees import (WeightedPresentation, associated_graded, fiber_at,
 from logcy.sr_algebra import ThetaElement, graded_dimension, multiply, multiply_basis, unit_element
 from logcy.trees import balancing_feasible, build_rho, kernel_dim, obstruction_dim, partition_count, vdim_log, vdim_prelog
 
-from helpers import basis_elements, random_configuration, random_tree
+from helpers import (basis_elements, cross_polytope_boundary, full_simplex, random_configuration,
+                     random_tree, sphere_boundary, winding)
 
 F = Fraction
 
@@ -257,7 +258,7 @@ def test_criterion_09_energy_identities():
         chord = ChordLabel(0, indices, alpha0, alpha1, tuple(v),
                            F(rng.randint(-4, 4), 3), F(rng.randint(-4, 4), 5))
 
-        base = chord.with_winding((0,) * k)
+        base = winding(chord, (0,) * k)
         assert chord_weight(params, chord) - chord_weight(params, base) == \
             weighted_winding(params, chord.v)
         assert chord_action_approx(pert_free, chord) == \
@@ -290,7 +291,11 @@ def test_criterion_11_cli_determinism(tmp_path):
     octa.write_text(json.dumps(
         {"facets": [sorted(f) for f in cross_polytope_boundary(3).facets()]}))
     config = tmp_path / "appc.json"
-    config.write_text(json.dumps(mirror.appendix_c_configuration().to_json()))
+    config.write_text(json.dumps({  # Appendix C: the triple stratum has two points
+        "k": 3, "kappa": ["1", "1", "1"], "a": ["1", "1", "1"],
+        "strata": [{"I": I, "components": [0]}
+                   for I in ([1], [2], [3], [1, 2], [1, 3], [2, 3])]
+        + [{"I": [1, 2, 3], "components": [1, 2]}]}))
     pres = tmp_path / "pres.json"
     pres.write_text(json.dumps({"vars": ["x", "y"], "weights": ["1", "2"],
                                 "relations": ["x^2 - y", "y^2 - x"]}))

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from logcy import cli, mirror
+from logcy import cli, homology, mirror
+from logcy.errors import COUNT_LIMIT
 from logcy.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED, main,
                        render_report, run)
 
@@ -220,7 +221,7 @@ def test_prime_fields_below_the_limit_are_accepted(fixtures, name):
 
 
 def test_conic_gr_at_the_largest_budgeted_n():
-    # 13 * 2^14 subsets fit logcy.poly.COUNT_LIMIT; n = 14 is refused
+    # 13 * 2^14 subsets fit logcy.errors.COUNT_LIMIT; n = 14 is refused
     code, report = run(["example", "conic", "--n", "13", "--gr", "--bound", "2"])
     assert code == EXIT_OK
     assert report["result"]["grMatchesFixture"] is True
@@ -240,6 +241,39 @@ def test_conic_smooth_past_the_limit_is_refused_at_once():
     assert proc.returncode == EXIT_INPUT, proc.stderr
     message = json.loads(proc.stdout)["error"]["message"]
     assert f"n above {mirror.SMOOTH_LIMIT} is refused" in message
+
+
+_SIMPLEX_REFUSED = f"more than {homology.FACE_LIMIT} faces are refused"
+# kind -> (argv, input files by name, text the error must name); each input has
+# no work budget at the parent commit and runs for a minute or more there
+_RUNAWAY_COMPLEX = {
+    "complex-gorenstein-14-vertex-facet": (
+        ["complex", "gorenstein", "--faces", "simplex.json"],
+        {"simplex.json": {"facets": [list(range(1, 15))]}}, _SIMPLEX_REFUSED),
+    "ring-degenerate-14-variables": (
+        ["ring", "degenerate", "--pres", "pres.json", "--sr-config", "config.json",
+         "--bound", "1"],
+        {"pres.json": {"vars": [f"x{i}" for i in range(1, 15)], "weights": ["1"] * 14,
+                       "relations": ["x1*x2"]},
+         "config.json": {"k": 1, "kappa": ["1"], "a": ["1"]}}, _SIMPLEX_REFUSED),
+    "complex-homology-20-vertex-facet": (
+        ["complex", "homology", "--faces", "simplex.json"],
+        {"simplex.json": {"facets": [list(range(1, 21))]}},
+        f"more than {COUNT_LIMIT} in all are refused"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNAWAY_COMPLEX))
+def test_runaway_complex_is_refused_at_once(tmp_path, kind):
+    argv, files, named = _RUNAWAY_COMPLEX[kind]
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logcy.cli", *(str(tmp_path / a) if a in files else a
+                                              for a in argv)],
+        capture_output=True, timeout=20)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert named in json.loads(proc.stdout)["error"]["message"]
 
 
 def test_schema_flags(fixtures):
@@ -433,6 +467,25 @@ _BAD_INPUTS = {
         {"from": [1], "to": [1], "assign": {"0": 5}}]), "supplied map [1]->[1]"),
     "sr-multiply-theta-on-empty-stratum": ("sr", "multiply", "--config", _CONFIG,
                                            "vector (1,) does not index a basis element"),
+    "complex-facet-vertex-repeated": ("complex", "homology", "--faces",
+                                      {"facets": [[1, 1, 2], [2, 3]]},
+                                      "complex JSON facets[0][1] repeats the vertex of "
+                                      "facets[0][0]"),
+    "sr-stratum-index-repeated": ("sr", "hilbert", "--config", dict(_CONFIG, strata=[
+        {"I": [1, 1], "components": [0]}]),
+        "configuration JSON strata[0].I[1] repeats the index of strata[0].I[0]"),
+    "sr-map-from-index-repeated": ("sr", "hilbert", "--config", dict(_CONFIG3, maps=[
+        {"from": [1, 2, 2], "to": [1], "assign": {"0": 0}}]),
+        "configuration JSON maps[0].from[2] repeats the index of maps[0].from[1]"),
+    "sr-map-to-index-repeated": ("sr", "hilbert", "--config", dict(_CONFIG3, maps=[
+        {"from": [1, 2], "to": [1, 1], "assign": {"0": 0}}]),
+        "configuration JSON maps[0].to[1] repeats the index of maps[0].to[0]"),
+    "tree-vertex-depth-index-repeated": ("tree", "vdim", "--tree", dict(_EDGE_TREE, vertices=[
+        {"id": 0, "depth": []}, {"id": 1, "depth": [1, 1]}]),
+        "tree JSON vertices[1].depth[1] repeats the index of vertices[1].depth[0]"),
+    "tree-edge-depthE-index-repeated": ("tree", "vdim", "--tree", dict(_EDGE_TREE, edges=[
+        {"a": 1, "b": 0, "depthE": [1, 1], "contact": {"1->0": [1]}}]),
+        "tree JSON edges[0].depthE[1] repeats the index of edges[0].depthE[0]"),
 }
 
 # the other file of an energy job, by the flag its bad input goes to
@@ -550,6 +603,9 @@ _BAD_ARGV = {
                                 "--coeffs", "1,2,3,4,5,6,7"], "--mode"),
     "example-appc-singular-line-bound": (["example", "appc", "--check", "singular-line",
                                           "--bound", "3"], "--bound"),
+    "complex-link-face-vertex-repeated": (["complex", "link", "--faces", "cycle.json",
+                                           "--face", "2,2"],
+                                          "--face [1] repeats the vertex of [0]"),
 }
 
 

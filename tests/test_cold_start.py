@@ -1,4 +1,4 @@
-"""Cold start: which logcy modules a command executes, and the public names.
+"""Cold start: which logcy modules a command executes.
 
 The package registers its submodules behind importlib.util.LazyLoader, so
 a module runs when one of its attributes is first read.  The probes run in
@@ -7,13 +7,10 @@ ago.  A module counts as executed once its type is back to the plain
 module type; a registered module not yet run is a LazyLoader subclass.
 """
 
-import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
-
-import logcy
 
 from test_cli import fixtures  # noqa: F401  (the fixture the CLI tests write their files with)
 
@@ -38,32 +35,6 @@ print(json.dumps(steps))
 """
 
 PLUMBING = ["logcy.cli", "logcy.errors", "logcy.fields", "logcy.rationals", "logcy.schema"]
-
-# every name logcy/__init__.py exports
-PUBLIC = {
-    "complexes": ["SimplicialComplex", "cross_polytope_boundary", "full_simplex",
-                  "sphere_boundary"],
-    "errors": ["DegenerateChordError", "InputError", "LogcyError", "UnsupportedStructureError"],
-    "fields": ["QQ", "PrimeField"],
-    "groebner": ["groebner_basis", "hilbert_function_up_to", "is_groebner", "jacobian_smooth"],
-    "homology": ["BettiTable", "GorensteinReport", "gorenstein_verdict",
-                 "is_rational_homology_manifold", "is_rational_homology_sphere",
-                 "local_homology_at_face", "reduced_homology"],
-    "poly": ["Polynomial", "WeightedOrder", "parse_polynomial", "unit_order"],
-    "rees": ["ReesPresentation", "WeightedPresentation", "associated_graded", "fiber_at",
-             "presentations_ideal_equal", "rees_algebra"],
-    "sr_algebra": ["ThetaBasisElement", "ThetaElement", "graded_dimension", "multiply",
-                   "multiply_basis", "parse_theta_expression", "sr_presentation",
-                   "unit_element"],
-    "stratum": ["DivisorConfiguration", "configuration_from_json"],
-    "trees": ["BalancingCertificate", "LogPssTree", "RhoMap", "TreeEdge", "balancing_feasible",
-              "build_rho", "kernel_dim", "obstruction_dim", "partition_count", "tree_from_json",
-              "vdim_log", "vdim_prelog"],
-    "energy": ["ChordLabel", "EnergyParameters", "OrbitLabel", "chord_action_approx",
-               "chord_weight", "filtration_monotone_check", "orbit_action_approx",
-               "pss_energy", "pss_energy_approx", "short_chord_winding", "weighted_winding"],
-}
-
 
 def _probe(jobs):
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(jobs)],
@@ -146,11 +117,3 @@ def test_module_entry_point_runs_with_warnings_as_errors(fixtures):  # noqa: F81
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["result"]["betti"] == {"-1": 0, "0": 0, "1": 1}
 
-
-def test_public_names_resolve_to_their_defining_module():
-    for module_name, names in PUBLIC.items():
-        module = importlib.import_module(f"logcy.{module_name}")
-        for name in names:
-            assert getattr(logcy, name) is getattr(module, name), name
-    assert sorted(logcy.__all__) == sorted(name for names in PUBLIC.values() for name in names)
-    assert not hasattr(logcy, "no_such_name")

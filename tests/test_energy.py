@@ -11,6 +11,8 @@ from logcy.energy import (ChordLabel, EnergyParameters, OrbitLabel, chord_action
                           short_chord_winding, weighted_winding)
 from logcy.errors import DegenerateChordError, InputError
 
+from helpers import winding
+
 F = Fraction
 
 
@@ -146,7 +148,7 @@ def test_chord_weight_additivity_in_winding():
     for _ in range(100):
         p = random_params(rng, rng.randint(1, 4))
         chord = random_chord(rng, p)
-        base = chord.with_winding((0,) * p.k)
+        base = winding(chord, (0,) * p.k)
         assert chord_weight(p, chord) - chord_weight(p, base) == \
             weighted_winding(p, chord.v)
 
@@ -170,7 +172,7 @@ def test_chord_action_linear_in_winding():
         i = chord.indices[0]
         bumped_v = list(chord.v)
         bumped_v[i - 1] += 1
-        bumped = chord.with_winding(tuple(bumped_v))
+        bumped = winding(chord, bumped_v)
         delta = chord_action_approx(p, bumped) - chord_action_approx(p, chord)
         factor = 1 - (p.eps1 + p.eps_pert[i - 1]) ** 2 / 2
         assert delta == -p.kappa[i - 1] * factor

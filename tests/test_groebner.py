@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcy.errors import InputError, UnsupportedStructureError
-from logcy.groebner import (groebner_basis, hilbert_function_up_to, is_groebner,
-                            jacobian_smooth, reduce_modulo)
+from logcy.groebner import groebner_basis, hilbert_function_up_to, jacobian_smooth, reduce_modulo
 from logcy.poly import Polynomial, WeightedOrder, parse_polynomial, unit_order
 from logcy.rees import WeightedPresentation, presentations_ideal_equal
+
+from helpers import is_groebner
 
 XY = ("x", "y")
 

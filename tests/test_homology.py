@@ -7,21 +7,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logcy import homology
-from logcy.complexes import (SimplicialComplex, cross_polytope_boundary, full_simplex,
-                             sphere_boundary)
+from logcy.complexes import SimplicialComplex
 from logcy.errors import InputError
 from logcy.exactlin import pivot_columns, rank_int_bareiss
 from logcy.fields import PrimeField, QQ
-from logcy.homology import (gorenstein_verdict, is_rational_homology_manifold,
-                            is_rational_homology_sphere, local_homology_at_face,
-                            reduced_homology)
+from logcy.homology import (_manifold_failures, _sphere_failures, gorenstein_verdict,
+                            local_homology_at_face, reduced_homology)
 
-from helpers import (boundary_matrix, complex_shapes, random_downward_closed,
-                     reduced_homology_oracle, smith_diagonal)
+from helpers import (boundary_matrix, complex_shapes, cross_polytope_boundary,
+                     euler_characteristic, full_simplex, random_downward_closed,
+                     reduced_homology_oracle, smith_diagonal, sphere_boundary)
 
 # the 6-vertex real projective plane: b~_1 = b~_2 = 1 over F2, acyclic over Q
 RP2 = SimplicialComplex.from_facets([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2],
                                      [2, 3, 5], [3, 4, 6], [4, 5, 2], [5, 6, 3], [6, 2, 4]])
+
+
+def _is_sphere(cx):
+    """The reduced homology of a dim(cx)-sphere, with no witness against it."""
+    return not _sphere_failures(reduced_homology(cx), cx.dim(), frozenset())
 
 
 def test_three_cycle_homology():
@@ -120,16 +124,14 @@ def test_gorenstein_path_fails():
 
 def test_octahedron_sphere_and_manifold():
     octa = cross_polytope_boundary(3)
-    assert is_rational_homology_sphere(octa)
-    assert is_rational_homology_manifold(octa)
+    assert _is_sphere(octa)
+    assert not _manifold_failures(octa, QQ)
     assert gorenstein_verdict(octa).verdict
 
 
 def test_two_triangles_glued_along_edge():
     cx = SimplicialComplex.from_facets([[1, 2, 3], [1, 2, 4]])
-    assert not is_rational_homology_manifold(cx)
     # links of the shared edge's endpoints are paths, not circles
-    from logcy.homology import _manifold_failures
     failing_faces = {face for face, _, _ in _manifold_failures(cx, QQ)}
     assert frozenset((1,)) in failing_faces
     assert frozenset((2,)) in failing_faces
@@ -139,7 +141,7 @@ def test_two_triangles_glued_along_edge():
 
 def test_single_edge_sphere_fails():
     edge = SimplicialComplex.from_facets([[1, 2]])
-    assert not is_rational_homology_sphere(edge)
+    assert not _is_sphere(edge)
 
 
 def test_simplex_boundary_links_pass_sphere_test_exhaustive():
@@ -149,7 +151,7 @@ def test_simplex_boundary_links_pass_sphere_test_exhaustive():
             if not face:
                 continue
             link = cx.link(face)
-            assert is_rational_homology_sphere(link) or link.dim() == -1
+            assert _is_sphere(link) or link.dim() == -1
             if link.dim() == -1:
                 assert len(face) - 1 == d
 
@@ -168,7 +170,7 @@ def test_euler_characteristic_matches_betti():
             euler_from_betti = sum((-1) ** d * table.rank(d)
                                    for d in table.degrees() if d >= 0)
             # reduced homology: chi = 1 + sum (-1)^d b~_d for nonempty complexes
-            assert cx.euler_characteristic() == euler_from_betti + (1 - table.rank(-1))
+            assert euler_characteristic(cx) == euler_from_betti + (1 - table.rank(-1))
 
 
 def test_rational_ranks_match_smith_form():

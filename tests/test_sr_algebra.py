@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcy.complexes import SimplicialComplex, full_simplex, sphere_boundary
+from logcy.complexes import SimplicialComplex
 from logcy.errors import InputError
 from logcy.groebner import reduce_modulo
 from logcy.mirror import appendix_c_configuration
@@ -18,7 +18,8 @@ from logcy.sr_algebra import (ThetaBasisElement, ThetaElement, graded_dimension,
                               sr_presentation, unit_element)
 from logcy.stratum import DivisorConfiguration
 
-from helpers import basis_elements, graded_dimension_oracle, random_configuration
+from helpers import (basis_elements, full_simplex, graded_dimension_oracle, random_configuration,
+                     sphere_boundary)
 
 
 @pytest.fixture(scope="module")

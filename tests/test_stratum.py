@@ -222,17 +222,6 @@ def test_supplied_map_disagreeing_with_composition_rejected():
         _two_sheet_configuration({**maps, ((1, 2, 3), (1,)): {0: 1}})
 
 
-def test_json_roundtrip():
-    config = appendix_c_configuration()
-    data = config.to_json()
-    back = configuration_from_json(data)
-    assert back.k == config.k
-    assert back.kappa == config.kappa
-    assert back.strata == config.strata
-    assert back.component_map(frozenset((1, 2, 3)), frozenset((1,))) == \
-        config.component_map(frozenset((1, 2, 3)), frozenset((1,)))
-
-
 def test_json_malformed():
     with pytest.raises(InputError):
         configuration_from_json({"k": 1})

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 
 from logcy.errors import InputError
 from logcy.trees import (BalancingCertificate, LogPssTree, TreeEdge, balancing_feasible,
-                         build_rho, kernel_dim, marked_leg_contact, obstruction_dim,
+                         build_rho, kernel_dim, obstruction_dim,
                          partition_count, tree_from_json, vdim_log, vdim_prelog)
 
 from helpers import random_tree
@@ -92,12 +92,6 @@ def test_marked_stability():
                         [TreeEdge(1, 0, frozenset({1}), (1, 0))],
                         root=0, legs=[(0, None), (1, 1), (1, 1)], deg_x0=0, k_prime=1)
     assert stable.validate() == []
-
-
-def test_marked_leg_contact_constant():
-    assert marked_leg_contact(2, 3, 1) == (0, 0, 1, 0, 0)
-    with pytest.raises(InputError):
-        marked_leg_contact(2, 3, 4)
 
 
 def test_rho_single_edge_example():
@@ -295,26 +289,28 @@ def test_partition_count_brute_force():
             assert partition_count(r, r0, r1) == brute
 
 
-def test_tree_json_roundtrip():
-    tree = chain_tree()
-    data = tree.to_json()
-    back = tree_from_json(data)
-    assert back.validate() == []
-    assert back.vertices == tree.vertices
-    assert [(e.a, e.b, e.depth, e.contact) for e in back.edges] == \
-        [(e.a, e.b, e.depth, e.contact) for e in tree.edges]
-    assert vdim_log(back) == vdim_log(tree)
+def chain_json():
+    """chain_tree() as tree JSON."""
+    return {
+        "k": 2, "root": 0, "deg_x0": 2,
+        "vertices": [{"id": 0, "depth": []}, {"id": 1, "depth": [1]},
+                     {"id": 2, "depth": [1, 2]}],
+        "edges": [{"a": 1, "b": 0, "depthE": [1], "contact": {"1->0": [1, 0]}},
+                  {"a": 2, "b": 1, "depthE": [1, 2], "contact": {"2->1": [1, 1]}}],
+        "legs": [{"vertex": 2, "label": None}],
+    }
 
 
 def test_tree_json_antisymmetry_enforced():
-    data = chain_tree().to_json()
+    data = chain_json()
+    assert vdim_log(tree_from_json(data)) == vdim_log(chain_tree())
     data["edges"][0]["contact"]["0->1"] = [1, 0]  # should be the negation
     with pytest.raises(InputError):
         tree_from_json(data)
 
 
 def test_tree_json_missing_contact():
-    data = chain_tree().to_json()
+    data = chain_json()
     data["edges"][0]["contact"] = {}
     with pytest.raises(InputError):
         tree_from_json(data)
