@@ -39,10 +39,6 @@ class SimplicialComplex:
     def void(cls):
         return cls([])
 
-    @classmethod
-    def empty_face_only(cls):
-        return cls([frozenset()])
-
     @property
     def vertices(self) -> tuple:
         return self._vertices

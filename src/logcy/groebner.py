@@ -10,22 +10,33 @@ once, when the pair is made, by (order key of the lcm, i, j), so the
 smallest lcm in the active order comes first and ties go to the smaller
 pair index.  Both the coprime-leading-term and the chain criterion are
 applied; the chain criterion looks up the set of pairs still pending.  Each
-basis element's leading monomial and inverse leading coefficient are
-computed once, when it joins the basis.
+basis element's leading monomial and leading coefficient are computed once,
+when it joins the basis.
+
+Division is fraction-free (primitive reduction, Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, ch. 10).  Inputs are cleared of
+denominators once; a basis element is a primitive integer term dict with a
+positive leading coefficient.  A step cancels the dividend's leading term c
+by f := (lc(g)/d) f - (c/d) x^s g, d = gcd(c, lc(g)), scaling the remainder
+collected so far alike; the content is divided out when the division ends.
+Pair selection and both criteria read only leading monomials, so every
+S-pair and basis element is the one Fraction division gives, up to a
+nonzero rational factor; Fractions appear only when the basis is made monic.
 
 Division works in place on term dicts.  The dividend's monomials sit in a
 heap, each keyed once when it appears, so every step takes the largest one
 without rescanning the dividend; a divisor's multiple is added to the dict
 term by term.  Polynomial objects are built only for results.  The same
-division and S-polynomial routines optionally carry cofactor traces (term
-dicts updated in step with the dividend), so that a unit found in an ideal
-comes with an explicit combination over the input generators, replayable
-exactly.
+division and S-polynomial routines optionally carry cofactor traces
+(Fraction term dicts scaled in step with the dividend), so that a unit found
+in an ideal comes with an explicit combination over the input generators,
+replayable exactly.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
 from operator import add, le, neg, sub
 
 from .errors import InputError, UnsupportedStructureError
@@ -33,22 +44,49 @@ from .poly import Polynomial, WeightedOrder, require_countable, unit_order
 
 
 class _Element:
-    """A divisor in term-dict form: its terms, leading monomial, inverse
-    leading coefficient, the terms below the leading one, and its cofactors
-    over the generator list (term dicts, or None when untraced)."""
+    """A divisor in term-dict form: its primitive integer terms, leading
+    monomial, leading coefficient (positive), the terms below the leading
+    one, and its cofactors over the generator list (Fraction term dicts, or
+    None when untraced)."""
 
-    __slots__ = ("terms", "lead", "inv_lc", "tail", "cofactors")
+    __slots__ = ("terms", "lead", "lc", "tail", "cofactors")
 
     def __init__(self, terms, lead, cofactors=None):
         self.terms = terms
         self.lead = lead
-        self.inv_lc = 1 / terms[lead]
+        self.lc = terms[lead]
         self.tail = [(e, c) for e, c in terms.items() if e != lead]
         self.cofactors = cofactors
 
 
+def _integer_terms(poly):
+    """(integer term dict, m): poly's terms times m, the lcm of their denominators."""
+    m = lcm(*(c.denominator for c in poly.terms.values()))
+    return {e: c.numerator * (m // c.denominator) for e, c in poly.terms.items()}, m
+
+
+def _make_primitive(terms, lead, cofactors=None):
+    """Divide terms, and the cofactors alongside, in place by their content,
+    signed so that the leading coefficient becomes positive; return it."""
+    content = gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    if content != 1:
+        for e in terms:
+            terms[e] //= content
+        for cof in cofactors or ():
+            for e in cof:
+                cof[e] /= content
+    return content
+
+
 def _element(poly, order, cofactors=None):
-    return _Element(poly.terms, poly.leading(order)[0], cofactors)
+    terms, m = _integer_terms(poly)
+    lead = max(terms, key=order.key)
+    if cofactors is not None:
+        cofactors = [{e: c * m for e, c in cof.items()} for cof in cofactors]
+    _make_primitive(terms, lead, cofactors)
+    return _Element(terms, lead, cofactors)
 
 
 def _heap_entry(key, exps):
@@ -77,18 +115,22 @@ def _add_shifted(target, terms, shift, coeff, fresh=None):
 
 
 def _reduce(terms, cofactors, divisors, order):
-    """Full division of the term dict `terms`, which is consumed.
+    """Full fraction-free division of the integer term dict `terms`, which
+    is consumed.
 
-    Returns the remainder as a term dict in descending order, so its first
-    key is its leading monomial; no remainder term is divisible by a
-    divisor's leading monomial.  Each step divides by the first divisor
-    whose leading monomial divides the current leading term.  cofactors (a
-    list of term dicts, or None) is updated in place alongside.
+    Returns (remainder, scale): the remainder is a primitive integer term
+    dict in descending order, so its first key is its leading monomial, and
+    it equals scale times the remainder of Fraction division; no remainder
+    term is divisible by a divisor's leading monomial.  Each step divides by
+    the first divisor whose leading monomial divides the current leading
+    term.  cofactors (a list of term dicts, or None) is updated in place
+    alongside, by the same multipliers and the same content division.
     """
     key = order.key
     heap = [_heap_entry(key, e) for e in terms]
     heapify(heap)
     rem = {}
+    scale = 1
     while heap:
         exps = heappop(heap)[3]
         coeff = terms.pop(exps, None)
@@ -101,7 +143,14 @@ def _reduce(terms, cofactors, divisors, order):
             rem[exps] = coeff
             continue
         shift = tuple(map(sub, exps, g.lead))
-        factor = -coeff * g.inv_lc
+        d = gcd(coeff, g.lc)
+        multiplier = g.lc // d
+        if multiplier != 1:
+            scale *= multiplier
+            for target in (terms, rem, *(cofactors or ())):
+                for e in target:
+                    target[e] *= multiplier
+        factor = -(coeff // d)
         # every new term is below exps, so a stripped monomial never returns
         fresh = []
         _add_shifted(terms, g.tail, shift, factor, fresh)
@@ -110,24 +159,29 @@ def _reduce(terms, cofactors, divisors, order):
         if cofactors is not None:
             for cof, g_cof in zip(cofactors, g.cofactors):
                 _add_shifted(cof, g_cof.items(), shift, factor)
-    return rem
+    if rem:
+        scale = Fraction(scale, _make_primitive(rem, next(iter(rem)), cofactors))
+    return rem, scale
 
 
 def _s_polynomial(f, g):
-    """S-polynomial of two elements: (term dict, cofactor dicts or None)."""
-    lcm = tuple(map(max, f.lead, g.lead))
-    f_shift = tuple(map(sub, lcm, f.lead))
-    g_shift = tuple(map(sub, lcm, g.lead))
-    g_coeff = -g.inv_lc
+    """Cross-multiplied S-polynomial of two elements, (lc(g)/d) x^a f -
+    (lc(f)/d) x^b g with d = gcd(lc(f), lc(g)): (integer term dict,
+    cofactor dicts or None)."""
+    top = tuple(map(max, f.lead, g.lead))
+    f_shift = tuple(map(sub, top, f.lead))
+    g_shift = tuple(map(sub, top, g.lead))
+    d = gcd(f.lc, g.lc)
+    f_coeff, g_coeff = g.lc // d, -(f.lc // d)
     terms = {}
-    _add_shifted(terms, f.tail, f_shift, f.inv_lc)
+    _add_shifted(terms, f.tail, f_shift, f_coeff)
     _add_shifted(terms, g.tail, g_shift, g_coeff)
     cofactors = None
     if f.cofactors is not None:
         cofactors = []
         for f_cof, g_cof in zip(f.cofactors, g.cofactors):
             cof = {}
-            _add_shifted(cof, f_cof.items(), f_shift, f.inv_lc)
+            _add_shifted(cof, f_cof.items(), f_shift, f_coeff)
             _add_shifted(cof, g_cof.items(), g_shift, g_coeff)
             cofactors.append(cof)
     return terms, cofactors
@@ -143,7 +197,7 @@ def _buchberger(gens, order, with_trace):
             continue
         cof = None
         if with_trace:
-            cof = [dict(one) if j == idx else {} for j in range(len(gens))]
+            cof = [one if j == idx else {} for j in range(len(gens))]
         basis.append(_element(g, order, cof))
     if not basis:
         return []
@@ -164,18 +218,18 @@ def _buchberger(gens, order, with_trace):
     while heap:
         lcm_key, i, j = heappop(heap)
         pending.discard((i, j))
-        lcm = lcm_key[2]
+        top = lcm_key[2]
         # coprime leading terms: S-polynomial reduces to zero
         if not any(map(min, leads[i], leads[j])):
             continue
         # chain criterion: an already-processed third element divides the lcm
-        if any(k != i and k != j and all(map(le, lead_k, lcm))
+        if any(k != i and k != j and all(map(le, lead_k, top))
                and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
                for k, lead_k in enumerate(leads)):
             continue
         terms, cofactors = _s_polynomial(basis[i], basis[j])
-        rem = _reduce(terms, cofactors, basis, order)
+        rem, _ = _reduce(terms, cofactors, basis, order)
         if not rem:
             continue
         basis.append(_Element(rem, next(iter(rem)), cofactors))
@@ -199,11 +253,11 @@ def _minimal_reduced(basis, order):
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
         cofactors = None if g.cofactors is None else [dict(c) for c in g.cofactors]
-        terms = _reduce(dict(g.terms), cofactors, others, order)
-        inv = 1 / terms[g.lead]
-        reduced.append((g.lead, {e: c * inv for e, c in terms.items()},
+        terms, _ = _reduce(dict(g.terms), cofactors, others, order)
+        lc = terms[g.lead]
+        reduced.append((g.lead, {e: Fraction(c, lc) for e, c in terms.items()},
                         None if cofactors is None else
-                        [{e: c * inv for e, c in cof.items()} for cof in cofactors]))
+                        [{e: c / lc for e, c in cof.items()} for cof in cofactors]))
     reduced.sort(key=lambda item: order.key(item[0]), reverse=True)
     return [(terms, cofactors) for _, terms, cofactors in reduced]
 
@@ -221,9 +275,9 @@ def groebner_basis(gens, order: WeightedOrder, with_trace=False):
     if any(g.vars != variables for g in gens):
         raise InputError("generators live in different rings")
     reduced = _buchberger(gens, order, with_trace)
-    basis = [Polynomial(variables, terms) for terms, _ in reduced]
+    basis = [Polynomial._unchecked(variables, terms) for terms, _ in reduced]
     if with_trace:
-        return basis, [[Polynomial(variables, c) for c in cofactors]
+        return basis, [[Polynomial._unchecked(variables, c) for c in cofactors]
                        for _, cofactors in reduced]
     return basis
 
@@ -233,7 +287,10 @@ def reduce_modulo(f: Polynomial, basis, order: WeightedOrder) -> Polynomial:
     live = [_element(g, order) for g in basis if not g.is_zero()]
     if not live:
         return f
-    return Polynomial(f.vars, _reduce(dict(f.terms), None, live, order))
+    terms, m = _integer_terms(f)
+    rem, scale = _reduce(terms, None, live, order)
+    scale *= m
+    return Polynomial._unchecked(f.vars, {e: c / scale for e, c in rem.items()})
 
 
 def hilbert_function_up_to(basis, order: WeightedOrder, bound) -> dict:

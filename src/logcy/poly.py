@@ -77,7 +77,9 @@ class Polynomial:
     """Immutable sparse polynomial over Q in a fixed variable tuple.
 
     terms maps exponent tuples to nonzero Fraction coefficients; the
-    constructor makes each given coefficient a Fraction and drops zeros.
+    constructor checks each exponent tuple, makes each given coefficient a
+    Fraction and drops zeros.  Arithmetic results, whose terms are checked
+    already, go through _unchecked instead.
     """
 
     __slots__ = ("vars", "terms")
@@ -97,6 +99,15 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _unchecked(cls, variables, terms):
+        # internal fast path: variables is a tuple and terms maps checked
+        # exponent tuples to Fractions; only zero terms are dropped
+        obj = object.__new__(cls)
+        obj.vars = variables
+        obj.terms = {e: c for e, c in terms.items() if c}
+        return obj
 
     @classmethod
     def zero(cls, variables):
@@ -129,10 +140,10 @@ class Polynomial:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out[exps] + c if exps in out else c
-        return Polynomial(self.vars, out)
+        return Polynomial._unchecked(self.vars, out)
 
     def __neg__(self):
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._unchecked(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,28 +156,44 @@ class Polynomial:
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 c = c1 * c2
                 out[exps] = out[exps] + c if exps in out else c
-        return Polynomial(self.vars, out)
+        return Polynomial._unchecked(self.vars, out)
 
     def __pow__(self, n):
+        """Square-and-multiply; it raises InputError before a product that
+        would take the term pairs multiplied past COUNT_LIMIT."""
         if n < 0:
             raise InputError("negative polynomial powers are not defined")
         out = Polynomial.constant(self.vars, 1)
         base = self
+        pairs = 0
+
+        def product(a, b):
+            nonlocal pairs
+            pairs += len(a.terms) * len(b.terms)
+            if pairs > COUNT_LIMIT:
+                raise InputError(f"polynomial power is too large: expanding it multiplies "
+                                 f"more than {COUNT_LIMIT} term pairs")
+            return a * b
+
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = product(out, base)
+            base = product(base, base) if n > 1 else base
             n >>= 1
         return out
 
     def scale(self, coeff):
-        return Polynomial(self.vars, {e: c * coeff for e, c in self.terms.items()})
+        coeff = Fraction(coeff)
+        return Polynomial._unchecked(self.vars, {e: c * coeff for e, c in self.terms.items()})
 
     def mul_term(self, exps, coeff):
         """Multiply by a single term coeff * x^exps."""
         exps = tuple(exps)
-        return Polynomial(self.vars, {tuple(a + b for a, b in zip(e, exps)): c * coeff
-                                      for e, c in self.terms.items()})
+        if len(exps) != len(self.vars) or any(e < 0 for e in exps):
+            raise InputError("a term's exponents must be nonnegative, one per variable")
+        coeff = Fraction(coeff)
+        return Polynomial._unchecked(self.vars, {tuple(a + b for a, b in zip(e, exps)): c * coeff
+                                                 for e, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -200,8 +227,8 @@ class Polynomial:
         if not self.terms:
             raise InputError("the zero polynomial has no top-weight form")
         top = max(map(order.int_degree, self.terms))
-        return Polynomial(self.vars, {e: c for e, c in self.terms.items()
-                                      if order.int_degree(e) == top})
+        return Polynomial._unchecked(self.vars, {e: c for e, c in self.terms.items()
+                                                 if order.int_degree(e) == top})
 
     def derivative(self, name) -> "Polynomial":
         if name not in self.vars:
@@ -215,7 +242,7 @@ class Polynomial:
             new = list(exps)
             new[idx] = e - 1
             out[tuple(new)] = c * e
-        return Polynomial(self.vars, out)
+        return Polynomial._unchecked(self.vars, out)
 
     def evaluate(self, values: dict) -> "Polynomial":
         """Set the named variables to the given rationals.
@@ -235,7 +262,7 @@ class Polynomial:
                     c *= value ** exps[i]
             rest = tuple(exps[i] for i in kept)
             out[rest] = out[rest] + c if rest in out else c
-        return Polynomial(tuple(self.vars[i] for i in kept), out)
+        return Polynomial._unchecked(tuple(self.vars[i] for i in kept), out)
 
     # -- printing ----------------------------------------------------------------
 

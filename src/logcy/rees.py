@@ -9,7 +9,8 @@ comes first).  The Rees algebra gives the one-parameter family interpolating
 between the ring and its graded degeneration.
 
 A presentation builds its WeightedOrder once and owns its reduced Groebner
-basis in that order, computed on first use and kept.  The Rees family is
+basis in that order, computed on first use and kept; an associated graded
+presentation is handed its basis when it is made.  The Rees family is
 homogenized in the order's integer degrees; a fiber evaluates t.
 """
 
@@ -115,10 +116,15 @@ def associated_graded(pres: WeightedPresentation) -> WeightedPresentation:
 
     Top-weight forms of a reduced Groebner basis generate the initial ideal
     for the weight filtration, which is the standard guarantee; top forms of
-    an arbitrary generating set need not.
+    an arbitrary generating set need not.  Since the order refines the
+    weights, those forms are moreover the reduced Groebner basis of the
+    initial ideal in the same order (Sturmfels, Groebner Bases and Convex
+    Polytopes, ch. 1), so the graded presentation keeps them as its basis.
     """
     tops = [g.top_weight_form(pres.order) for g in _reduced_basis(pres)]
-    return WeightedPresentation(pres.vars, pres.weights, tops)
+    graded = WeightedPresentation(pres.vars, pres.weights, tops)
+    graded._basis = tops
+    return graded
 
 
 def rees_algebra(pres: WeightedPresentation) -> ReesPresentation:

@@ -236,22 +236,31 @@ def sr_presentation(cx: SimplicialComplex, weights=None) -> WeightedPresentation
 def stanley_reisner_complex(pres: WeightedPresentation):
     """Inverse of sr_presentation on vertices 1..n, vertex i being the i-th
     variable; None unless every relation is one squarefree monomial.  It
-    raises InputError once it has built more than logcy.errors.COUNT_LIMIT faces."""
+    raises InputError at the first face past logcy.errors.COUNT_LIMIT, so a
+    complex of at most that many faces is always built."""
     nonfaces = []
     for rel in pres.relations:
         exps = next(iter(rel.terms))  # relations are nonzero
         if len(rel.terms) != 1 or max(exps, default=0) > 1:
             return None
         nonfaces.append(frozenset(i for i, e in enumerate(exps, 1) if e))
-    faces, layer, n = [], [frozenset()], len(pres.vars)
-    while layer:  # grow the faces one vertex at a time, above their largest vertex
-        layer = [f for f in layer if not any(nf <= f for nf in nonfaces)]
-        faces.extend(layer)
-        if len(faces) > COUNT_LIMIT:
-            raise InputError(f"the Stanley-Reisner complex of the relations is too large: "
-                             f"more than {COUNT_LIMIT} faces are refused")
-        layer = [f | {v} for f in layer for v in range(max(f, default=0) + 1, n + 1)]
-    return SimplicialComplex(faces)
+    faces, n = [], len(pres.vars)
+    # grow the faces one vertex at a time, above their largest vertex; each
+    # candidate is tested as it is made, so no layer of candidates is stored
+    candidates = [frozenset()]
+    while True:
+        layer = []
+        for face in candidates:
+            if any(nf <= face for nf in nonfaces):
+                continue
+            if len(faces) == COUNT_LIMIT:
+                raise InputError(f"the Stanley-Reisner complex of the relations is too large: "
+                                 f"more than {COUNT_LIMIT} faces are refused")
+            faces.append(face)
+            layer.append(face)
+        if not layer:
+            return SimplicialComplex(faces)
+        candidates = (f | {v} for f in layer for v in range(max(f, default=0) + 1, n + 1))
 
 
 _THETA_TERM = re.compile(

@@ -8,7 +8,9 @@ and compose consistently by construction.
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
+from operator import add, le, neg, sub
 
 from hypothesis import strategies as st
 
@@ -73,6 +75,179 @@ def is_groebner(basis, order):
         if not reduce_modulo(spoly, basis, order).is_zero():
             return False
     return True
+
+
+class _OracleElement:
+    """A divisor of the Fraction oracle: terms, leading monomial, inverse
+    leading coefficient, tail terms and cofactors (or None)."""
+
+    __slots__ = ("terms", "lead", "inv_lc", "tail", "cofactors")
+
+    def __init__(self, terms, lead, cofactors=None):
+        self.terms = terms
+        self.lead = lead
+        self.inv_lc = 1 / terms[lead]
+        self.tail = [(e, c) for e, c in terms.items() if e != lead]
+        self.cofactors = cofactors
+
+
+def _oracle_element(poly, order, cofactors=None):
+    return _OracleElement(poly.terms, poly.leading(order)[0], cofactors)
+
+
+def _oracle_heap_entry(key, exps):
+    weight, degree, _ = key(exps)
+    return (-weight, -degree, tuple(map(neg, exps)), exps)
+
+
+def _oracle_add_shifted(target, terms, shift, coeff, fresh=None):
+    for exps, c in terms:
+        m = tuple(map(add, exps, shift))
+        value = c * coeff
+        old = target.get(m)
+        if old is None:
+            if fresh is not None:
+                fresh.append(m)
+        else:
+            value += old
+            if not value:
+                del target[m]
+                continue
+        target[m] = value
+
+
+def _oracle_reduce(terms, cofactors, divisors, order):
+    """Fraction division by the first divisor whose leading monomial divides
+    the current leading term; the remainder dict is in descending order."""
+    key = order.key
+    heap = [_oracle_heap_entry(key, e) for e in terms]
+    heapify(heap)
+    rem = {}
+    while heap:
+        exps = heappop(heap)[3]
+        coeff = terms.pop(exps, None)
+        if coeff is None:
+            continue
+        for g in divisors:
+            if all(map(le, g.lead, exps)):
+                break
+        else:
+            rem[exps] = coeff
+            continue
+        shift = tuple(map(sub, exps, g.lead))
+        factor = -coeff * g.inv_lc
+        fresh = []
+        _oracle_add_shifted(terms, g.tail, shift, factor, fresh)
+        for m in fresh:
+            heappush(heap, _oracle_heap_entry(key, m))
+        if cofactors is not None:
+            for cof, g_cof in zip(cofactors, g.cofactors):
+                _oracle_add_shifted(cof, g_cof.items(), shift, factor)
+    return rem
+
+
+def _oracle_s_polynomial(f, g):
+    lcm = tuple(map(max, f.lead, g.lead))
+    f_shift = tuple(map(sub, lcm, f.lead))
+    g_shift = tuple(map(sub, lcm, g.lead))
+    g_coeff = -g.inv_lc
+    terms = {}
+    _oracle_add_shifted(terms, f.tail, f_shift, f.inv_lc)
+    _oracle_add_shifted(terms, g.tail, g_shift, g_coeff)
+    cofactors = None
+    if f.cofactors is not None:
+        cofactors = []
+        for f_cof, g_cof in zip(f.cofactors, g.cofactors):
+            cof = {}
+            _oracle_add_shifted(cof, f_cof.items(), f_shift, f.inv_lc)
+            _oracle_add_shifted(cof, g_cof.items(), g_shift, g_coeff)
+            cofactors.append(cof)
+    return terms, cofactors
+
+
+def _oracle_buchberger(gens, order, with_trace):
+    one = {(0,) * len(gens[0].vars): Fraction(1)}
+    basis = []
+    for idx, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        cof = None
+        if with_trace:
+            cof = [dict(one) if j == idx else {} for j in range(len(gens))]
+        basis.append(_oracle_element(g, order, cof))
+    if not basis:
+        return []
+    key = order.key
+    leads = [g.lead for g in basis]
+    heap = []
+    pending = set()
+
+    def add_pairs(j):
+        for i in range(j):
+            heappush(heap, (key(tuple(map(max, leads[i], leads[j]))), i, j))
+            pending.add((i, j))
+
+    for j in range(1, len(basis)):
+        add_pairs(j)
+    while heap:
+        lcm_key, i, j = heappop(heap)
+        pending.discard((i, j))
+        lcm = lcm_key[2]
+        if not any(map(min, leads[i], leads[j])):
+            continue
+        if any(k != i and k != j and all(map(le, lead_k, lcm))
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, lead_k in enumerate(leads)):
+            continue
+        terms, cofactors = _oracle_s_polynomial(basis[i], basis[j])
+        rem = _oracle_reduce(terms, cofactors, basis, order)
+        if not rem:
+            continue
+        basis.append(_OracleElement(rem, next(iter(rem)), cofactors))
+        leads.append(basis[-1].lead)
+        add_pairs(len(basis) - 1)
+
+    leads = [g.lead for g in basis]
+    kept = [basis[i] for i, lt in enumerate(leads)
+            if not any(j != i and all(map(le, other, lt)) and (other != lt or j < i)
+                       for j, other in enumerate(leads))]
+    reduced = []
+    for idx, g in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1:]
+        cofactors = None if g.cofactors is None else [dict(c) for c in g.cofactors]
+        terms = _oracle_reduce(dict(g.terms), cofactors, others, order)
+        inv = 1 / terms[g.lead]
+        reduced.append((g.lead, {e: c * inv for e, c in terms.items()},
+                        None if cofactors is None else
+                        [{e: c * inv for e, c in cof.items()} for cof in cofactors]))
+    reduced.sort(key=lambda item: order.key(item[0]), reverse=True)
+    return [(terms, cofactors) for _, terms, cofactors in reduced]
+
+
+def buchberger_oracle(gens, order, with_trace=False):
+    """Oracle: the Fraction Buchberger run that groebner_basis replaced, with
+    the same pair selection, criteria and divisor choice, dividing by the
+    inverse leading coefficient at every step.  Same return shape as
+    groebner_basis."""
+    gens = list(gens)
+    if not gens:
+        return ([], []) if with_trace else []
+    variables = gens[0].vars
+    reduced = _oracle_buchberger(gens, order, with_trace)
+    basis = [Polynomial(variables, terms) for terms, _ in reduced]
+    if with_trace:
+        return basis, [[Polynomial(variables, c) for c in cofactors]
+                       for _, cofactors in reduced]
+    return basis
+
+
+def reduce_modulo_oracle(f, basis, order):
+    """Oracle: reduce_modulo by Fraction division."""
+    live = [_oracle_element(g, order) for g in basis if not g.is_zero()]
+    if not live:
+        return f
+    return Polynomial(f.vars, _oracle_reduce(dict(f.terms), None, live, order))
 
 
 def random_configuration(rng: random.Random, k_max=4, comp_max=2, cy_prob=0.5,
@@ -202,6 +377,11 @@ def random_downward_closed(rng: random.Random, k: int):
         if all(cand - {v} in faces for v in cand) and rng.random() < 0.6:
             faces.add(cand)
     return faces
+
+
+def empty_face_only():
+    """The complex whose only face is the empty set: the (-1)-sphere."""
+    return SimplicialComplex([frozenset()])
 
 
 def sphere_boundary(d):

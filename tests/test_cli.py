@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from logcy import cli, homology, mirror
+from logcy import cli, homology, mirror, rees
 from logcy.errors import COUNT_LIMIT
 from logcy.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED, main,
                        render_report, run)
@@ -153,6 +153,33 @@ def test_ring_degenerate_pipeline(fixtures, tmp_path):
     assert result["flatShadow"] is True
 
 
+@pytest.mark.parametrize("op, extra, calls", [
+    ("gr", ["--bound", "4"], 1),
+    ("degenerate", ["--bound", "4"], 3),
+], ids=["gr", "degenerate"])
+def test_ring_groebner_basis_calls(fixtures, tmp_path, monkeypatch, op, extra, calls):
+    # gr is handed the top-weight forms of the ring's basis; the special and
+    # generic fibers compute their own, as the checks behind their verdicts
+    pres = {"vars": ["x1", "x2", "x3", "u", "v"],
+            "weights": ["1", "1", "1", "3", "3"],
+            "relations": ["x1*x2*x3 - u - v", "u*v"]}
+    path = tmp_path / "appc_pres.json"
+    path.write_text(json.dumps(pres))
+    made = []
+    basis = rees.groebner_basis
+
+    def counting(gens, order, **kwargs):
+        made.append(gens)
+        return basis(gens, order, **kwargs)
+
+    monkeypatch.setattr(rees, "groebner_basis", counting)
+    if op == "degenerate":
+        extra = extra + ["--sr-config", fixtures["appc.json"]]
+    code, _ = run(["ring", op, "--pres", str(path), *extra])
+    assert code == EXIT_OK
+    assert len(made) == calls
+
+
 _TRANSFER = ("gr is Gorenstein by the homology criterion, "
              "so the filtered ring is Gorenstein as well")
 
@@ -260,6 +287,14 @@ _RUNAWAY_COMPLEX = {
         ["complex", "homology", "--faces", "simplex.json"],
         {"simplex.json": {"facets": [list(range(1, 21))]}},
         f"more than {COUNT_LIMIT} in all are refused"),
+    "ring-degenerate-20-variables": (
+        ["ring", "degenerate", "--pres", "pres.json", "--sr-config", "config.json",
+         "--bound", "1"],
+        {"pres.json": {"vars": [f"x{i}" for i in range(1, 21)], "weights": ["1"] * 20,
+                       "relations": ["x1*x2"]},
+         "config.json": {"k": 1, "kappa": ["1"], "a": ["1"]}},
+        f"Stanley-Reisner complex of the relations is too large: more than {COUNT_LIMIT} "
+        f"faces are refused"),
 }
 
 
@@ -274,6 +309,19 @@ def test_runaway_complex_is_refused_at_once(tmp_path, kind):
         capture_output=True, timeout=20)
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert named in json.loads(proc.stdout)["error"]["message"]
+
+
+@pytest.mark.parametrize("gens, code", [("(x+y)^300", EXIT_OK), ("(x+y)^100000", EXIT_INPUT)],
+                         ids=["300", "100000"])
+def test_polynomial_powers_have_a_budget(gens, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "logcy.cli", "ring", "grob", "--vars", "x,y", "--weights", "1,1",
+         "--gens", gens],
+        capture_output=True, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    if code == EXIT_INPUT:
+        message = json.loads(proc.stdout)["error"]["message"]
+        assert f"more than {COUNT_LIMIT} term pairs" in message
 
 
 def test_schema_flags(fixtures):

@@ -11,9 +11,9 @@ from logcy.errors import InputError
 from logcy.rees import WeightedPresentation
 from logcy.sr_algebra import sr_presentation, stanley_reisner_complex
 
-from helpers import (core_oracle, cross_polytope_boundary, euler_characteristic, facets_oracle,
-                     full_simplex, link_oracle, minimal_nonfaces_oracle, random_downward_closed,
-                     sphere_boundary, star)
+from helpers import (core_oracle, cross_polytope_boundary, empty_face_only, euler_characteristic,
+                     facets_oracle, full_simplex, link_oracle, minimal_nonfaces_oracle,
+                     random_downward_closed, sphere_boundary, star)
 
 
 def test_from_facets_downward_closure():
@@ -26,7 +26,7 @@ def test_from_facets_downward_closure():
 
 def test_void_versus_empty_face():
     void = SimplicialComplex.void()
-    empty = SimplicialComplex.empty_face_only()
+    empty = empty_face_only()
     assert void.is_void
     assert not empty.is_void
     assert empty.dim() == -1
@@ -133,7 +133,7 @@ def complexes(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(complexes())
-@example(SimplicialComplex.empty_face_only())
+@example(empty_face_only())
 @example(full_simplex(8))
 @example(sphere_boundary(3))
 @example(SimplicialComplex.from_facets([[1, 2], [1, 3]]))

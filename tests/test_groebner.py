@@ -12,7 +12,7 @@ from logcy.groebner import groebner_basis, hilbert_function_up_to, jacobian_smoo
 from logcy.poly import Polynomial, WeightedOrder, parse_polynomial, unit_order
 from logcy.rees import WeightedPresentation, presentations_ideal_equal
 
-from helpers import is_groebner
+from helpers import buchberger_oracle, is_groebner, reduce_modulo_oracle
 
 XY = ("x", "y")
 
@@ -284,3 +284,47 @@ def test_integer_order_key_sorts_like_rational_key(data):
             == sorted(monomials, key=lambda e: _rational_key(order.weights, e)))
     for e in monomials:
         assert Fraction(order.int_degree(e), order.scale) == _rational_key(order.weights, e)[0]
+
+
+# -- the fraction-free kernel against the Fraction oracle ----------------------------
+
+_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def rational_systems(draw):
+    """(variables, order, generators, dividend): 2-4 variables, positive
+    rational weights, and generators with rational coefficients."""
+    nvars = draw(st.integers(2, 4))
+    names = ("x", "y", "z", "w")[:nvars]
+    order = WeightedOrder(draw(st.lists(
+        st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+        min_size=nvars, max_size=nvars)))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = st.dictionaries(exps, _COEFFS, min_size=1, max_size=3)
+    gens = [Polynomial(names, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    dividend = Polynomial(names, draw(st.dictionaries(exps, _COEFFS, max_size=5)))
+    return names, order, gens, dividend
+
+
+def _all_fractions(polys):
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_systems())
+def test_integer_kernel_matches_the_fraction_oracle(system):
+    _, order, gens, dividend = system
+    basis = groebner_basis(gens, order)
+    assert basis == buchberger_oracle(gens, order)
+    traced, cofactors = groebner_basis(gens, order, with_trace=True)
+    oracle_traced, oracle_cofactors = buchberger_oracle(gens, order, with_trace=True)
+    assert traced == oracle_traced == basis
+    assert cofactors == oracle_cofactors
+    assert _all_fractions(basis) and all(_all_fractions(c) for c in cofactors)
+    # remainders are exact, not just proportional, modulo the basis and
+    # modulo the raw generators, whose leading coefficients are not 1
+    for divisors in (basis, gens):
+        remainder = reduce_modulo(dividend, divisors, order)
+        assert remainder == reduce_modulo_oracle(dividend, divisors, order)
+        assert _all_fractions([remainder])

@@ -14,7 +14,7 @@ from logcy.fields import PrimeField, QQ
 from logcy.homology import (_manifold_failures, _sphere_failures, gorenstein_verdict,
                             local_homology_at_face, reduced_homology)
 
-from helpers import (boundary_matrix, complex_shapes, cross_polytope_boundary,
+from helpers import (boundary_matrix, complex_shapes, cross_polytope_boundary, empty_face_only,
                      euler_characteristic, full_simplex, random_downward_closed,
                      reduced_homology_oracle, smith_diagonal, sphere_boundary)
 
@@ -48,7 +48,7 @@ def test_two_point_homology():
 
 
 def test_empty_face_only_is_minus_one_sphere():
-    table = reduced_homology(SimplicialComplex.empty_face_only())
+    table = reduced_homology(empty_face_only())
     assert table.ranks == (1,)
 
 
@@ -222,7 +222,7 @@ def test_homology_field_independence_spot_check():
 
 @settings(max_examples=300, deadline=None)
 @given(complex_shapes(), st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
-@example(SimplicialComplex.empty_face_only(), QQ)
+@example(empty_face_only(), QQ)
 @example(full_simplex(4), PrimeField(2))
 @example(RP2, QQ)
 @example(RP2, PrimeField(2))

@@ -137,6 +137,32 @@ def test_evaluate_matches_sympy_subs(data):
     assert sympy.expand(_sympy_expr(image, symbols) - expected) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_arithmetic_results_hold_nonzero_fractions(data):
+    # results skip the public constructor's checks, so they must already be
+    # what it would make of them
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=5)
+    f, g = (Polynomial(XY, data.draw(polys)) for _ in range(2))
+    scalar = data.draw(st.integers(-3, 3) | coeffs)
+    results = [f + g, f - g, -f, f * g, f ** 2, f.scale(scalar),
+               f.mul_term((1, 2), scalar), f.derivative("x"), f.evaluate({"y": scalar})]
+    if f:
+        results.append(f.top_weight_form(WeightedOrder([1, 2])))
+    for result in results:
+        assert all(type(c) is Fraction and c for c in result.terms.values())
+        assert result == Polynomial(result.vars, result.terms)
+
+
+def test_mul_term_checks_its_term():
+    f = parse_polynomial("x*y", XY)
+    with pytest.raises(InputError):
+        f.mul_term((-1, 0), 1)
+    with pytest.raises(InputError):
+        f.mul_term((1,), 1)
+
+
 def test_prime_field_arithmetic():
     with pytest.raises(InputError):
         PrimeField(6)

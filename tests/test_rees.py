@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import substitute
 from logcy.errors import InputError
-from logcy.groebner import reduce_modulo
+from logcy.groebner import groebner_basis, reduce_modulo
 from logcy.poly import Polynomial, WeightedOrder, parse_polynomial
 from logcy.rees import (ReesPresentation, WeightedPresentation, associated_graded,
                         fiber_at, presentation_from_json, presentations_ideal_equal,
@@ -170,6 +170,22 @@ def test_fibers_are_the_substitution_the_ring_and_its_graded_ring(data):
                                     for rel in family.presentation.relations)
     assert fiber_at(family, 1).relations == tuple(p.basis())
     assert fiber_at(family, 0).relations == associated_graded(p).relations
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graded_presentation_keeps_the_reduced_basis_of_its_relations(data):
+    nvars = data.draw(st.integers(2, 3))
+    names = ("x", "y", "z")[:nvars]
+    weights = data.draw(st.lists(st.fractions(min_value=Fraction(1, 6), max_value=3,
+                                              max_denominator=6),
+                                 min_size=nvars, max_size=nvars))
+    p = pres(names, weights, [Polynomial(names, t) for t in data.draw(relation_lists(nvars, 3))])
+    try:
+        graded = associated_graded(p)
+    except InputError:  # the unit ideal
+        assume(False)
+    assert groebner_basis(graded.relations, graded.order) == graded.basis()
 
 
 def test_to_json_and_hilbert_reuse_the_presentation_order(monkeypatch):

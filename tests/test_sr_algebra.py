@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcy import sr_algebra
 from logcy.complexes import SimplicialComplex
 from logcy.errors import InputError
 from logcy.groebner import reduce_modulo
 from logcy.mirror import appendix_c_configuration
 from logcy.poly import Polynomial
+from logcy.rees import WeightedPresentation
 from logcy.sr_algebra import (ThetaBasisElement, ThetaElement, graded_dimension,
                               multiply, multiply_basis, parse_theta_expression,
-                              sr_presentation, unit_element)
+                              sr_presentation, stanley_reisner_complex, unit_element)
 from logcy.stratum import DivisorConfiguration
 
 from helpers import (basis_elements, full_simplex, graded_dimension_oracle, random_configuration,
@@ -174,6 +176,18 @@ def test_sr_presentation_weight_override():
     assert pres.weights == (Fraction(2), Fraction(1), Fraction(1))
     with pytest.raises(InputError):
         sr_presentation(sphere_boundary(1), weights=[1, 1])
+
+
+def test_stanley_reisner_budget_allows_exactly_the_limit(monkeypatch):
+    # k[x1..x4]/(x1*x2): every subset of {1,2,3,4} not containing {1,2}, 12 faces
+    pres = WeightedPresentation(("x1", "x2", "x3", "x4"), [1] * 4, ["x1*x2"])
+    monkeypatch.setattr(sr_algebra, "COUNT_LIMIT", 12)
+    complex_ = stanley_reisner_complex(pres)
+    assert len(complex_.faces) == 12
+    assert frozenset({1, 2}) not in complex_.faces
+    monkeypatch.setattr(sr_algebra, "COUNT_LIMIT", 11)
+    with pytest.raises(InputError, match="more than 11 faces are refused"):
+        stanley_reisner_complex(pres)
 
 
 def test_graded_dimension_small_bound():
