@@ -2,10 +2,12 @@
 
 Every leaf subcommand reads JSON inputs, computes exactly, and prints one
 deterministic JSON report: rationals as "p/q" strings, keys sorted, no
-timestamps.  Exit codes: 0 for any computed verdict (including false ones),
-2 for input errors, 3 for unsupported structure, 4 for an internal error (a
-fault of logcy itself, reported as an "internal" error that names the
-exception; its traceback goes to stderr only).  The batch subcommand runs
+timestamps.  render_report, which writes it, lives beside the input check in
+schema, the module of the JSON boundary, and is bound here by name.  Exit
+codes: 0 for any computed verdict (including false ones), 2 for input
+errors, 3 for unsupported structure, 4 for an internal error (a fault of
+logcy itself, reported as an "internal" error that names the exception; its
+traceback goes to stderr only).  The batch subcommand runs
 a manifest of independent jobs one after another in the calling thread and
 reports them in manifest order; a job may not give --out.  The argument
 parser is built once per process and shared by every job.
@@ -39,7 +41,7 @@ from . import (complexes, energy, groebner, homology, mirror, poly, rees, sr_alg
 from .errors import InputError, UnsupportedStructureError
 from .fields import field_from_name
 from .rationals import RATIONAL, format_rational, parse_rational
-from .schema import require_distinct, validate
+from .schema import render_report, require_distinct, validate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -276,7 +278,8 @@ def _cmd_tree(args, inputs):
                 "violations": [v.to_json() for v in violations]}
     if args.tree_op == "rho":
         rho = trees.build_rho(tree)
-        return {"rho": rho.to_json(), "rank": rho.rank(), "kernelDim": rho.kernel_dim()}
+        kernel = rho.kernel_dim()  # one sparse elimination gives both numbers
+        return {"rho": rho.to_json(), "rank": rho.ncols - kernel, "kernelDim": kernel}
     if args.tree_op == "vdim":
         rho = trees.build_rho(tree)  # one incidence map and kernel for all four numbers
         kernel = rho.kernel_dim()
@@ -573,10 +576,6 @@ def _run(argv, in_batch=False):
         return EXIT_INTERNAL, {"command": command, "inputs": inputs,
                                "error": {"type": "internal",
                                          "message": f"{type(exc).__name__}: {exc}"}}, args
-
-
-def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def main(argv=None) -> int:

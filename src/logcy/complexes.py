@@ -127,7 +127,8 @@ def complex_from_json(data) -> SimplicialComplex:
     validate(data, COMPLEX_SCHEMA)
     facets = data["facets"]
     for idx, facet in enumerate(facets):
-        require_distinct(facet, "complex JSON", f"facets[{idx}]", "vertex")
+        if len(frozenset(facet)) != len(facet):  # only then is the error path written
+            require_distinct(facet, "complex JSON", f"facets[{idx}]", "vertex")
     if sum(1 << len(facet) for facet in facets) > COUNT_LIMIT:
         raise InputError(f"complex JSON facets are too large: a facet of n vertices has "
                          f"2^n faces, and more than {COUNT_LIMIT} in all are refused")

@@ -12,6 +12,14 @@ Mathematical "false" verdicts are ordinary return values, never exceptions.
 # 64 facets of 6 vertices, is under 2%.
 COUNT_LIMIT = 250_000
 
+# The most faces the Gorenstein test takes (homology.gorenstein_verdict), and
+# so the most the Stanley-Reisner complex built for it may have.  The test
+# takes the link of every face, and each link scans every face, so its work
+# grows as faces^2: 0.15 s at 511 faces, 0.47 s at 1 023, 1.6 s at 2 048 and
+# 5.1 s at 4 096 (the 11-simplex) on a 2-CPU host.  The benchmark's largest
+# complex has 255.
+FACE_LIMIT = 4096
+
 
 class LogcyError(Exception):
     """Base class for all library errors."""

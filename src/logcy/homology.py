@@ -14,15 +14,9 @@ Gorenstein* complex.
 """
 
 from .complexes import SimplicialComplex
-from .errors import InputError
+from .errors import FACE_LIMIT, InputError
 from .exactlin import pivot_columns
 from .fields import QQ
-
-# The most faces gorenstein_verdict takes.  It takes the link of every face,
-# and each link scans every face, so its work grows as faces^2: 0.15 s at
-# 511 faces, 0.47 s at 1 023, 1.6 s at 2 048 and 5.1 s at 4 096 (the
-# 11-simplex) on a 2-CPU host.  The benchmark's largest complex has 255.
-FACE_LIMIT = 4096
 
 
 class BettiTable:
@@ -168,7 +162,8 @@ def gorenstein_verdict(cx: SimplicialComplex, coeff_field=QQ) -> GorensteinRepor
     cone {12, 13} over two points, or the full simplex, has a Gorenstein
     ring (its core is Gorenstein*) but gets verdict false here.  Every
     failure is recorded with a witness face.  A complex of more than
-    FACE_LIMIT faces raises InputError before any homology is computed.
+    logcy.errors.FACE_LIMIT faces raises InputError before any homology is
+    computed.
     """
     if cx.is_void:
         raise InputError("the void complex has no Gorenstein verdict")

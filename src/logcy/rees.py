@@ -14,8 +14,8 @@ presentation is handed its basis when it is made.  The Rees family is
 homogenized in the order's integer degrees; a fiber evaluates t.
 """
 
+from . import groebner
 from .errors import InputError
-from .groebner import groebner_basis, hilbert_function_up_to, reduce_modulo
 from .poly import Polynomial, WeightedOrder, is_variable_name, parse_polynomial
 from .rationals import RATIONAL, format_rational, parse_rational
 from .schema import validate
@@ -53,11 +53,11 @@ class WeightedPresentation:
         """Reduced Groebner basis of the relations in self.order, computed
         on first use and kept for every later caller."""
         if self._basis is None:
-            self._basis = groebner_basis(self.relations, self.order)
+            self._basis = groebner.groebner_basis(self.relations, self.order)
         return self._basis
 
     def hilbert_up_to(self, bound) -> dict:
-        return hilbert_function_up_to(self.basis(), self.order, bound)
+        return groebner.hilbert_function_up_to(self.basis(), self.order, bound)
 
     def to_json(self) -> dict:
         return {
@@ -173,6 +173,6 @@ def presentations_ideal_equal(first: WeightedPresentation,
     """
     if first.vars != second.vars:
         raise InputError("presentations live in different ambient rings")
-    return all(reduce_modulo(rel, other.basis(), other.order).is_zero()
+    return all(groebner.reduce_modulo(rel, other.basis(), other.order).is_zero()
                for one, other in ((first, second), (second, first))
                for rel in one.relations)

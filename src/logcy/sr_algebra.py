@@ -15,11 +15,11 @@ import re
 from fractions import Fraction
 from math import ceil, floor
 
+from . import rees
 from .complexes import SimplicialComplex
-from .errors import COUNT_LIMIT, InputError
+from .errors import FACE_LIMIT, InputError
 from .poly import Polynomial, WeightedOrder, require_countable
 from .rationals import format_rational
-from .rees import WeightedPresentation
 from .stratum import DivisorConfiguration
 
 
@@ -210,7 +210,7 @@ def _add_index(table, step, pole, span):
     return out
 
 
-def sr_presentation(cx: SimplicialComplex, weights=None) -> WeightedPresentation:
+def sr_presentation(cx: SimplicialComplex, weights=None):
     """Stanley-Reisner presentation: one variable per vertex, the squarefree
     monomials on minimal non-faces as relations.
 
@@ -230,14 +230,15 @@ def sr_presentation(cx: SimplicialComplex, weights=None) -> WeightedPresentation
     for nonface in cx.minimal_nonfaces():
         exps = tuple(1 if v in nonface else 0 for v in verts)
         relations.append(Polynomial.monomial(names, exps, 1))
-    return WeightedPresentation(names, weights, relations)
+    return rees.WeightedPresentation(names, weights, relations)
 
 
-def stanley_reisner_complex(pres: WeightedPresentation):
+def stanley_reisner_complex(pres):
     """Inverse of sr_presentation on vertices 1..n, vertex i being the i-th
     variable; None unless every relation is one squarefree monomial.  It
-    raises InputError at the first face past logcy.errors.COUNT_LIMIT, so a
-    complex of at most that many faces is always built."""
+    raises InputError at the first face past logcy.errors.FACE_LIMIT, the
+    most the Gorenstein test takes, so a complex of at most that many faces
+    is always built."""
     nonfaces = []
     for rel in pres.relations:
         exps = next(iter(rel.terms))  # relations are nonzero
@@ -253,9 +254,9 @@ def stanley_reisner_complex(pres: WeightedPresentation):
         for face in candidates:
             if any(nf <= face for nf in nonfaces):
                 continue
-            if len(faces) == COUNT_LIMIT:
+            if len(faces) == FACE_LIMIT:
                 raise InputError(f"the Stanley-Reisner complex of the relations is too large: "
-                                 f"more than {COUNT_LIMIT} faces are refused")
+                                 f"more than {FACE_LIMIT} faces are refused")
             faces.append(face)
             layer.append(face)
         if not layer:

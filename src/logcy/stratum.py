@@ -79,16 +79,23 @@ class DivisorConfiguration:
             raise InputError("the empty stratum (M itself) must be nonempty")
         if len(base) != 1:
             raise InputError("M must be connected (exactly one component at the empty index)")
+        # the faces I - {i} of every nonempty stratum, each computed once and
+        # replaced by the key object strata already holds for it
+        keys = {index: index for index in self.strata}
+        faces = {}
         for index in self.strata:
+            below = faces[index] = {}
             for i in index:
-                if index - {i} not in self.strata:
+                face = keys.get(index - {i})
+                if face is None:
                     raise InputError(
                         f"stratum {sorted(index)} nonempty but {sorted(index - {i})} empty")
+                below[i] = face
         # settle the map of every adjacent pair below a nonempty stratum
         self._adjacent_maps = maps = {}
-        for src, src_comps in self.strata.items():
-            for i in src:
-                dst = src - {i}
+        for src, below in faces.items():
+            src_comps = self.strata[src]
+            for dst in below.values():
                 dst_comps = self.strata[dst]
                 assign = supplied.get((src, dst))
                 if assign is None:
@@ -105,10 +112,12 @@ class DivisorConfiguration:
                 maps[(src, dst)] = assign
         # composition consistency on index-difference-2 diamonds
         for index, comps in self.strata.items():
+            below = faces[index]
             for i, j in combinations(sorted(index), 2):
-                to_i, to_j = maps[(index, index - {i})], maps[(index, index - {j})]
-                below_i = maps[(index - {i}, index - {i, j})]
-                below_j = maps[(index - {j}, index - {i, j})]
+                face_i, face_j = below[i], below[j]
+                to_i, to_j = maps[(index, face_i)], maps[(index, face_j)]
+                below_i = maps[(face_i, faces[face_i][j])]
+                below_j = maps[(face_j, faces[face_j][i])]
                 if any(below_i[to_i[c]] != below_j[to_j[c]] for c in comps):
                     raise InputError(
                         f"component maps do not compose consistently below {sorted(index)}")
@@ -198,28 +207,38 @@ def configuration_from_json(data) -> DivisorConfiguration:
     """Read a configuration from the documented JSON schema.
 
     Omitted strata are empty; omitted maps are derived where the target
-    stratum is connected.
+    stratum is connected.  Each index list becomes a frozenset once; a list
+    whose frozenset is shorter repeats an index, and only then is the error
+    path written.  The checks run in a fixed order, so a document with several
+    faults reports the same one every time.
     """
     validate(data, CONFIGURATION_SCHEMA)
-    for idx, entry in enumerate(data.get("strata", [])):
-        require_distinct(entry["I"], "configuration JSON", f"strata[{idx}].I", "index")
-    for idx, entry in enumerate(data.get("maps", [])):
-        require_distinct(entry["from"], "configuration JSON", f"maps[{idx}].from", "index")
-        require_distinct(entry["to"], "configuration JSON", f"maps[{idx}].to", "index")
-    require_distinct([frozenset(entry["I"]) for entry in data.get("strata", [])],
-                     "configuration JSON", "strata", "I")
-    require_distinct([(frozenset(entry["from"]), frozenset(entry["to"]))
-                      for entry in data.get("maps", [])],
-                     "configuration JSON", "maps", "from and to")
-    strata = {frozenset(entry["I"]): tuple(entry["components"]) for entry in data.get("strata", [])}
+    title = "configuration JSON"
+    entries = data.get("strata", ())
+    indices = []
+    for idx, entry in enumerate(entries):
+        index = frozenset(entry["I"])
+        if len(index) != len(entry["I"]):
+            require_distinct(entry["I"], title, f"strata[{idx}].I", "index")
+        indices.append(index)
+    pairs = []
+    for idx, entry in enumerate(data.get("maps", ())):
+        src, dst = frozenset(entry["from"]), frozenset(entry["to"])
+        if len(src) != len(entry["from"]):
+            require_distinct(entry["from"], title, f"maps[{idx}].from", "index")
+        if len(dst) != len(entry["to"]):
+            require_distinct(entry["to"], title, f"maps[{idx}].to", "index")
+        pairs.append((src, dst))
+    require_distinct(indices, title, "strata", "I")
+    require_distinct(pairs, title, "maps", "from and to")
+    strata = {index: tuple(entry["components"]) for index, entry in zip(indices, entries)}
     strata.setdefault(frozenset(), (0,))
     maps = {}
-    for idx, entry in enumerate(data.get("maps", [])):
+    for idx, (pair, entry) in enumerate(zip(pairs, data.get("maps", ()))):
         try:
-            assign = {int(key): value for key, value in entry["assign"].items()}
+            maps[pair] = {int(key): value for key, value in entry["assign"].items()}
         except ValueError:
-            raise InputError(f"configuration JSON maps[{idx}].assign has a non-integer key") from None
-        maps[(frozenset(entry["from"]), frozenset(entry["to"]))] = assign
+            raise InputError(f"{title} maps[{idx}].assign has a non-integer key") from None
     return DivisorConfiguration(data["k"], [parse_rational(x) for x in data["kappa"]],
                                 [parse_rational(x) for x in data["a"]], strata, maps,
                                 log_nef=data.get("logNef"))

@@ -182,12 +182,15 @@ def tree_from_json(data) -> LogPssTree:
     vertices = {}
     for idx, entry in enumerate(data["vertices"]):
         depth = entry.get("depth", [])
-        require_distinct(depth, "tree JSON", f"vertices[{idx}].depth", "index")
-        vertices[entry["id"]] = frozenset(depth)
+        vertices[entry["id"]] = index = frozenset(depth)
+        if len(index) != len(depth):  # only then is the error path written
+            require_distinct(depth, "tree JSON", f"vertices[{idx}].depth", "index")
     edges = []
     for idx, entry in enumerate(data["edges"]):
         depth = entry.get("depthE", [])
-        require_distinct(depth, "tree JSON", f"edges[{idx}].depthE", "index")
+        index = frozenset(depth)
+        if len(index) != len(depth):
+            require_distinct(depth, "tree JSON", f"edges[{idx}].depthE", "index")
         a, b = entry["a"], entry["b"]
         forward = entry["contact"].get(f"{a}->{b}")
         backward = entry["contact"].get(f"{b}->{a}")
@@ -196,7 +199,7 @@ def tree_from_json(data) -> LogPssTree:
         if forward is not None and backward is not None and forward != [-x for x in backward]:
             raise InputError(f"edge {a}-{b} contact vectors are not antisymmetric")
         vec = tuple(forward) if forward is not None else tuple(-x for x in backward)
-        edges.append(TreeEdge(a, b, frozenset(depth), vec))
+        edges.append(TreeEdge(a, b, index, vec))
     legs = [(entry["vertex"], entry.get("label")) for entry in data.get("legs", [])]
     return LogPssTree(data["k"], vertices, edges, data["root"], legs, data["deg_x0"],
                       data.get("kPrime", 0))

@@ -6,6 +6,7 @@ components of induced subgraphs, so the component maps are containment maps
 and compose consistently by construction.
 """
 
+import json
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -692,3 +693,106 @@ def _oracle_pivot(rows, r, col):
     for i, row in enumerate(rows):
         if i != r and col in row:
             _fraction_subtract_row(row, row[col], pivot)
+
+
+# -- the JSON shape check, walked with its path ----------------------------------------
+
+_ORACLE_KINDS = {dict: "object", list: "array", str: "string", int: "integer",
+                 bool: "boolean", type(None): "null", float: "number"}
+_ORACLE_NAMES = {"object": "an object", "array": "a list", "string": "a string",
+                 "integer": "an integer", "boolean": "a boolean", "null": "null"}
+
+
+def validate_oracle(data, schema):
+    """schema.validate as a walk that carries its title and JSON path into
+    every call: the same InputError, message included, for every input."""
+    _oracle_check(data, schema, schema["title"], ())
+
+
+def _oracle_where(title, path):
+    text = ""
+    for key in path:
+        if isinstance(key, int) or not key.isidentifier():
+            text += f"[{key!r}]"
+        else:
+            text += f".{key}" if text else key
+    return f"{title} {text}" if text else title
+
+
+def _oracle_check(value, schema, title, path):
+    if "title" in schema:
+        title, path = schema["title"], ()
+    kind = _ORACLE_KINDS.get(type(value))
+    types = schema.get("type")
+    if types is not None and kind != types and (isinstance(types, str) or kind not in types):
+        names = [types] if isinstance(types, str) else types
+        raise InputError(f"{_oracle_where(title, path)} must be "
+                         + " or ".join(_ORACLE_NAMES[t] for t in names))
+    if kind == "object":
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise InputError(f"{_oracle_where(title, path)} missing key {key!r}")
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties")
+        for key, item in value.items():
+            sub = properties.get(key, extra)
+            if sub is not None:
+                _oracle_check(item, sub, title, path + (key,))
+    elif kind == "array":
+        items = schema.get("items")
+        if items is not None:
+            for idx, item in enumerate(value):
+                _oracle_check(item, items, title, path + (idx,))
+    elif kind in ("integer", "number") and "minimum" in schema and value < schema["minimum"]:
+        raise InputError(f"{_oracle_where(title, path)} must be at least {schema['minimum']}")
+
+
+# -- the files and jobs of paper criterion 11 -------------------------------------------
+
+def criterion_11_jobs(directory):
+    """Write criterion 11's input files into directory (a pathlib.Path) and
+    return its batch jobs, one {"args": argv} per job, in manifest order."""
+    cycle = directory / "cycle.json"
+    cycle.write_text(json.dumps({"facets": [[1, 2], [2, 3], [1, 3]]}))
+    octa = directory / "octa.json"
+    octa.write_text(json.dumps(
+        {"facets": [sorted(f) for f in cross_polytope_boundary(3).facets()]}))
+    config = directory / "appc.json"
+    config.write_text(json.dumps({  # Appendix C: the triple stratum has two points
+        "k": 3, "kappa": ["1", "1", "1"], "a": ["1", "1", "1"],
+        "strata": [{"I": I, "components": [0]}
+                   for I in ([1], [2], [3], [1, 2], [1, 3], [2, 3])]
+        + [{"I": [1, 2, 3], "components": [1, 2]}]}))
+    pres = directory / "pres.json"
+    pres.write_text(json.dumps({"vars": ["x", "y"], "weights": ["1", "2"],
+                                "relations": ["x^2 - y", "y^2 - x"]}))
+    tree = directory / "tree.json"
+    tree.write_text(json.dumps({
+        "k": 2, "root": 0, "deg_x0": 2,
+        "vertices": [{"id": 0, "depth": []}, {"id": 1, "depth": [1]},
+                     {"id": 2, "depth": [1, 2]}],
+        "edges": [{"a": 1, "b": 0, "depthE": [1], "contact": {"1->0": [1, 0]}},
+                  {"a": 2, "b": 1, "depthE": [1, 2], "contact": {"2->1": [1, 1]}}],
+        "legs": [{"vertex": 2, "label": None}],
+    }))
+    params = directory / "params.json"
+    params.write_text(json.dumps({"kappa": ["1", "1"], "eps1": "1/10",
+                                  "epsPert": ["0", "0"]}))
+    chord = directory / "chord.json"
+    chord.write_text(json.dumps({"chord": {"y": 1, "I": [1], "alpha0": ["1/5"],
+                                           "alpha1": ["7/10"], "v": [2, 0],
+                                           "f0": "1/3", "f1": "-1/2"}}))
+    return [
+        {"args": ["complex", "gorenstein", "--faces", str(cycle)]},
+        {"args": ["complex", "homology", "--faces", str(octa), "--field", "F5"]},
+        {"args": ["sr", "hilbert", "--config", str(config), "--bound", "3"]},
+        {"args": ["sr", "multiply", "--config", str(config),
+                  "--lhs", "theta[1,0,0]", "--rhs", "theta[0,1,1]"]},
+        {"args": ["ring", "gr", "--pres", str(pres), "--bound", "6"]},
+        {"args": ["ring", "fiber", "--pres", str(pres), "--t", "2"]},
+        {"args": ["tree", "vdim", "--tree", str(tree)]},
+        {"args": ["tree", "feasible", "--tree", str(tree)]},
+        {"args": ["energy", "chord-weight", "--params", str(params),
+                  "--input", str(chord)]},
+        {"args": ["example", "appc", "--check", "sr", "--bound", "4"]},
+    ]

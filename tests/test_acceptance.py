@@ -29,8 +29,8 @@ from logcy.rees import (WeightedPresentation, associated_graded, fiber_at,
 from logcy.sr_algebra import ThetaElement, graded_dimension, multiply, multiply_basis, unit_element
 from logcy.trees import balancing_feasible, build_rho, kernel_dim, obstruction_dim, partition_count, vdim_log, vdim_prelog
 
-from helpers import (basis_elements, cross_polytope_boundary, full_simplex, random_configuration,
-                     random_tree, sphere_boundary, winding)
+from helpers import (basis_elements, criterion_11_jobs, cross_polytope_boundary, full_simplex,
+                     random_configuration, random_tree, sphere_boundary, winding)
 
 F = Fraction
 
@@ -285,50 +285,7 @@ def test_criterion_10_partition_counts():
 
 def test_criterion_11_cli_determinism(tmp_path):
     start = time.monotonic()
-    cycle = tmp_path / "cycle.json"
-    cycle.write_text(json.dumps({"facets": [[1, 2], [2, 3], [1, 3]]}))
-    octa = tmp_path / "octa.json"
-    octa.write_text(json.dumps(
-        {"facets": [sorted(f) for f in cross_polytope_boundary(3).facets()]}))
-    config = tmp_path / "appc.json"
-    config.write_text(json.dumps({  # Appendix C: the triple stratum has two points
-        "k": 3, "kappa": ["1", "1", "1"], "a": ["1", "1", "1"],
-        "strata": [{"I": I, "components": [0]}
-                   for I in ([1], [2], [3], [1, 2], [1, 3], [2, 3])]
-        + [{"I": [1, 2, 3], "components": [1, 2]}]}))
-    pres = tmp_path / "pres.json"
-    pres.write_text(json.dumps({"vars": ["x", "y"], "weights": ["1", "2"],
-                                "relations": ["x^2 - y", "y^2 - x"]}))
-    tree = tmp_path / "tree.json"
-    tree.write_text(json.dumps({
-        "k": 2, "root": 0, "deg_x0": 2,
-        "vertices": [{"id": 0, "depth": []}, {"id": 1, "depth": [1]},
-                     {"id": 2, "depth": [1, 2]}],
-        "edges": [{"a": 1, "b": 0, "depthE": [1], "contact": {"1->0": [1, 0]}},
-                  {"a": 2, "b": 1, "depthE": [1, 2], "contact": {"2->1": [1, 1]}}],
-        "legs": [{"vertex": 2, "label": None}],
-    }))
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"kappa": ["1", "1"], "eps1": "1/10",
-                                  "epsPert": ["0", "0"]}))
-    chord = tmp_path / "chord.json"
-    chord.write_text(json.dumps({"chord": {"y": 1, "I": [1], "alpha0": ["1/5"],
-                                           "alpha1": ["7/10"], "v": [2, 0],
-                                           "f0": "1/3", "f1": "-1/2"}}))
-    jobs = [
-        {"args": ["complex", "gorenstein", "--faces", str(cycle)]},
-        {"args": ["complex", "homology", "--faces", str(octa), "--field", "F5"]},
-        {"args": ["sr", "hilbert", "--config", str(config), "--bound", "3"]},
-        {"args": ["sr", "multiply", "--config", str(config),
-                  "--lhs", "theta[1,0,0]", "--rhs", "theta[0,1,1]"]},
-        {"args": ["ring", "gr", "--pres", str(pres), "--bound", "6"]},
-        {"args": ["ring", "fiber", "--pres", str(pres), "--t", "2"]},
-        {"args": ["tree", "vdim", "--tree", str(tree)]},
-        {"args": ["tree", "feasible", "--tree", str(tree)]},
-        {"args": ["energy", "chord-weight", "--params", str(params),
-                  "--input", str(chord)]},
-        {"args": ["example", "appc", "--check", "sr", "--bound", "4"]},
-    ]
+    jobs = criterion_11_jobs(tmp_path)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"jobs": jobs}))
     outputs = []

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from logcy import cli, homology, mirror, rees
-from logcy.errors import COUNT_LIMIT
+from logcy import cli, groebner, mirror
+from logcy.errors import COUNT_LIMIT, FACE_LIMIT
 from logcy.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED, main,
                        render_report, run)
 
@@ -166,13 +167,13 @@ def test_ring_groebner_basis_calls(fixtures, tmp_path, monkeypatch, op, extra, c
     path = tmp_path / "appc_pres.json"
     path.write_text(json.dumps(pres))
     made = []
-    basis = rees.groebner_basis
+    basis = groebner.groebner_basis
 
     def counting(gens, order, **kwargs):
         made.append(gens)
         return basis(gens, order, **kwargs)
 
-    monkeypatch.setattr(rees, "groebner_basis", counting)
+    monkeypatch.setattr(groebner, "groebner_basis", counting)
     if op == "degenerate":
         extra = extra + ["--sr-config", fixtures["appc.json"]]
     code, _ = run(["ring", op, "--pres", str(path), *extra])
@@ -270,7 +271,7 @@ def test_conic_smooth_past_the_limit_is_refused_at_once():
     assert f"n above {mirror.SMOOTH_LIMIT} is refused" in message
 
 
-_SIMPLEX_REFUSED = f"more than {homology.FACE_LIMIT} faces are refused"
+_SIMPLEX_REFUSED = f"more than {FACE_LIMIT} faces are refused"
 # kind -> (argv, input files by name, text the error must name); each input has
 # no work budget at the parent commit and runs for a minute or more there
 _RUNAWAY_COMPLEX = {
@@ -293,7 +294,7 @@ _RUNAWAY_COMPLEX = {
         {"pres.json": {"vars": [f"x{i}" for i in range(1, 21)], "weights": ["1"] * 20,
                        "relations": ["x1*x2"]},
          "config.json": {"k": 1, "kappa": ["1"], "a": ["1"]}},
-        f"Stanley-Reisner complex of the relations is too large: more than {COUNT_LIMIT} "
+        f"Stanley-Reisner complex of the relations is too large: more than {FACE_LIMIT} "
         f"faces are refused"),
 }
 
@@ -309,6 +310,36 @@ def test_runaway_complex_is_refused_at_once(tmp_path, kind):
         capture_output=True, timeout=20)
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert named in json.loads(proc.stdout)["error"]["message"]
+
+
+def test_ring_degenerate_builds_no_more_faces_than_the_gorenstein_test_takes(tmp_path):
+    # k[x1..xn]/(x1*x2) has 2^n - 2^(n-2) faces: 3 072 for n = 12, within
+    # FACE_LIMIT, and 786 432 for n = 20, which is refused at face 4 097
+    # instead of being built up to COUNT_LIMIT (over 100 MB) first
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 1, "kappa": ["1"], "a": ["1"]}))
+
+    def degenerate(n):
+        pres = tmp_path / f"pres{n}.json"
+        pres.write_text(json.dumps({"vars": [f"x{i}" for i in range(1, n + 1)],
+                                    "weights": ["1"] * n, "relations": ["x1*x2"]}))
+        return run(["ring", "degenerate", "--pres", str(pres), "--sr-config", str(config),
+                    "--bound", "1"])
+
+    tracemalloc.start()
+    try:
+        code, report = degenerate(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    assert report["error"]["message"] == (
+        f"the Stanley-Reisner complex of the relations is too large: "
+        f"more than {FACE_LIMIT} faces are refused")
+    assert peak < 16 * 2 ** 20
+    code, report = degenerate(12)
+    assert code == EXIT_OK
+    assert report["result"]["grIsStanleyReisner"] and not report["result"]["grGorenstein"]
 
 
 @pytest.mark.parametrize("gens, code", [("(x+y)^300", EXIT_OK), ("(x+y)^100000", EXIT_INPUT)],

@@ -117,3 +117,18 @@ def test_module_entry_point_runs_with_warnings_as_errors(fixtures):  # noqa: F81
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["result"]["betti"] == {"-1": 0, "0": 0, "1": 1}
 
+
+
+def test_sr_commands_execute_no_groebner_code(fixtures):  # noqa: F811
+    # sr_algebra binds rees, and rees binds groebner, as modules: multiply and
+    # hilbert never read rees, and present builds a presentation but no basis
+    appc = fixtures["appc.json"]
+    multiply, hilbert, present = _probe([
+        ["sr", "multiply", "--config", appc, "--lhs", "theta[1,1,0]", "--rhs", "theta[0,0,1]"],
+        ["sr", "hilbert", "--config", appc, "--bound", "2"],
+        ["sr", "present", "--config", fixtures["p2.json"]]])[1:]
+    for step in (multiply, hilbert):
+        assert step["exit"] == 0
+        assert not {"logcy.rees", "logcy.groebner"} & set(step["modules"])
+    assert present["exit"] == 0
+    assert "logcy.rees" in present["modules"] and "logcy.groebner" not in present["modules"]

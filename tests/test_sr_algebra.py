@@ -181,11 +181,11 @@ def test_sr_presentation_weight_override():
 def test_stanley_reisner_budget_allows_exactly_the_limit(monkeypatch):
     # k[x1..x4]/(x1*x2): every subset of {1,2,3,4} not containing {1,2}, 12 faces
     pres = WeightedPresentation(("x1", "x2", "x3", "x4"), [1] * 4, ["x1*x2"])
-    monkeypatch.setattr(sr_algebra, "COUNT_LIMIT", 12)
+    monkeypatch.setattr(sr_algebra, "FACE_LIMIT", 12)
     complex_ = stanley_reisner_complex(pres)
     assert len(complex_.faces) == 12
     assert frozenset({1, 2}) not in complex_.faces
-    monkeypatch.setattr(sr_algebra, "COUNT_LIMIT", 11)
+    monkeypatch.setattr(sr_algebra, "FACE_LIMIT", 11)
     with pytest.raises(InputError, match="more than 11 faces are refused"):
         stanley_reisner_complex(pres)
 

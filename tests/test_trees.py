@@ -1,5 +1,6 @@
 """Contact-tree validation, incidence matrices, dimensions, balancing."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from sympy import Matrix
 
+from logcy import cli
 from logcy.errors import InputError
 from logcy.trees import (BalancingCertificate, LogPssTree, TreeEdge, balancing_feasible,
                          build_rho, kernel_dim, obstruction_dim,
@@ -262,6 +265,37 @@ def test_rank_nullity_cross_check_random():
         assert vdim_log(tree) - vdim_prelog(tree) == \
             -2 * kernel_dim(tree) - 2 * (sum(len(e.depth) - 1 for e in tree.edges)
                                          - sum(len(d) for d in tree.vertices.values()))
+
+
+def _tree_json(tree):
+    """The tree JSON that tree_from_json reads back as tree."""
+    return {
+        "k": tree.k, "root": tree.root, "deg_x0": tree.deg_x0,
+        "vertices": [{"id": v, "depth": sorted(depth)} for v, depth in tree.vertices.items()],
+        "edges": [{"a": e.a, "b": e.b, "depthE": sorted(e.depth),
+                   "contact": {f"{e.a}->{e.b}": list(e.contact)}} for e in tree.edges],
+        "legs": [{"vertex": v, "label": label} for v, label in tree.legs],
+    }
+
+
+def test_tree_rho_report_rank_matches_sympy(tmp_path):
+    path = tmp_path / "tree.json"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def rank_matches(rng):
+        tree = random_tree(rng, k_max=4, max_vertices=7)
+        path.write_text(json.dumps(_tree_json(tree)))
+        code, report = cli.run(["tree", "rho", "--tree", str(path)])
+        assert code == cli.EXIT_OK
+        result = report["result"]
+        ncols = len(result["rho"]["cols"])
+        matrix = Matrix(len(result["rho"]["rows"]), ncols,
+                        [x for row in result["rho"]["matrix"] for x in row])
+        assert result["rank"] == matrix.rank()
+        assert result["rank"] + result["kernelDim"] == ncols
+
+    rank_matches()
 
 
 def test_vdim_log_at_most_prelog_random():
