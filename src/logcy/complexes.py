@@ -1,99 +1,126 @@
 """Abstract simplicial complexes: facets, minimal nonfaces, link, core.
 
-A complex is stored as the full downward-closed family of faces (frozensets
-of integer vertex labels).  The empty face is present in every nonempty
-complex; the void complex (no faces at all) is representable and is distinct
-from the complex whose only face is the empty set.
+A complex keeps its sorted vertex labels and its downward-closed family of
+faces as int bitmasks, bit i being the i-th label; a link or induced
+subcomplex keeps its parent's labels.  The empty face is present in every
+nonempty complex; the void complex (no faces at all) is distinct from the
+complex whose only face is the empty set.
 """
 
-from itertools import combinations
+from functools import reduce
+from operator import and_, or_
 
 from .errors import COUNT_LIMIT, InputError
 from .schema import require_distinct, validate
 
 
 class SimplicialComplex:
-    """Downward-closed family of faces over integer vertex labels."""
+    """Downward-closed family of faces over sortable vertex labels, kept as bitmasks."""
 
-    __slots__ = ("faces", "_vertices")
+    __slots__ = ("labels", "masks", "_bit", "_faces")
 
     def __init__(self, faces):
-        face_set = frozenset(frozenset(f) for f in faces)
-        if face_set and frozenset() not in face_set:
-            face_set = face_set | {frozenset()}
-        self.faces = face_set
-        self._vertices = tuple(sorted({v for f in face_set for v in f}))
+        faces = set(map(frozenset, faces))
+        if faces:
+            faces.add(frozenset())
+        self.labels = tuple(sorted(frozenset().union(*faces)))
+        self._bit = {v: 1 << i for i, v in enumerate(self.labels)}
+        self.masks = frozenset(sum(map(self._bit.__getitem__, f)) for f in faces)
+        self._faces = frozenset(faces)
+
+    @classmethod
+    def _trusted(cls, labels, bit, masks):
+        """The complex of the downward-closed `masks`, bit[v] being label v's bit."""
+        cx = object.__new__(cls)
+        cx.labels, cx._bit, cx.masks, cx._faces = labels, bit, masks, None
+        return cx
 
     @classmethod
     def from_facets(cls, facets):
         """Build the complex generated by the given facets (downward closure)."""
-        faces = set()
-        for facet in facets:
-            facet = frozenset(facet)
-            for size in range(len(facet) + 1):
-                for sub in combinations(sorted(facet), size):
-                    faces.add(frozenset(sub))
-        return cls(faces)
-
-    @classmethod
-    def void(cls):
-        return cls([])
+        facets = list(map(frozenset, facets))
+        labels = tuple(sorted(frozenset().union(*facets)))
+        bit = {v: 1 << i for i, v in enumerate(labels)}
+        masks = {0} if facets else set()
+        for top in {sum(map(bit.__getitem__, facet)) for facet in facets}:
+            sub = 0 if top in masks else top  # a face already in brought its faces
+            while sub:
+                masks.add(sub)
+                sub = (sub - 1) & top
+        return cls._trusted(labels, bit, frozenset(masks))
 
     @property
     def vertices(self) -> tuple:
-        return self._vertices
+        return self._face(reduce(or_, self.masks, 0))
+
+    @property
+    def faces(self) -> frozenset:
+        """The faces as frozensets of labels, derived from the masks on first use."""
+        if self._faces is None:
+            self._faces = frozenset(frozenset(self._face(g)) for g in self.masks)
+        return self._faces
 
     @property
     def is_void(self) -> bool:
-        return not self.faces
+        return not self.masks
+
+    def _face(self, mask) -> tuple:
+        return tuple(v for i, v in enumerate(self.labels) if mask >> i & 1)
+
+    def label_faces(self, masks) -> list:
+        """Label frozensets of the given masks, by size and then by sorted labels."""
+        return list(map(frozenset, sorted(map(self._face, masks), key=lambda f: (len(f), f))))
 
     def dim(self) -> int:
         """Maximum face dimension; -1 for {emptyset}, raises on the void complex."""
         if self.is_void:
             raise InputError("dimension of the void complex is undefined")
-        return max(len(f) for f in self.faces) - 1
+        return max(map(int.bit_count, self.masks)) - 1
+
+    def _maximal(self) -> list:
+        masks, bits = self.masks, [1 << i for i in range(len(self.labels))]
+        return [f for f in masks if not any(f | b in masks for b in bits if not f & b)]
 
     def facets(self) -> list:
         """Faces that no single vertex extends to a face, sorted for deterministic output."""
-        faces = self.faces
-        maximal = [f for f in faces
-                   if not any(v not in f and f | {v} in faces for v in self._vertices)]
-        return sorted(maximal, key=lambda f: (len(f), sorted(f)))
+        return self.label_faces(self._maximal())
 
     def minimal_nonfaces(self) -> list:
         """Non-faces f + {v} (f a face) whose every one-smaller subset is a face."""
-        faces = self.faces
-        found = {f | {v} for f in faces for v in self._vertices
-                 if v not in f and f | {v} not in faces
-                 and all((f - {u}) | {v} in faces for u in f)}
-        return sorted(found, key=lambda f: (len(f), sorted(f)))
+        masks, bits = self.masks, [self._bit[v] for v in self.vertices]
+        return self.label_faces({f | v for f in masks for v in bits
+                                 if not f & v and f | v not in masks
+                                 and all((f | v) ^ u in masks for u in bits if f & u)})
 
     def faces_of_dim(self, d: int) -> list:
-        return sorted((f for f in self.faces if len(f) == d + 1),
-                      key=lambda f: sorted(f))
+        return self.label_faces(g for g in self.masks if g.bit_count() == d + 1)
 
     def link(self, face) -> "SimplicialComplex":
         """link(F) = { G - F : G a face containing F }."""
-        face = frozenset(face)
-        if face not in self.faces:
+        face, bit, masks = frozenset(face), self._bit, self.masks
+        sigma = sum(map(bit.__getitem__, face)) if face <= bit.keys() else -1
+        if sigma not in masks:
             raise InputError(f"link: {sorted(face)} is not a face")
-        return SimplicialComplex(g - face for g in self.faces if face <= g)
+        return self._trusted(self.labels, bit,
+                             frozenset(g ^ sigma for g in masks if g & sigma == sigma))
 
     def induced(self, vertex_subset) -> "SimplicialComplex":
-        keep = frozenset(vertex_subset)
-        if self.is_void:
-            return SimplicialComplex.void()
-        return SimplicialComplex(f for f in self.faces if f <= keep)
+        keep = sum(self._bit.get(v, 0) for v in frozenset(vertex_subset))
+        return self._trusted(self.labels, self._bit,
+                             frozenset(g for g in self.masks if g & keep == g))
+
+    def cone_mask(self) -> int:
+        """The AND of the facet masks: the cone points, whose star is the whole complex."""
+        return reduce(and_, self._maximal(), -1)
 
     def core(self) -> "SimplicialComplex":
         """Induced subcomplex on the vertices whose star is a proper subcomplex,
         that is, on the vertices missing some facet (the others are cone points)."""
-        if self.is_void:
-            return SimplicialComplex.void()
-        cone_points = frozenset.intersection(*self.facets())
-        return self.induced(v for v in self._vertices if v not in cone_points)
+        return self.induced(self._face(~self.cone_mask()))
 
     def __eq__(self, other):
+        if isinstance(other, SimplicialComplex) and self.labels == other.labels:
+            return self.masks == other.masks  # the same bits stand for the same labels
         return isinstance(other, SimplicialComplex) and self.faces == other.faces
 
     def __hash__(self):

@@ -1,16 +1,16 @@
 """Exact reduced simplicial homology and the Gorenstein* criterion.
 
 Betti numbers come from exact ranks of the boundary maps, each built as one
-sparse +-1 vector per face and reduced by the sparse kernel
+sparse +-1 vector per face bitmask and reduced by the sparse kernel
 `exactlin.pivot_columns` over Q or F_p.  The ranks are taken from the top
 dimension down with the "clearing" step of Chen and Kerber (Persistent
 homology computation with a twist, 2011): a face that leads a pivot row of
 the boundary one dimension up has a boundary in the span of the boundaries
-of the later faces, so it is left out of the next rank.
+of the later faces (in any fixed order), so it is left out of the next rank.
 The Gorenstein verdict checks that the complex and all of its face links
-have the reduced homology of spheres of the correct dimension and that no
-vertex's star swallows the whole complex: Stanley's criterion for a
-Gorenstein* complex.
+have the reduced homology of spheres of the correct dimension and that the
+AND of the facet masks is empty, so no vertex's star swallows the whole
+complex: Stanley's criterion for a Gorenstein* complex.
 """
 
 from .complexes import SimplicialComplex
@@ -47,15 +47,16 @@ class BettiTable:
 
 
 def _boundary_vectors(top, bottom):
-    """The boundary map from the faces `top` to the faces `bottom`, as sparse vectors.
-
-    Faces are sorted vertex tuples.  Each top face gives the vector
-    {index of (face minus its k-th vertex): (-1)^k}, a column of the boundary
-    matrix.
-    """
+    """The boundary map from the face masks `top` to those in `bottom`, as sparse
+    vectors: a top face gives {index of (face minus its k-th lowest bit): (-1)^k}."""
     index = {face: i for i, face in enumerate(bottom)}
-    return ({index[face[:k] + face[k + 1:]]: -1 if k % 2 else 1 for k in range(len(face))}
-            for face in top)
+    for face in top:
+        vector, sign, rest = {}, 1, face
+        while rest:
+            low = rest & -rest
+            vector[index[face ^ low]] = sign
+            sign, rest = -sign, rest ^ low
+        yield vector
 
 
 def reduced_homology(cx: SimplicialComplex, coeff_field=QQ) -> BettiTable:
@@ -74,20 +75,18 @@ def reduced_homology(cx: SimplicialComplex, coeff_field=QQ) -> BettiTable:
     """
     if cx.is_void:
         raise InputError("homology of the void complex is undefined")
-    d = cx.dim()
-    faces = [[] for _ in range(d + 2)]  # faces[n]: the faces with n vertices
-    for face in cx.faces:
-        faces[len(face)].append(tuple(sorted(face)))
-    for group in faces:
-        group.sort()
+    groups = {}
+    for face in sorted(cx.masks):
+        groups.setdefault(face.bit_count(), []).append(face)
+    faces = [groups[n] for n in range(len(groups))]  # faces[n]: the n-bit masks, increasing
     # boundary[n]: rank of the boundary of the faces with n vertices
-    boundary = [0] * (d + 3)
+    boundary = [0] * (len(faces) + 1)
     cleared = {}  # the pivot columns of the step before: indices into faces[n]
-    for n in range(d + 1, 0, -1):
+    for n in range(len(faces) - 1, 0, -1):
         kept = [face for i, face in enumerate(faces[n]) if i not in cleared]
         cleared = pivot_columns(_boundary_vectors(kept, faces[n - 1]), coeff_field)
         boundary[n] = len(cleared)
-    betti = tuple(len(faces[n]) - boundary[n] - boundary[n + 1] for n in range(d + 2))
+    betti = tuple(len(faces[n]) - boundary[n] - boundary[n + 1] for n in range(len(faces)))
     return BettiTable(coeff_field.name, -1, betti)
 
 
@@ -101,11 +100,8 @@ def local_homology_at_face(cx: SimplicialComplex, face, coeff_field=QQ) -> Betti
     face = frozenset(face)
     if not face:
         raise InputError("local homology needs a nonempty face")
-    if face not in cx.faces:
-        raise InputError(f"{sorted(face)} is not a face")
-    j = len(face) - 1
     link_h = reduced_homology(cx.link(face), coeff_field)
-    return BettiTable(coeff_field.name, link_h.offset + j + 1, link_h.ranks)
+    return BettiTable(coeff_field.name, link_h.offset + len(face), link_h.ranks)
 
 
 def _sphere_failures(table: BettiTable, d: int, where) -> list:
@@ -145,10 +141,9 @@ def _manifold_failures(cx: SimplicialComplex, coeff_field) -> list:
     """Witnesses against 'every face link is a sphere of complementary dimension'."""
     d = cx.dim()
     failures = []
-    for face in sorted((f for f in cx.faces if f), key=lambda f: (len(f), sorted(f))):
-        j = len(face) - 1
+    for face in cx.label_faces(g for g in cx.masks if g):
         link_h = reduced_homology(cx.link(face), coeff_field)
-        failures.extend(_sphere_failures(link_h, d - j - 1, face))
+        failures.extend(_sphere_failures(link_h, d - len(face), face))
     return failures
 
 
@@ -167,14 +162,14 @@ def gorenstein_verdict(cx: SimplicialComplex, coeff_field=QQ) -> GorensteinRepor
     """
     if cx.is_void:
         raise InputError("the void complex has no Gorenstein verdict")
-    if len(cx.faces) > FACE_LIMIT:
+    if len(cx.masks) > FACE_LIMIT:
         raise InputError(f"the complex is too large for the Gorenstein test: it has "
-                         f"{len(cx.faces)} faces, and the test takes the link of each, "
+                         f"{len(cx.masks)} faces, and the test takes the link of each, "
                          f"so more than {FACE_LIMIT} faces are refused")
     d = cx.dim()
     failures = _sphere_failures(reduced_homology(cx, coeff_field), d, frozenset())
     failures.extend(_manifold_failures(cx, coeff_field))
-    core_ok = cx.core() == cx
+    core_ok = cx.cone_mask() == 0
     return GorensteinReport(
         verdict=(not failures) and core_ok,
         dimension=d,

@@ -14,12 +14,8 @@ Q[x1, x2, x3, u, a1, ..., a7].
 from fractions import Fraction
 from itertools import product
 
-from .complexes import SimplicialComplex
+from . import complexes, groebner, poly, rees, stratum
 from .errors import COUNT_LIMIT, InputError
-from .groebner import jacobian_smooth
-from .poly import Polynomial, parse_polynomial
-from .rees import WeightedPresentation
-from .stratum import DivisorConfiguration
 
 APPENDIX_C_PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 
@@ -51,17 +47,17 @@ class ConicBundleFixture:
             raise InputError("the w2 weight must be positive")
 
 
-def conic_bundle_presentation(fixture: ConicBundleFixture) -> WeightedPresentation:
+def conic_bundle_presentation(fixture: ConicBundleFixture) -> "rees.WeightedPresentation":
     """Relations u_1...u_n = Na + Nb*w1 and w1*w2 = 1 with the fixture weights."""
     names = tuple(f"u{i}" for i in range(1, fixture.n + 1)) + ("w1", "w2")
     weights = [Fraction(1)] * fixture.n + [fixture.kappa_w1, fixture.kappa_w2]
-    u_product = Polynomial.monomial(names, (1,) * fixture.n + (0, 0), 1)
-    w1 = Polynomial.variable(names, "w1")
-    w2 = Polynomial.variable(names, "w2")
-    one = Polynomial.constant(names, 1)
+    u_product = poly.Polynomial.monomial(names, (1,) * fixture.n + (0, 0), 1)
+    w1 = poly.Polynomial.variable(names, "w1")
+    w2 = poly.Polynomial.variable(names, "w2")
+    one = poly.Polynomial.constant(names, 1)
     rel1 = u_product - one.scale(fixture.na) - w1.scale(fixture.nb)
     rel2 = w1 * w2 - one
-    return WeightedPresentation(names, weights, [rel1, rel2])
+    return rees.WeightedPresentation(names, weights, [rel1, rel2])
 
 
 def conic_bundle_smooth_check(fixture: ConicBundleFixture, n_max: int = 3) -> dict:
@@ -78,7 +74,7 @@ def conic_bundle_smooth_check(fixture: ConicBundleFixture, n_max: int = 3) -> di
                                  min(fixture.kappa_w1, Fraction(2 * n - 1, 2)),
                                  fixture.kappa_w2)
         pres = conic_bundle_presentation(sub)
-        smooth, cert = jacobian_smooth(pres.relations, expected_codim=2)
+        smooth, cert = groebner.jacobian_smooth(pres.relations, expected_codim=2)
         results[n] = (smooth, cert)
     return results
 
@@ -103,7 +99,7 @@ def conic_bundle_dual_complex_facets(n: int) -> list:
     return facets
 
 
-def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> WeightedPresentation:
+def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> "rees.WeightedPresentation":
     """Stanley-Reisner presentation of the facet fixture, with matching weights
     and variables aligned to the mirror ring's generators.
 
@@ -118,12 +114,12 @@ def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> WeightedPresentation
     weights = [Fraction(1)] * fixture.n + [fixture.kappa_w1, fixture.kappa_w2]
     facets = conic_bundle_dual_complex_facets(fixture.n)
     # minimal non-faces of the fixture complex, written directly
-    all_u = Polynomial.monomial(names, (1,) * fixture.n + (0, 0), 1)
-    w1w2 = Polynomial.monomial(names, (0,) * fixture.n + (1, 1), 1)
-    pres = WeightedPresentation(names, weights, [all_u, w1w2])
+    all_u = poly.Polynomial.monomial(names, (1,) * fixture.n + (0, 0), 1)
+    w1w2 = poly.Polynomial.monomial(names, (0,) * fixture.n + (1, 1), 1)
+    pres = rees.WeightedPresentation(names, weights, [all_u, w1w2])
     # sanity: the written relations are exactly the fixture's minimal non-faces
     declared = {frozenset(names[:fixture.n]), frozenset(("w1", "w2"))}
-    if set(SimplicialComplex.from_facets(facets).minimal_nonfaces()) != declared:
+    if set(complexes.SimplicialComplex.from_facets(facets).minimal_nonfaces()) != declared:
         raise InputError("internal error: fixture facets contain a declared non-face")
     return pres
 
@@ -172,32 +168,32 @@ class HypersurfaceFamily:
     def __init__(self, coefficients=None):
         if coefficients is None:
             self.vars = APPENDIX_C_VARS + APPENDIX_C_PARAMS
-            self.coefficients = [Polynomial.variable(self.vars, a) for a in APPENDIX_C_PARAMS]
+            self.coefficients = [poly.Polynomial.variable(self.vars, a) for a in APPENDIX_C_PARAMS]
         else:
             coeffs = [Fraction(c) for c in coefficients]
             if len(coeffs) != 7:
                 raise InputError("numeric mode needs exactly 7 coefficients")
             self.vars = APPENDIX_C_VARS
-            self.coefficients = [Polynomial.constant(self.vars, c) for c in coeffs]
+            self.coefficients = [poly.Polynomial.constant(self.vars, c) for c in coeffs]
 
-    def deformation(self) -> Polynomial:
+    def deformation(self) -> "poly.Polynomial":
         """g_a: the combination of the seven admissible monomials."""
         ordered = [
             (1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0),
             (2, 1, 1, 0), (1, 2, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1),
         ]
         padding = (0,) * (len(self.vars) - len(APPENDIX_C_VARS))
-        total = Polynomial.zero(self.vars)
+        total = poly.Polynomial.zero(self.vars)
         for exps, coeff in zip(ordered, self.coefficients):
-            total = total + coeff * Polynomial.monomial(self.vars, exps + padding, 1)
+            total = total + coeff * poly.Polynomial.monomial(self.vars, exps + padding, 1)
         return total
 
-    def family_polynomial(self) -> Polynomial:
+    def family_polynomial(self) -> "poly.Polynomial":
         """f_a = u(x1*x2*x3 - u) - g_a."""
-        return parse_polynomial("u*(x1*x2*x3 - u)", self.vars) - self.deformation()
+        return poly.parse_polynomial("u*(x1*x2*x3 - u)", self.vars) - self.deformation()
 
 
-def singular_line_residuals(f: Polynomial) -> list:
+def singular_line_residuals(f: "poly.Polynomial") -> list:
     """Restrictions of f and its four partials to {u = x1 = x2 = 0, x3 = c}.
 
     Returns the labeled nonzero restrictions, as polynomials in the line
@@ -206,11 +202,11 @@ def singular_line_residuals(f: Polynomial) -> list:
     lies in the singular locus.
     """
     residuals = []
-    for label, poly in [("f", f)] + [(f"df/d{v}", f.derivative(v)) for v in APPENDIX_C_VARS]:
-        restricted = poly.evaluate({"x1": 0, "x2": 0, "u": 0})
+    for label, g in [("f", f)] + [(f"df/d{v}", f.derivative(v)) for v in APPENDIX_C_VARS]:
+        restricted = g.evaluate({"x1": 0, "x2": 0, "u": 0})
         if not restricted.is_zero():
             line_vars = tuple("c" if v == "x3" else v for v in restricted.vars)
-            residuals.append((label, Polynomial(line_vars, restricted.terms)))
+            residuals.append((label, poly.Polynomial(line_vars, restricted.terms)))
     return residuals
 
 
@@ -225,7 +221,7 @@ class ThetaQuotientFixture:
 
     __slots__ = ("presentation", "hypersurface")
 
-    def __init__(self, presentation: WeightedPresentation, hypersurface: Polynomial):
+    def __init__(self, presentation: "rees.WeightedPresentation", hypersurface: "poly.Polynomial"):
         self.presentation = presentation
         self.hypersurface = hypersurface
 
@@ -240,14 +236,14 @@ def appendix_c_sr_presentation() -> ThetaQuotientFixture:
     """
     names = ("x1", "x2", "x3", "u", "v")
     weights = [Fraction(1)] * 3 + [Fraction(3), Fraction(3)]
-    rel1 = parse_polynomial("x1*x2*x3 - u - v", names)
-    rel2 = parse_polynomial("u*v", names)
-    pres = WeightedPresentation(names, weights, [rel1, rel2])
-    hyper = parse_polynomial("u*(x1*x2*x3 - u)", APPENDIX_C_VARS)
+    rel1 = poly.parse_polynomial("x1*x2*x3 - u - v", names)
+    rel2 = poly.parse_polynomial("u*v", names)
+    pres = rees.WeightedPresentation(names, weights, [rel1, rel2])
+    hyper = poly.parse_polynomial("u*(x1*x2*x3 - u)", APPENDIX_C_VARS)
     return ThetaQuotientFixture(pres, hyper)
 
 
-def appendix_c_configuration() -> DivisorConfiguration:
+def appendix_c_configuration() -> "stratum.DivisorConfiguration":
     """Three boundary divisors on a (1,1) hypersurface in P^2 x P^2.
 
     All single and pairwise strata are connected; the triple stratum is two
@@ -259,7 +255,7 @@ def appendix_c_configuration() -> DivisorConfiguration:
         frozenset({1, 2}): (0,), frozenset({1, 3}): (0,), frozenset({2, 3}): (0,),
         frozenset({1, 2, 3}): (1, 2),
     }
-    return DivisorConfiguration(
+    return stratum.DivisorConfiguration(
         k=3,
         kappa=(Fraction(1), Fraction(1), Fraction(1)),
         a=(Fraction(1), Fraction(1), Fraction(1)),

@@ -15,8 +15,7 @@ import re
 from fractions import Fraction
 from math import ceil, floor
 
-from . import rees
-from .complexes import SimplicialComplex
+from . import complexes, rees
 from .errors import FACE_LIMIT, InputError
 from .poly import Polynomial, WeightedOrder, require_countable
 from .rationals import format_rational
@@ -210,7 +209,7 @@ def _add_index(table, step, pole, span):
     return out
 
 
-def sr_presentation(cx: SimplicialComplex, weights=None):
+def sr_presentation(cx: "complexes.SimplicialComplex", weights=None):
     """Stanley-Reisner presentation: one variable per vertex, the squarefree
     monomials on minimal non-faces as relations.
 
@@ -260,7 +259,7 @@ def stanley_reisner_complex(pres):
             faces.append(face)
             layer.append(face)
         if not layer:
-            return SimplicialComplex(faces)
+            return complexes.SimplicialComplex(faces)
         candidates = (f | {v} for f in layer for v in range(max(f, default=0) + 1, n + 1))
 
 

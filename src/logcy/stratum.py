@@ -12,7 +12,7 @@ from itertools import combinations
 from math import lcm
 from operator import mul
 
-from .complexes import SimplicialComplex
+from . import complexes
 from .errors import InputError, UnsupportedStructureError
 from .rationals import RATIONAL, parse_rational
 from .schema import require_distinct, validate
@@ -181,7 +181,7 @@ class DivisorConfiguration:
 
     # -- dual complexes ----------------------------------------------------------
 
-    def dual_complex(self) -> SimplicialComplex:
+    def dual_complex(self) -> "complexes.SimplicialComplex":
         """Simplicial dual intersection complex: a face per nonempty stratum.
 
         Rejects configurations with disconnected strata; those have a more
@@ -192,9 +192,9 @@ class DivisorConfiguration:
                 raise UnsupportedStructureError(
                     f"stratum {sorted(index)} has {len(self.strata[index])} components; "
                     "the dual complex is only simplicial when all strata are connected")
-        return SimplicialComplex(self.strata)
+        return complexes.SimplicialComplex(self.strata)
 
-    def delta_zero_subcomplex(self) -> SimplicialComplex:
+    def delta_zero_subcomplex(self) -> "complexes.SimplicialComplex":
         """Faces of the dual complex all of whose vertices have a_i = 1."""
         if not self.log_nef:
             raise InputError("the order-one subcomplex is defined for log nef configurations")

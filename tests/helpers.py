@@ -426,10 +426,8 @@ def facets_oracle(cx):
 
 def core_oracle(cx):
     """Induced subcomplex on the vertices whose star is a proper subcomplex."""
-    if cx.is_void:
-        return SimplicialComplex.void()
-    kept = [v for v in cx.vertices if star(cx, [v]).faces != cx.faces]
-    return cx.induced(kept)
+    kept = {v for v in cx.vertices if star(cx, [v]).faces != cx.faces}
+    return SimplicialComplex(f for f in cx.faces if f <= kept)
 
 
 def link_oracle(cx, face):
@@ -481,6 +479,40 @@ def reduced_homology_oracle(cx, coeff_field):
     boundary = [0] + [boundary_rank(n) for n in range(1, d + 2)] + [0]
     betti = tuple(len(faces[n]) - boundary[n] - boundary[n + 1] for n in range(d + 2))
     return BettiTable(coeff_field.name, -1, betti)
+
+
+@st.composite
+def relabelled_shapes(draw):
+    """complex_shapes with its vertices renamed to distinct arbitrary integers
+    (-7, 0 and 2**40 among the candidates): a face's bits index the sorted
+    labels, so the renaming moves vertices to other bits and reorders them."""
+    cx = draw(complex_shapes())
+    n = len(cx.vertices)
+    labels = draw(st.lists(st.sampled_from([-7, 0, 2 ** 40]) | st.integers(-2 ** 45, 2 ** 45),
+                           min_size=n, max_size=n, unique=True))
+    rename = dict(zip(cx.vertices, labels))
+    return SimplicialComplex.from_facets([rename[v] for v in f] for f in cx.facets())
+
+
+def gorenstein_oracle(cx, coeff_field):
+    """gorenstein_verdict(cx, coeff_field).to_json() from the subset oracles: the
+    sphere test on the complex, then on link_oracle of every nonempty face in
+    (size, sorted labels) order, and core_oracle against the whole complex."""
+    d = cx.dim()
+
+    def failures_at(face, sub, dim):
+        table = reduced_homology_oracle(sub, coeff_field)
+        return [{"face": sorted(face), "expected": f"b~_{deg} = {int(deg == dim)}",
+                 "found": f"b~_{deg} = {table.rank(deg)}"}
+                for deg in sorted(set(table.degrees()) | {dim})
+                if table.rank(deg) != int(deg == dim)]
+
+    failures = failures_at((), cx, d)
+    for face in sorted((f for f in cx.faces if f), key=lambda f: (len(f), sorted(f))):
+        failures += failures_at(face, link_oracle(cx, face), d - len(face))
+    core_ok = core_oracle(cx) == cx
+    return {"verdict": not failures and core_ok, "dimension": d, "coreEqualsWhole": core_ok,
+            "failures": failures}
 
 
 def winding(chord, v):

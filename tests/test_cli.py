@@ -685,6 +685,12 @@ _BAD_ARGV = {
     "complex-link-face-vertex-repeated": (["complex", "link", "--faces", "cycle.json",
                                            "--face", "2,2"],
                                           "--face [1] repeats the vertex of [0]"),
+    "complex-link-face-absent-vertex": (["complex", "link", "--faces", "cycle.json",
+                                         "--face", "9", "--local-homology"],
+                                        "link: [9] is not a face"),
+    "complex-link-face-not-a-face": (["complex", "link", "--faces", "cycle.json",
+                                      "--face", "1,2,3", "--local-homology"],
+                                     "link: [1, 2, 3] is not a face"),
 }
 
 

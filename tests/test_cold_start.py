@@ -132,3 +132,18 @@ def test_sr_commands_execute_no_groebner_code(fixtures):  # noqa: F811
         assert not {"logcy.rees", "logcy.groebner"} & set(step["modules"])
     assert present["exit"] == 0
     assert "logcy.rees" in present["modules"] and "logcy.groebner" not in present["modules"]
+
+
+def test_example_and_sr_multiply_execute_only_the_modules_they_read(fixtures):  # noqa: F811
+    # mirror, stratum and sr_algebra bind the modules they use, not names from
+    # them, and name no class of another module in an annotation: a module
+    # runs only when a command reads from it
+    admissible, multiply = _probe([
+        ["example", "appc", "--check", "admissible"],
+        ["sr", "multiply", "--config", fixtures["appc.json"], "--lhs", "theta[1,1,0]",
+         "--rhs", "theta[0,0,1]"]])[1:]
+    assert admissible["exit"] == 0
+    assert admissible["modules"] == sorted(PLUMBING + ["logcy.mirror"])
+    assert multiply["exit"] == 0
+    assert set(multiply["modules"]) - set(admissible["modules"]) == {
+        "logcy.poly", "logcy.sr_algebra", "logcy.stratum"}

@@ -13,7 +13,7 @@ from logcy.sr_algebra import sr_presentation, stanley_reisner_complex
 
 from helpers import (core_oracle, cross_polytope_boundary, empty_face_only, euler_characteristic,
                      facets_oracle, full_simplex, link_oracle, minimal_nonfaces_oracle,
-                     random_downward_closed, sphere_boundary, star)
+                     random_downward_closed, relabelled_shapes, sphere_boundary, star)
 
 
 def test_from_facets_downward_closure():
@@ -25,7 +25,7 @@ def test_from_facets_downward_closure():
 
 
 def test_void_versus_empty_face():
-    void = SimplicialComplex.void()
+    void = SimplicialComplex([])
     empty = empty_face_only()
     assert void.is_void
     assert not empty.is_void
@@ -147,6 +147,21 @@ def test_operations_match_the_subset_oracles(cx):
     rebuilt = stanley_reisner_complex(sr_presentation(cx))
     assert SimplicialComplex(frozenset(cx.vertices[i - 1] for i in f)
                              for f in rebuilt.faces) == cx
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_shapes())
+@example(SimplicialComplex.from_facets([[-7, 0, 2 ** 40], [0, 5]]))
+def test_links_of_links_and_their_equality_match_the_oracles(cx):
+    # a link numbers its labels as its parent does; a complex built from the
+    # same faces numbers only its own, and the two are equal and hash alike
+    for face in cx.faces:
+        link, expected = cx.link(face), link_oracle(cx, face)
+        rebuilt = SimplicialComplex.from_facets(facets_oracle(expected))
+        assert link == expected and link == rebuilt and hash(link) == hash(rebuilt)
+        assert link.vertices == rebuilt.vertices
+        for inner in link.faces:
+            assert link.link(inner) == link_oracle(expected, inner)
 
 
 def test_stanley_reisner_complex_needs_squarefree_monomials():

@@ -1,6 +1,7 @@
 """Exact homology, local homology, and the Gorenstein criterion."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,9 @@ from logcy.homology import (_manifold_failures, _sphere_failures, gorenstein_ver
                             local_homology_at_face, reduced_homology)
 
 from helpers import (boundary_matrix, complex_shapes, cross_polytope_boundary, empty_face_only,
-                     euler_characteristic, full_simplex, random_downward_closed,
-                     reduced_homology_oracle, smith_diagonal, sphere_boundary)
+                     euler_characteristic, full_simplex, gorenstein_oracle, link_oracle,
+                     random_downward_closed, reduced_homology_oracle, relabelled_shapes,
+                     smith_diagonal, sphere_boundary)
 
 # the 6-vertex real projective plane: b~_1 = b~_2 = 1 over F2, acyclic over Q
 RP2 = SimplicialComplex.from_facets([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2],
@@ -54,7 +56,7 @@ def test_empty_face_only_is_minus_one_sphere():
 
 def test_void_complex_rejected():
     with pytest.raises(InputError):
-        reduced_homology(SimplicialComplex.void())
+        reduced_homology(SimplicialComplex([]))
 
 
 def test_homology_over_prime_field():
@@ -246,3 +248,42 @@ def test_clearing_hands_the_kernel_only_rows_it_cannot_skip(monkeypatch):
         reduced_homology(cx)
         ranks = sum(rank_int_bareiss(boundary_matrix(cx, j)) for j in range(cx.dim() + 1))
         assert sum(handed) == len(cx.faces) - ranks == rows
+
+
+def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
+    # sphere_boundary(6) has 254 nonempty faces; the link of each is the boundary
+    # of a smaller simplex, or at a facet the empty face alone, which hands no rows
+    cx = sphere_boundary(6)
+    needed = 0
+    for face in cx.faces:
+        link = link_oracle(cx, face)
+        if link.dim() >= 0:
+            ranks = sum(rank_int_bareiss(boundary_matrix(link, j)) for j in range(link.dim() + 1))
+            needed += len(link.faces) - ranks
+    built, handed = [], []
+    init = SimplicialComplex.__init__
+
+    def counting_init(self, faces):
+        built.append(self)
+        init(self, faces)
+
+    def counting_pivot_columns(rows, field):
+        rows = list(rows)
+        handed.append(len(rows))
+        return pivot_columns(rows, field)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    monkeypatch.setattr(homology, "pivot_columns", counting_pivot_columns)
+    assert gorenstein_verdict(cx).verdict
+    assert built == []
+    assert sum(handed) == needed
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_shapes(), st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+@example(SimplicialComplex.from_facets(combinations([-7, 0, 5, 2 ** 40], 3)), QQ)
+@example(SimplicialComplex.from_facets([[-7, 0], [0, 2 ** 40]]), PrimeField(3))
+@example(RP2, PrimeField(2))
+@example(empty_face_only(), QQ)
+def test_gorenstein_verdict_matches_the_oracle(cx, coeff_field):
+    assert gorenstein_verdict(cx, coeff_field).to_json() == gorenstein_oracle(cx, coeff_field)

@@ -35,3 +35,19 @@ def test_digests_do_not_depend_on_the_hash_seed(tmp_path):
     assert not any(tmp_path.iterdir())  # the inputs live in a temporary directory
     digests = {line.split()[0]: line.split()[-1] for line in lines}
     assert {name: digests[name] for name in PINNED} == PINNED
+
+
+# complexes at two more seeds, which relabel the torus and RP^2 with other
+# vertex labels, and so move the labels to other bits of a face mask
+PINNED_COMPLEXES = {
+    11: "88bef5c38f8ae3ecabf66ac49995024790ead1dd5eb3175e07945cfbd936dacc",
+    4242: "4f7b44141761f15e7dd91588fd111be93cf5eb4bf02c227fffc6efae085485b2",
+}
+
+
+def test_complexes_digests_at_more_seeds(tmp_path):
+    proc = subprocess.run([sys.executable, str(DIGEST), "--workload", "complexes",
+                           "--seed", *map(str, PINNED_COMPLEXES)], cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert {int(line[2]): line[-1] for line in lines} == PINNED_COMPLEXES
