@@ -119,8 +119,6 @@ class SimplicialComplex:
         return self.induced(self._face(~self.cone_mask()))
 
     def __eq__(self, other):
-        if isinstance(other, SimplicialComplex) and self.labels == other.labels:
-            return self.masks == other.masks  # the same bits stand for the same labels
         return isinstance(other, SimplicialComplex) and self.faces == other.faces
 
     def __hash__(self):
