@@ -1,10 +1,12 @@
 """Abstract simplicial complexes: facets, minimal nonfaces, link, core.
 
 A complex keeps its sorted vertex labels and its downward-closed family of
-faces as int bitmasks, bit i being the i-th label; a link or induced
-subcomplex keeps its parent's labels.  The empty face is present in every
-nonempty complex; the void complex (no faces at all) is distinct from the
-complex whose only face is the empty set.
+faces as int bitmasks, bit i being the i-th label.  Its labels are exactly
+its vertices: a link or induced subcomplex drops the labels it no longer
+uses and moves the kept bits down in order.  So two complexes that differ
+by an order-preserving renaming of their vertices have equal masks.  The
+empty face is present in every nonempty complex; the void complex (no faces
+at all) is distinct from the complex whose only face is the empty set.
 """
 
 from functools import reduce
@@ -12,6 +14,20 @@ from operator import and_, or_
 
 from .errors import COUNT_LIMIT, InputError
 from .schema import require_distinct, validate
+
+
+def _compress(masks, keep) -> frozenset:
+    """The masks, each a subset of `keep`, with the bits outside `keep` removed
+    and the kept bits moved down in order: the bits above each gap of dropped
+    bits shift down as a whole by its width, the highest gap first."""
+    gaps = ~keep & ((1 << keep.bit_length()) - 1)  # the dropped bits below the top kept one
+    while gaps:
+        end = gaps.bit_length()  # the highest gap is bits start..end-1
+        start = (~gaps & ((1 << end) - 1)).bit_length()
+        low = (1 << start) - 1
+        masks = [(g & low) | (g >> end << start) for g in masks]
+        gaps &= low
+    return frozenset(masks)
 
 
 class SimplicialComplex:
@@ -29,11 +45,18 @@ class SimplicialComplex:
         self._faces = frozenset(faces)
 
     @classmethod
-    def _trusted(cls, labels, bit, masks):
-        """The complex of the downward-closed `masks`, bit[v] being label v's bit."""
+    def _trusted(cls, labels, masks):
+        """The complex of the downward-closed `masks`, bit i being labels[i]; every
+        label is a vertex, that is, the OR of the masks is 2^len(labels) - 1."""
         cx = object.__new__(cls)
-        cx.labels, cx._bit, cx.masks, cx._faces = labels, bit, masks, None
+        cx.labels, cx.masks, cx._faces = labels, masks, None
+        cx._bit = {v: 1 << i for i, v in enumerate(labels)}
         return cx
+
+    def _on_vertices(self, masks, keep) -> "SimplicialComplex":
+        """The complex of `masks`, faces of this one whose vertices are the bits
+        of `keep`, on its own labels."""
+        return self._trusted(self._face(keep), _compress(masks, keep))
 
     @classmethod
     def from_facets(cls, facets):
@@ -47,11 +70,11 @@ class SimplicialComplex:
             while sub:
                 masks.add(sub)
                 sub = (sub - 1) & top
-        return cls._trusted(labels, bit, frozenset(masks))
+        return cls._trusted(labels, frozenset(masks))
 
     @property
     def vertices(self) -> tuple:
-        return self._face(reduce(or_, self.masks, 0))
+        return self.labels
 
     @property
     def faces(self) -> frozenset:
@@ -87,7 +110,7 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self) -> list:
         """Non-faces f + {v} (f a face) whose every one-smaller subset is a face."""
-        masks, bits = self.masks, [self._bit[v] for v in self.vertices]
+        masks, bits = self.masks, [1 << i for i in range(len(self.labels))]
         return self.label_faces({f | v for f in masks for v in bits
                                  if not f & v and f | v not in masks
                                  and all((f | v) ^ u in masks for u in bits if f & u)})
@@ -96,18 +119,19 @@ class SimplicialComplex:
         return self.label_faces(g for g in self.masks if g.bit_count() == d + 1)
 
     def link(self, face) -> "SimplicialComplex":
-        """link(F) = { G - F : G a face containing F }."""
+        """link(F) = { G - F : G a face containing F }, on its own vertices: its
+        labels are the vertices of the link, so a link numbers its bits afresh."""
         face, bit, masks = frozenset(face), self._bit, self.masks
         sigma = sum(map(bit.__getitem__, face)) if face <= bit.keys() else -1
         if sigma not in masks:
             raise InputError(f"link: {sorted(face)} is not a face")
-        return self._trusted(self.labels, bit,
-                             frozenset(g ^ sigma for g in masks if g & sigma == sigma))
+        link = [g ^ sigma for g in masks if g & sigma == sigma]
+        return self._on_vertices(link, reduce(or_, link))
 
     def induced(self, vertex_subset) -> "SimplicialComplex":
+        """The faces inside the given vertices, on the vertices kept."""
         keep = sum(self._bit.get(v, 0) for v in frozenset(vertex_subset))
-        return self._trusted(self.labels, self._bit,
-                             frozenset(g for g in self.masks if g & keep == g))
+        return self._on_vertices([g for g in self.masks if g & keep == g], keep)
 
     def cone_mask(self) -> int:
         """The AND of the facet masks: the cone points, whose star is the whole complex."""
@@ -119,10 +143,12 @@ class SimplicialComplex:
         return self.induced(self._face(~self.cone_mask()))
 
     def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self.faces == other.faces
+        # the labels are the vertices, so labels and masks determine the faces
+        return (isinstance(other, SimplicialComplex) and self.labels == other.labels
+                and self.masks == other.masks)
 
     def __hash__(self):
-        return hash(self.faces)
+        return hash(self.masks)
 
     def __repr__(self):
         if self.is_void:

@@ -11,7 +11,18 @@ The Gorenstein verdict checks that the complex and all of its face links
 have the reduced homology of spheres of the correct dimension and that the
 AND of the facet masks is empty, so no vertex's star swallows the whole
 complex: Stanley's criterion for a Gorenstein* complex.
+
+The links are visited depth first as links of links, lk(F + v) = lk(lk F, v)
+for the vertices v of lk F above the largest vertex of F, so each nonempty
+face is reached once.  A link is built on its own vertices (complexes.py),
+so two links that differ by an order-preserving renaming of their vertices
+have equal masks.  Such links are isomorphic complexes, and reduced homology
+depends on the complex only up to isomorphism, so one verdict eliminates
+each set of masks once and reuses its Betti numbers for every link of that
+shape.  The memo lives only for that verdict.
 """
+
+from bisect import bisect_right
 
 from .complexes import SimplicialComplex
 from .errors import FACE_LIMIT, InputError
@@ -137,13 +148,34 @@ class GorensteinReport:
         }
 
 
+def _link_tables(cx: SimplicialComplex, coeff_field) -> dict:
+    """{sorted labels of F: reduced homology of lk F} for every nonempty face F,
+    from a depth-first sweep of links of links; the links of one shape (one set
+    of own-vertex masks) share one elimination."""
+    shapes, tables = {}, {}
+
+    def sweep(link, face):
+        labels = link.labels
+        for v in labels[bisect_right(labels, face[-1]) if face else 0:]:
+            inner, key = link.link((v,)), face + (v,)
+            table = shapes.get(inner.masks)
+            if table is None:
+                table = shapes[inner.masks] = reduced_homology(inner, coeff_field)
+            tables[key] = table
+            sweep(inner, key)
+
+    sweep(cx, ())
+    return tables
+
+
 def _manifold_failures(cx: SimplicialComplex, coeff_field) -> list:
-    """Witnesses against 'every face link is a sphere of complementary dimension'."""
+    """Witnesses against 'every face link is a sphere of complementary dimension',
+    by face size and then by sorted labels."""
     d = cx.dim()
     failures = []
-    for face in cx.label_faces(g for g in cx.masks if g):
-        link_h = reduced_homology(cx.link(face), coeff_field)
-        failures.extend(_sphere_failures(link_h, d - len(face), face))
+    tables = _link_tables(cx, coeff_field)
+    for face in sorted(tables, key=lambda f: (len(f), f)):
+        failures.extend(_sphere_failures(tables[face], d - len(face), frozenset(face)))
     return failures
 
 

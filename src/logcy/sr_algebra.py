@@ -13,11 +13,12 @@ stanley_reisner_complex.
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import ceil, floor
+from operator import or_
 
-from . import complexes, rees
+from . import complexes, poly, rees
 from .errors import FACE_LIMIT, InputError
-from .poly import Polynomial, WeightedOrder, require_countable
 from .rationals import format_rational
 from .stratum import DivisorConfiguration
 
@@ -168,7 +169,7 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
     InputError before allocating a table; level_counts refuses a negative
     bound before that.
     """
-    order = WeightedOrder(config.kappa)
+    order = poly.WeightedOrder(config.kappa)
     levels = order.level_counts(weight_bound)
     steps = order.int_weights
     top = len(levels) - 1
@@ -177,7 +178,7 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
     rates = [Fraction(b, s) for b, s in zip(poles, steps)]
     low, high = ceil(top * min(0, *rates)), floor(top * max(0, *rates))
     span = high - low + 1
-    require_countable((top + 1) * span)
+    poly.require_countable((top + 1) * span)
     totals = [0] * (top + 1)
 
     def grow(support, table, start):
@@ -228,7 +229,7 @@ def sr_presentation(cx: "complexes.SimplicialComplex", weights=None):
     relations = []
     for nonface in cx.minimal_nonfaces():
         exps = tuple(1 if v in nonface else 0 for v in verts)
-        relations.append(Polynomial.monomial(names, exps, 1))
+        relations.append(poly.Polynomial.monomial(names, exps, 1))
     return rees.WeightedPresentation(names, weights, relations)
 
 
@@ -238,20 +239,20 @@ def stanley_reisner_complex(pres):
     raises InputError at the first face past logcy.errors.FACE_LIMIT, the
     most the Gorenstein test takes, so a complex of at most that many faces
     is always built."""
-    nonfaces = []
+    nonfaces = []  # as masks: bit i - 1 for x_i
     for rel in pres.relations:
         exps = next(iter(rel.terms))  # relations are nonzero
         if len(rel.terms) != 1 or max(exps, default=0) > 1:
             return None
-        nonfaces.append(frozenset(i for i, e in enumerate(exps, 1) if e))
+        nonfaces.append(sum(1 << i for i, e in enumerate(exps) if e))
     faces, n = [], len(pres.vars)
-    # grow the faces one vertex at a time, above their largest vertex; each
+    # grow the faces one bit at a time, above their highest bit; each
     # candidate is tested as it is made, so no layer of candidates is stored
-    candidates = [frozenset()]
+    candidates = [0]
     while True:
         layer = []
         for face in candidates:
-            if any(nf <= face for nf in nonfaces):
+            if any(nf & face == nf for nf in nonfaces):
                 continue
             if len(faces) == FACE_LIMIT:
                 raise InputError(f"the Stanley-Reisner complex of the relations is too large: "
@@ -259,8 +260,12 @@ def stanley_reisner_complex(pres):
             faces.append(face)
             layer.append(face)
         if not layer:
-            return complexes.SimplicialComplex(faces)
-        candidates = (f | {v} for f in layer for v in range(max(f, default=0) + 1, n + 1))
+            break
+        candidates = (f | (1 << i) for f in layer for i in range(f.bit_length(), n))
+    # a variable that is a nonface is no vertex: the complex is on the others
+    keep = reduce(or_, faces, 0)
+    labels = tuple(i + 1 for i in range(n) if keep >> i & 1)
+    return complexes.SimplicialComplex._trusted(labels, complexes._compress(faces, keep))
 
 
 _THETA_TERM = re.compile(

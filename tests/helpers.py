@@ -484,11 +484,12 @@ def reduced_homology_oracle(cx, coeff_field):
 @st.composite
 def relabelled_shapes(draw):
     """complex_shapes with its vertices renamed to distinct arbitrary integers
-    (-7, 0 and 2**40 among the candidates): a face's bits index the sorted
-    labels, so the renaming moves vertices to other bits and reorders them."""
+    (-7, 0, 2**40 and +-2**45 among the candidates): a face's bits index the
+    sorted labels, so the renaming moves vertices to other bits and reorders them."""
     cx = draw(complex_shapes())
     n = len(cx.vertices)
-    labels = draw(st.lists(st.sampled_from([-7, 0, 2 ** 40]) | st.integers(-2 ** 45, 2 ** 45),
+    labels = draw(st.lists(st.sampled_from([-7, 0, 2 ** 40, -2 ** 45, 2 ** 45])
+                           | st.integers(-2 ** 45, 2 ** 45),
                            min_size=n, max_size=n, unique=True))
     rename = dict(zip(cx.vertices, labels))
     return SimplicialComplex.from_facets([rename[v] for v in f] for f in cx.facets())

@@ -146,4 +146,4 @@ def test_example_and_sr_multiply_execute_only_the_modules_they_read(fixtures):  
     assert admissible["modules"] == sorted(PLUMBING + ["logcy.mirror"])
     assert multiply["exit"] == 0
     assert set(multiply["modules"]) - set(admissible["modules"]) == {
-        "logcy.poly", "logcy.sr_algebra", "logcy.stratum"}
+        "logcy.sr_algebra", "logcy.stratum"}

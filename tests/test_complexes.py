@@ -153,8 +153,8 @@ def test_operations_match_the_subset_oracles(cx):
 @given(relabelled_shapes())
 @example(SimplicialComplex.from_facets([[-7, 0, 2 ** 40], [0, 5]]))
 def test_links_of_links_and_their_equality_match_the_oracles(cx):
-    # a link numbers its labels as its parent does; a complex built from the
-    # same faces numbers only its own, and the two are equal and hash alike
+    # a link is on its own vertices, as a complex built from the same faces
+    # is: the two have the same labels and masks, so are equal and hash alike
     for face in cx.faces:
         link, expected = cx.link(face), link_oracle(cx, face)
         rebuilt = SimplicialComplex.from_facets(facets_oracle(expected))

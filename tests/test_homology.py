@@ -250,16 +250,18 @@ def test_clearing_hands_the_kernel_only_rows_it_cannot_skip(monkeypatch):
         assert sum(handed) == len(cx.faces) - ranks == rows
 
 
+def _shape(cx):
+    """The faces of cx with its vertices renamed 0, 1, ... in their order."""
+    index = {v: i for i, v in enumerate(sorted(frozenset().union(*cx.faces)))}
+    return frozenset(frozenset(index[v] for v in face) for face in cx.faces)
+
+
 def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
-    # sphere_boundary(6) has 254 nonempty faces; the link of each is the boundary
-    # of a smaller simplex, or at a facet the empty face alone, which hands no rows
-    cx = sphere_boundary(6)
-    needed = 0
-    for face in cx.faces:
-        link = link_oracle(cx, face)
-        if link.dim() >= 0:
-            ranks = sum(rank_int_bareiss(boundary_matrix(link, j)) for j in range(link.dim() + 1))
-            needed += len(link.faces) - ranks
+    # the verdict eliminates the whole complex (the link of the empty face) and
+    # each shape of link once: two links are one shape when an order-preserving
+    # renaming of vertices maps one onto the other.  A link with n faces and
+    # boundary ranks summing to r hands n - r rows to the kernel (clearing), and
+    # a facet's link, the empty face alone, hands none
     built, handed = [], []
     init = SimplicialComplex.__init__
 
@@ -272,11 +274,21 @@ def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
         handed.append(len(rows))
         return pivot_columns(rows, field)
 
-    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
-    monkeypatch.setattr(homology, "pivot_columns", counting_pivot_columns)
-    assert gorenstein_verdict(cx).verdict
-    assert built == []
-    assert sum(handed) == needed
+    for cx in (sphere_boundary(6), cross_polytope_boundary(5)):
+        shapes = {}
+        for face in cx.faces:
+            link = link_oracle(cx, face)
+            shapes.setdefault(_shape(link), link)
+        needed = sum(len(link.faces) - sum(rank_int_bareiss(boundary_matrix(link, j))
+                                           for j in range(link.dim() + 1))
+                     for link in shapes.values() if link.dim() >= 0)
+        handed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(SimplicialComplex, "__init__", counting_init)
+            patch.setattr(homology, "pivot_columns", counting_pivot_columns)
+            assert gorenstein_verdict(cx).verdict
+        assert built == []
+        assert sum(handed) == needed
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,3 +299,22 @@ def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
 @example(empty_face_only(), QQ)
 def test_gorenstein_verdict_matches_the_oracle(cx, coeff_field):
     assert gorenstein_verdict(cx, coeff_field).to_json() == gorenstein_oracle(cx, coeff_field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_shapes(), st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+@example(SimplicialComplex.from_facets([[-2 ** 45, -7, 0], [-7, 0, 2 ** 45], [0, 2 ** 45, 5]]),
+         PrimeField(2))
+@example(RP2, PrimeField(2))
+def test_the_sweep_and_its_links_match_the_oracles(cx, coeff_field):
+    # a table is right whether the sweep eliminated its link or reused the table
+    # of an earlier link of the same shape; a link is on its own vertices
+    tables = homology._link_tables(cx, coeff_field)
+    faces = [face for face in cx.faces if face]
+    assert sorted(tables) == sorted(tuple(sorted(face)) for face in faces)
+    for face in faces:
+        expected = link_oracle(cx, face)
+        assert tables[tuple(sorted(face))] == reduced_homology_oracle(expected, coeff_field)
+        link = cx.link(face)
+        assert link.labels == tuple(sorted(frozenset().union(*expected.faces)))
+        assert link.faces == expected.faces
