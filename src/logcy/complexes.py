@@ -1,12 +1,14 @@
 """Abstract simplicial complexes: facets, minimal nonfaces, link, core.
 
-A complex keeps its sorted vertex labels and its downward-closed family of
-faces as int bitmasks, bit i being the i-th label.  Its labels are exactly
-its vertices: a link or induced subcomplex drops the labels it no longer
-uses and moves the kept bits down in order.  So two complexes that differ
-by an order-preserving renaming of their vertices have equal masks.  The
-empty face is present in every nonempty complex; the void complex (no faces
-at all) is distinct from the complex whose only face is the empty set.
+A complex is its sorted vertices and its downward-closed family of faces as
+int bitmasks, bit i being the i-th vertex; every vertex is in some face.
+`SimplicialComplex(vertices, masks)` trusts both, so it is for masks built
+from another complex's; `from_facets` is the one builder from labels.  A link
+or induced subcomplex drops the vertices it no longer uses and moves the kept
+bits down in order.  So two complexes that differ by an order-preserving
+renaming of their vertices have equal masks.  The empty face is present in
+every nonempty complex; the void complex (no faces at all) is distinct from
+the complex whose only face is the empty set.
 """
 
 from functools import reduce
@@ -33,48 +35,26 @@ def _compress(masks, keep) -> frozenset:
 class SimplicialComplex:
     """Downward-closed family of faces over sortable vertex labels, kept as bitmasks."""
 
-    __slots__ = ("labels", "masks", "_bit", "_faces")
+    __slots__ = ("vertices", "masks", "_faces")
 
-    def __init__(self, faces):
-        faces = set(map(frozenset, faces))
-        if faces:
-            faces.add(frozenset())
-        self.labels = tuple(sorted(frozenset().union(*faces)))
-        self._bit = {v: 1 << i for i, v in enumerate(self.labels)}
-        self.masks = frozenset(sum(map(self._bit.__getitem__, f)) for f in faces)
-        self._faces = frozenset(faces)
-
-    @classmethod
-    def _trusted(cls, labels, masks):
-        """The complex of the downward-closed `masks`, bit i being labels[i]; every
-        label is a vertex, that is, the OR of the masks is 2^len(labels) - 1."""
-        cx = object.__new__(cls)
-        cx.labels, cx.masks, cx._faces = labels, masks, None
-        cx._bit = {v: 1 << i for i, v in enumerate(labels)}
-        return cx
-
-    def _on_vertices(self, masks, keep) -> "SimplicialComplex":
-        """The complex of `masks`, faces of this one whose vertices are the bits
-        of `keep`, on its own labels."""
-        return self._trusted(self._face(keep), _compress(masks, keep))
+    def __init__(self, vertices: tuple, masks: frozenset):
+        """The complex of the downward-closed `masks`, bit i being vertices[i]; the
+        OR of the masks is 2^len(vertices) - 1."""
+        self.vertices, self.masks, self._faces = vertices, masks, None
 
     @classmethod
     def from_facets(cls, facets):
         """Build the complex generated by the given facets (downward closure)."""
         facets = list(map(frozenset, facets))
-        labels = tuple(sorted(frozenset().union(*facets)))
-        bit = {v: 1 << i for i, v in enumerate(labels)}
+        vertices = tuple(sorted(frozenset().union(*facets)))
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
         masks = {0} if facets else set()
         for top in {sum(map(bit.__getitem__, facet)) for facet in facets}:
             sub = 0 if top in masks else top  # a face already in brought its faces
             while sub:
                 masks.add(sub)
                 sub = (sub - 1) & top
-        return cls._trusted(labels, frozenset(masks))
-
-    @property
-    def vertices(self) -> tuple:
-        return self.labels
+        return cls(vertices, frozenset(masks))
 
     @property
     def faces(self) -> frozenset:
@@ -88,7 +68,11 @@ class SimplicialComplex:
         return not self.masks
 
     def _face(self, mask) -> tuple:
-        return tuple(v for i, v in enumerate(self.labels) if mask >> i & 1)
+        return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+
+    def _mask(self, labels) -> int:
+        """The mask of the vertices that are in the set `labels`."""
+        return sum(1 << i for i, v in enumerate(self.vertices) if v in labels)
 
     def label_faces(self, masks) -> list:
         """Label frozensets of the given masks, by size and then by sorted labels."""
@@ -101,7 +85,7 @@ class SimplicialComplex:
         return max(map(int.bit_count, self.masks)) - 1
 
     def _maximal(self) -> list:
-        masks, bits = self.masks, [1 << i for i in range(len(self.labels))]
+        masks, bits = self.masks, [1 << i for i in range(len(self.vertices))]
         return [f for f in masks if not any(f | b in masks for b in bits if not f & b)]
 
     def facets(self) -> list:
@@ -110,7 +94,7 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self) -> list:
         """Non-faces f + {v} (f a face) whose every one-smaller subset is a face."""
-        masks, bits = self.masks, [1 << i for i in range(len(self.labels))]
+        masks, bits = self.masks, [1 << i for i in range(len(self.vertices))]
         return self.label_faces({f | v for f in masks for v in bits
                                  if not f & v and f | v not in masks
                                  and all((f | v) ^ u in masks for u in bits if f & u)})
@@ -119,19 +103,21 @@ class SimplicialComplex:
         return self.label_faces(g for g in self.masks if g.bit_count() == d + 1)
 
     def link(self, face) -> "SimplicialComplex":
-        """link(F) = { G - F : G a face containing F }, on its own vertices: its
-        labels are the vertices of the link, so a link numbers its bits afresh."""
-        face, bit, masks = frozenset(face), self._bit, self.masks
-        sigma = sum(map(bit.__getitem__, face)) if face <= bit.keys() else -1
-        if sigma not in masks:
+        """link(F) = { G - F : G a face containing F }, on its own vertices, so a
+        link numbers its bits afresh."""
+        face, masks = frozenset(face), self.masks
+        sigma = self._mask(face)
+        if sigma not in masks or sigma.bit_count() != len(face):
             raise InputError(f"link: {sorted(face)} is not a face")
         link = [g ^ sigma for g in masks if g & sigma == sigma]
-        return self._on_vertices(link, reduce(or_, link))
+        keep = reduce(or_, link)
+        return SimplicialComplex(self._face(keep), _compress(link, keep))
 
     def induced(self, vertex_subset) -> "SimplicialComplex":
         """The faces inside the given vertices, on the vertices kept."""
-        keep = sum(self._bit.get(v, 0) for v in frozenset(vertex_subset))
-        return self._on_vertices([g for g in self.masks if g & keep == g], keep)
+        keep = self._mask(frozenset(vertex_subset))
+        kept = _compress([g for g in self.masks if g & keep == g], keep)
+        return SimplicialComplex(self._face(keep), kept)
 
     def cone_mask(self) -> int:
         """The AND of the facet masks: the cone points, whose star is the whole complex."""
@@ -143,8 +129,8 @@ class SimplicialComplex:
         return self.induced(self._face(~self.cone_mask()))
 
     def __eq__(self, other):
-        # the labels are the vertices, so labels and masks determine the faces
-        return (isinstance(other, SimplicialComplex) and self.labels == other.labels
+        # vertices and masks determine the faces
+        return (isinstance(other, SimplicialComplex) and self.vertices == other.vertices
                 and self.masks == other.masks)
 
     def __hash__(self):

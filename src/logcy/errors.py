@@ -14,10 +14,12 @@ COUNT_LIMIT = 250_000
 
 # The most faces the Gorenstein test takes (homology.gorenstein_verdict), and
 # so the most the Stanley-Reisner complex built for it may have.  The test
-# takes the link of every face, and each link scans every face, so its work
-# grows as faces^2: 0.15 s at 511 faces, 0.47 s at 1 023, 1.6 s at 2 048 and
-# 5.1 s at 4 096 (the 11-simplex) on a 2-CPU host.  The benchmark's largest
-# complex has 255.
+# takes the link of every face, each as a link of a smaller link, and reduces
+# each shape of link once, the whole complex included.  At 4 096 faces on a
+# 2-CPU host it took 0.12-0.19 s for the 11-simplex and for the boundary of the
+# 11-simplex (4 095 faces), whose links repeat a few shapes, and 1.1-1.7 s for
+# a random 4-dimensional complex on 16 vertices, 0.6-1.0 s of it in reducing
+# the whole complex.  The benchmark's largest complex has 255.
 FACE_LIMIT = 4096
 
 

@@ -7,19 +7,21 @@ dimension down with the "clearing" step of Chen and Kerber (Persistent
 homology computation with a twist, 2011): a face that leads a pivot row of
 the boundary one dimension up has a boundary in the span of the boundaries
 of the later faces (in any fixed order), so it is left out of the next rank.
-The Gorenstein verdict checks that the complex and all of its face links
-have the reduced homology of spheres of the correct dimension and that the
-AND of the facet masks is empty, so no vertex's star swallows the whole
-complex: Stanley's criterion for a Gorenstein* complex.
+The Gorenstein verdict checks that the link of every face, the empty face
+included (its link is the whole complex), has the reduced homology of a
+sphere of the complementary dimension and that the AND of the facet masks is
+empty, so no vertex's star swallows the whole complex: Stanley's criterion
+for a Gorenstein* complex.
 
-The links are visited depth first as links of links, lk(F + v) = lk(lk F, v)
-for the vertices v of lk F above the largest vertex of F, so each nonempty
-face is reached once.  A link is built on its own vertices (complexes.py),
-so two links that differ by an order-preserving renaming of their vertices
-have equal masks.  Such links are isomorphic complexes, and reduced homology
-depends on the complex only up to isomorphism, so one verdict eliminates
-each set of masks once and reuses its Betti numbers for every link of that
-shape.  The memo lives only for that verdict.
+The links are visited depth first as links of links, from lk {} = the complex
+through lk(F + v) = lk(lk F, v) for the vertices v of lk F above the largest
+vertex of F, so each face is reached once.  A link is built on its own
+vertices (complexes.py), so two links that differ by an order-preserving
+renaming of their vertices have equal masks.  Such links are isomorphic
+complexes, and reduced homology depends on the complex only up to
+isomorphism, so one verdict eliminates each set of masks once and reuses its
+Betti numbers for every link of that shape.  The memo lives only for that
+verdict.
 """
 
 from bisect import bisect_right
@@ -149,34 +151,22 @@ class GorensteinReport:
 
 
 def _link_tables(cx: SimplicialComplex, coeff_field) -> dict:
-    """{sorted labels of F: reduced homology of lk F} for every nonempty face F,
-    from a depth-first sweep of links of links; the links of one shape (one set
-    of own-vertex masks) share one elimination."""
-    shapes, tables = {}, {}
-
-    def sweep(link, face):
-        labels = link.labels
-        for v in labels[bisect_right(labels, face[-1]) if face else 0:]:
-            inner, key = link.link((v,)), face + (v,)
-            table = shapes.get(inner.masks)
-            if table is None:
-                table = shapes[inner.masks] = reduced_homology(inner, coeff_field)
-            tables[key] = table
-            sweep(inner, key)
-
-    sweep(cx, ())
+    """{sorted labels of F: reduced homology of lk F} for every face F, from a
+    depth-first sweep of links of links that starts at lk {} = cx; the links of
+    one shape (one set of own-vertex masks) share one elimination.  The sweep
+    keeps a stack, not a recursive closure: a closure refers to itself, and the
+    cycle would hold the memo after the verdict until the next collection."""
+    shapes, tables, todo = {}, {}, [(cx, ())]
+    while todo:
+        link, face = todo.pop()
+        table = shapes.get(link.masks)
+        if table is None:
+            table = shapes[link.masks] = reduced_homology(link, coeff_field)
+        tables[face] = table
+        verts = link.vertices
+        start = bisect_right(verts, face[-1]) if face else 0
+        todo.extend((link.link((v,)), face + (v,)) for v in verts[start:])
     return tables
-
-
-def _manifold_failures(cx: SimplicialComplex, coeff_field) -> list:
-    """Witnesses against 'every face link is a sphere of complementary dimension',
-    by face size and then by sorted labels."""
-    d = cx.dim()
-    failures = []
-    tables = _link_tables(cx, coeff_field)
-    for face in sorted(tables, key=lambda f: (len(f), f)):
-        failures.extend(_sphere_failures(tables[face], d - len(face), frozenset(face)))
-    return failures
 
 
 def gorenstein_verdict(cx: SimplicialComplex, coeff_field=QQ) -> GorensteinReport:
@@ -198,9 +188,10 @@ def gorenstein_verdict(cx: SimplicialComplex, coeff_field=QQ) -> GorensteinRepor
         raise InputError(f"the complex is too large for the Gorenstein test: it has "
                          f"{len(cx.masks)} faces, and the test takes the link of each, "
                          f"so more than {FACE_LIMIT} faces are refused")
-    d = cx.dim()
-    failures = _sphere_failures(reduced_homology(cx, coeff_field), d, frozenset())
-    failures.extend(_manifold_failures(cx, coeff_field))
+    d, failures = cx.dim(), []
+    tables = _link_tables(cx, coeff_field)
+    for face in sorted(tables, key=lambda f: (len(f), f)):  # {} first, then by size
+        failures.extend(_sphere_failures(tables[face], d - len(face), frozenset(face)))
     core_ok = cx.cone_mask() == 0
     return GorensteinReport(
         verdict=(not failures) and core_ok,

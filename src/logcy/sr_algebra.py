@@ -13,9 +13,7 @@ stanley_reisner_complex.
 
 import re
 from fractions import Fraction
-from functools import reduce
 from math import ceil, floor
-from operator import or_
 
 from . import complexes, poly, rees
 from .errors import FACE_LIMIT, InputError
@@ -239,13 +237,18 @@ def stanley_reisner_complex(pres):
     raises InputError at the first face past logcy.errors.FACE_LIMIT, the
     most the Gorenstein test takes, so a complex of at most that many faces
     is always built."""
-    nonfaces = []  # as masks: bit i - 1 for x_i
+    supports = []  # the variable indices of each relation
     for rel in pres.relations:
         exps = next(iter(rel.terms))  # relations are nonzero
         if len(rel.terms) != 1 or max(exps, default=0) > 1:
             return None
-        nonfaces.append(sum(1 << i for i, e in enumerate(exps) if e))
-    faces, n = [], len(pres.vars)
+        supports.append({i for i, e in enumerate(exps) if e})
+    # x_i is a vertex unless a relation divides it (a constant relation divides
+    # every x_i and leaves the void complex); bit j of a face is the j-th vertex
+    vertices = [i for i in range(len(pres.vars)) if not any(s <= {i} for s in supports)]
+    bit = {i: 1 << j for j, i in enumerate(vertices)}
+    nonfaces = [sum(map(bit.__getitem__, s)) for s in supports if s <= bit.keys()]
+    faces, n = [], len(vertices)
     # grow the faces one bit at a time, above their highest bit; each
     # candidate is tested as it is made, so no layer of candidates is stored
     candidates = [0]
@@ -262,10 +265,7 @@ def stanley_reisner_complex(pres):
         if not layer:
             break
         candidates = (f | (1 << i) for f in layer for i in range(f.bit_length(), n))
-    # a variable that is a nonface is no vertex: the complex is on the others
-    keep = reduce(or_, faces, 0)
-    labels = tuple(i + 1 for i in range(n) if keep >> i & 1)
-    return complexes.SimplicialComplex._trusted(labels, complexes._compress(faces, keep))
+    return complexes.SimplicialComplex(tuple(i + 1 for i in vertices), frozenset(faces))
 
 
 _THETA_TERM = re.compile(

@@ -192,7 +192,7 @@ class DivisorConfiguration:
                 raise UnsupportedStructureError(
                     f"stratum {sorted(index)} has {len(self.strata[index])} components; "
                     "the dual complex is only simplicial when all strata are connected")
-        return complexes.SimplicialComplex(self.strata)
+        return complexes.SimplicialComplex.from_facets(self.strata)
 
     def delta_zero_subcomplex(self) -> "complexes.SimplicialComplex":
         """Faces of the dual complex all of whose vertices have a_i = 1."""

@@ -382,7 +382,7 @@ def random_downward_closed(rng: random.Random, k: int):
 
 def empty_face_only():
     """The complex whose only face is the empty set: the (-1)-sphere."""
-    return SimplicialComplex([frozenset()])
+    return SimplicialComplex.from_facets([frozenset()])
 
 
 def sphere_boundary(d):
@@ -417,37 +417,34 @@ def euler_characteristic(cx):
 
 def facets_oracle(cx):
     """Inclusion-maximal faces by comparing every pair of faces."""
-    maximal = [
-        f for f in cx.faces
-        if not any(f < g for g in cx.faces)
-    ]
+    faces = cx.faces
+    maximal = [f for f in faces if not any(f < g for g in faces)]
     return sorted(maximal, key=lambda f: (len(f), sorted(f)))
 
 
 def core_oracle(cx):
     """Induced subcomplex on the vertices whose star is a proper subcomplex."""
-    kept = {v for v in cx.vertices if star(cx, [v]).faces != cx.faces}
-    return SimplicialComplex(f for f in cx.faces if f <= kept)
+    faces = cx.faces
+    kept = {v for v in cx.vertices if star(cx, [v]).faces != faces}
+    return SimplicialComplex.from_facets(f for f in faces if f <= kept)
 
 
 def link_oracle(cx, face):
     """link(F) = { G : G disjoint from F and G union F a face }."""
-    face = frozenset(face)
-    return SimplicialComplex(
-        g for g in cx.faces if not (g & face) and (g | face) in cx.faces
-    )
+    face, faces = frozenset(face), cx.faces
+    return SimplicialComplex.from_facets(g for g in faces if not g & face and g | face in faces)
 
 
 def minimal_nonfaces_oracle(cx):
     """Minimal non-faces by testing every vertex subset."""
-    verts = cx.vertices
+    verts, faces = cx.vertices, cx.faces
     minimal = []
     for size in range(1, len(verts) + 1):
         for subset in combinations(verts, size):
             fs = frozenset(subset)
-            if fs in cx.faces:
+            if fs in faces:
                 continue
-            if all(fs - {v} in cx.faces for v in fs):
+            if all(fs - {v} in faces for v in fs):
                 minimal.append(fs)
     return sorted(minimal, key=lambda f: (len(f), sorted(f)))
 

@@ -1,6 +1,7 @@
 """Simplicial complex structure: links, cores, minimal nonfaces."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ def test_from_facets_downward_closure():
 
 
 def test_void_versus_empty_face():
-    void = SimplicialComplex([])
+    void = SimplicialComplex.from_facets([])
     empty = empty_face_only()
     assert void.is_void
     assert not empty.is_void
@@ -79,7 +80,7 @@ def test_core_idempotent_on_samples():
                cross_polytope_boundary(2)]
     for _ in range(20):
         faces = random_downward_closed(rng, 5)
-        samples.append(SimplicialComplex(faces))
+        samples.append(SimplicialComplex.from_facets(faces))
     for cx in samples:
         core = cx.core()
         assert core.core() == core
@@ -90,7 +91,7 @@ def test_link_composition():
     rng = random.Random(11)
     samples = [sphere_boundary(2), sphere_boundary(3), cross_polytope_boundary(3)]
     for _ in range(15):
-        samples.append(SimplicialComplex(random_downward_closed(rng, 6)))
+        samples.append(SimplicialComplex.from_facets(random_downward_closed(rng, 6)))
     for cx in samples:
         for face in sorted(cx.faces, key=lambda f: (len(f), sorted(f))):
             if len(face) < 2:
@@ -145,8 +146,8 @@ def test_operations_match_the_subset_oracles(cx):
         assert cx.link(face) == link_oracle(cx, face)
     # vertex i of the rebuilt complex is the presentation's i-th variable
     rebuilt = stanley_reisner_complex(sr_presentation(cx))
-    assert SimplicialComplex(frozenset(cx.vertices[i - 1] for i in f)
-                             for f in rebuilt.faces) == cx
+    assert SimplicialComplex.from_facets(frozenset(cx.vertices[i - 1] for i in f)
+                                         for f in rebuilt.faces) == cx
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,7 +155,7 @@ def test_operations_match_the_subset_oracles(cx):
 @example(SimplicialComplex.from_facets([[-7, 0, 2 ** 40], [0, 5]]))
 def test_links_of_links_and_their_equality_match_the_oracles(cx):
     # a link is on its own vertices, as a complex built from the same faces
-    # is: the two have the same labels and masks, so are equal and hash alike
+    # is: the two have the same vertices and masks, so are equal and hash alike
     for face in cx.faces:
         link, expected = cx.link(face), link_oracle(cx, face)
         rebuilt = SimplicialComplex.from_facets(facets_oracle(expected))
@@ -170,3 +171,19 @@ def test_stanley_reisner_complex_needs_squarefree_monomials():
     assert stanley_reisner_complex(WeightedPresentation(names, weights, ["x1*x2 - x1"])) is None
     assert stanley_reisner_complex(WeightedPresentation(names, weights, ["x1*x2"])) == \
         SimplicialComplex.from_facets([[1], [2]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 5)), max_size=5))
+@example([set()])
+@example([{1}, {1, 2}, {2, 3}])
+def test_stanley_reisner_complex_of_squarefree_monomials_matches_the_subset_oracle(supports):
+    # the faces are the subsets of the variables that no relation divides; a
+    # variable that a relation divides is no vertex, and a constant relation
+    # divides every subset and leaves the void complex, on no vertices
+    names = tuple(f"x{i}" for i in range(1, 6))
+    relations = ["*".join(f"x{i}" for i in sorted(s)) or "1" for s in supports]
+    faces = [f for n in range(6) for f in combinations(range(1, 6), n)
+             if not any(s <= set(f) for s in supports)]
+    pres = WeightedPresentation(names, [1] * 5, relations)
+    assert stanley_reisner_complex(pres) == SimplicialComplex.from_facets(faces)

@@ -1,5 +1,6 @@
 """Exact homology, local homology, and the Gorenstein criterion."""
 
+import gc
 import random
 from itertools import combinations
 
@@ -12,8 +13,8 @@ from logcy.complexes import SimplicialComplex
 from logcy.errors import InputError
 from logcy.exactlin import pivot_columns, rank_int_bareiss
 from logcy.fields import PrimeField, QQ
-from logcy.homology import (_manifold_failures, _sphere_failures, gorenstein_verdict,
-                            local_homology_at_face, reduced_homology)
+from logcy.homology import (_sphere_failures, gorenstein_verdict, local_homology_at_face,
+                            reduced_homology)
 
 from helpers import (boundary_matrix, complex_shapes, cross_polytope_boundary, empty_face_only,
                      euler_characteristic, full_simplex, gorenstein_oracle, link_oracle,
@@ -56,7 +57,7 @@ def test_empty_face_only_is_minus_one_sphere():
 
 def test_void_complex_rejected():
     with pytest.raises(InputError):
-        reduced_homology(SimplicialComplex([]))
+        reduced_homology(SimplicialComplex.from_facets([]))
 
 
 def test_homology_over_prime_field():
@@ -127,14 +128,14 @@ def test_gorenstein_path_fails():
 def test_octahedron_sphere_and_manifold():
     octa = cross_polytope_boundary(3)
     assert _is_sphere(octa)
-    assert not _manifold_failures(octa, QQ)
-    assert gorenstein_verdict(octa).verdict
+    report = gorenstein_verdict(octa)
+    assert not report.failures and report.verdict
 
 
 def test_two_triangles_glued_along_edge():
     cx = SimplicialComplex.from_facets([[1, 2, 3], [1, 2, 4]])
     # links of the shared edge's endpoints are paths, not circles
-    failing_faces = {face for face, _, _ in _manifold_failures(cx, QQ)}
+    failing_faces = {face for face, _, _ in gorenstein_verdict(cx).failures}
     assert frozenset((1,)) in failing_faces
     assert frozenset((2,)) in failing_faces
     # the shared edge itself has a two-point link and passes
@@ -163,7 +164,7 @@ def test_euler_characteristic_matches_betti():
     samples = [sphere_boundary(d) for d in range(0, 4)]
     samples += [cross_polytope_boundary(2), cross_polytope_boundary(3)]
     for _ in range(15):
-        samples.append(SimplicialComplex(random_downward_closed(rng, 5)))
+        samples.append(SimplicialComplex.from_facets(random_downward_closed(rng, 5)))
     for cx in samples:
         if cx.dim() < 0:
             continue
@@ -179,7 +180,7 @@ def test_rational_ranks_match_smith_form():
     rng = random.Random(41)
     samples = [sphere_boundary(2), cross_polytope_boundary(3)]
     for _ in range(10):
-        samples.append(SimplicialComplex(random_downward_closed(rng, 6)))
+        samples.append(SimplicialComplex.from_facets(random_downward_closed(rng, 6)))
     for cx in samples:
         if cx.dim() < 0:
             continue
@@ -208,7 +209,7 @@ def test_rational_ranks_match_smith_form():
 def test_homology_field_independence_spot_check():
     rng = random.Random(59)
     for _ in range(8):
-        cx = SimplicialComplex(random_downward_closed(rng, 6))
+        cx = SimplicialComplex.from_facets(random_downward_closed(rng, 6))
         if cx.dim() < 0:
             continue
         divisors = set()
@@ -257,24 +258,29 @@ def _shape(cx):
 
 
 def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
-    # the verdict eliminates the whole complex (the link of the empty face) and
-    # each shape of link once: two links are one shape when an order-preserving
-    # renaming of vertices maps one onto the other.  A link with n faces and
-    # boundary ranks summing to r hands n - r rows to the kernel (clearing), and
-    # a facet's link, the empty face alone, hands none
-    built, handed = [], []
-    init = SimplicialComplex.__init__
+    # the verdict builds no complex from labels, and eliminates each shape of
+    # link once, the whole complex (the link of the empty face) included: two
+    # links are one shape when an order-preserving renaming of vertices maps
+    # one onto the other.  A link with n faces and boundary ranks summing to r
+    # hands n - r rows to the kernel (clearing), and a facet's link, the empty
+    # face alone, hands none
+    built, eliminated, handed = [], [], []
+    from_facets = SimplicialComplex.from_facets.__func__
 
-    def counting_init(self, faces):
-        built.append(self)
-        init(self, faces)
+    def counting_from_facets(cls, facets):
+        built.append(facets)
+        return from_facets(cls, facets)
+
+    def counting_reduced_homology(cx, coeff_field):
+        eliminated.append(_shape(cx))
+        return reduced_homology(cx, coeff_field)
 
     def counting_pivot_columns(rows, field):
         rows = list(rows)
         handed.append(len(rows))
         return pivot_columns(rows, field)
 
-    for cx in (sphere_boundary(6), cross_polytope_boundary(5)):
+    for cx, rows in ((sphere_boundary(6), 254), (cross_polytope_boundary(5), 184)):
         shapes = {}
         for face in cx.faces:
             link = link_oracle(cx, face)
@@ -282,13 +288,29 @@ def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
         needed = sum(len(link.faces) - sum(rank_int_bareiss(boundary_matrix(link, j))
                                            for j in range(link.dim() + 1))
                      for link in shapes.values() if link.dim() >= 0)
-        handed.clear()
+        for log in (built, eliminated, handed):
+            log.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(SimplicialComplex, "__init__", counting_init)
+            patch.setattr(SimplicialComplex, "from_facets", classmethod(counting_from_facets))
+            patch.setattr(homology, "reduced_homology", counting_reduced_homology)
             patch.setattr(homology, "pivot_columns", counting_pivot_columns)
             assert gorenstein_verdict(cx).verdict
         assert built == []
-        assert sum(handed) == needed
+        assert len(eliminated) == len(shapes) and set(eliminated) == shapes.keys()
+        assert sum(handed) == needed == rows
+
+
+def test_the_verdict_leaves_no_reference_cycle():
+    # the shape memo holds the masks and table of every link shape; a cycle
+    # would keep it alive after the verdict, until the next garbage collection
+    cx = sphere_boundary(6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert gorenstein_verdict(cx).verdict
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,13 +330,13 @@ def test_gorenstein_verdict_matches_the_oracle(cx, coeff_field):
 @example(RP2, PrimeField(2))
 def test_the_sweep_and_its_links_match_the_oracles(cx, coeff_field):
     # a table is right whether the sweep eliminated its link or reused the table
-    # of an earlier link of the same shape; a link is on its own vertices
+    # of an earlier link of the same shape; a link is on its own vertices.  The
+    # sweep starts at the empty face, whose link is the whole complex
     tables = homology._link_tables(cx, coeff_field)
-    faces = [face for face in cx.faces if face]
-    assert sorted(tables) == sorted(tuple(sorted(face)) for face in faces)
-    for face in faces:
+    assert sorted(tables) == sorted(tuple(sorted(face)) for face in cx.faces)
+    for face in cx.faces:
         expected = link_oracle(cx, face)
         assert tables[tuple(sorted(face))] == reduced_homology_oracle(expected, coeff_field)
         link = cx.link(face)
-        assert link.labels == tuple(sorted(frozenset().union(*expected.faces)))
+        assert link.vertices == tuple(sorted(frozenset().union(*expected.faces)))
         assert link.faces == expected.faces

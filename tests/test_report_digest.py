@@ -51,3 +51,19 @@ def test_complexes_digests_at_more_seeds(tmp_path):
                           capture_output=True, text=True, check=True)
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert {int(line[2]): line[-1] for line in lines} == PINNED_COMPLEXES
+
+
+# seed 11 of ideals and theta_trees: `ring degenerate` builds a Stanley-Reisner
+# complex and takes its Gorenstein verdict, and `sr present` a dual complex
+PINNED_SEED_11 = {
+    "ideals": "61bbdc30b150a12be0683b6d3b29b6f6de8d2f8b2d80edb8371d7aa27bebfc24",
+    "theta_trees": "8cc7c62ce4f0eec037ae45396d725b1486dd5a9dd016807563adc5522e56d3a7",
+}
+
+
+def test_ideals_and_theta_trees_digests_at_seed_11(tmp_path):
+    proc = subprocess.run([sys.executable, str(DIGEST), "--workload", *PINNED_SEED_11,
+                           "--seed", "11"], cwd=tmp_path, capture_output=True, text=True,
+                          check=True)
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert {line[0]: line[-1] for line in lines} == PINNED_SEED_11
