@@ -22,10 +22,13 @@ homology at import.
 
 Input is checked where it is declared.  Argv is checked in two steps:
 argparse checks the flags, their types and choices against the flag table in
-build_parser(), and the handlers check the values it leaves as strings, with
+build_parser(), where each leaf parser also sets the command name its
+reports carry, and the handlers check the values it leaves as strings, with
 _require for a flag the command needs and parse_rational (or the field or
 face parser) for the value's syntax.  An empty value is checked like any
-other, never replaced by the default.  Each JSON file is checked by
+other, never replaced by the default.  Every input file goes through
+_input, which requires its flag, reads and parses the file and records its
+path and sha256 in the report's inputs.  Each JSON file is checked by
 schema.validate, against the dict that --schema prints, first thing in its
 *_from_json parser (here for the energy input and the batch manifest).
 Errors name the flag or JSON path.
@@ -93,7 +96,17 @@ MANIFEST_SCHEMA = {
 }
 
 
-def _read_json(path: str):
+def _require(args, name):
+    value = getattr(args, name.replace("-", "_"), None)
+    if value is None:
+        raise InputError(f"missing required argument --{name}")
+    return value
+
+
+def _input(args, flag, inputs):
+    """The parsed JSON of the file that --flag names, which the command
+    requires; recorded in inputs, by path and sha256, once it parses."""
+    path = _require(args, flag)
     import hashlib  # OpenSSL's start-up cost, paid only by a process that reads a file
 
     try:
@@ -102,18 +115,13 @@ def _read_json(path: str):
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(raw), hashlib.sha256(raw).hexdigest()
+        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-
-
-def _require(args, name):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        raise InputError(f"missing required argument --{name}")
-    return value
+    inputs[flag] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+    return data
 
 
 def _levels(counts: dict) -> list:
@@ -137,9 +145,7 @@ def _parse_face(text: str):
 
 
 def _cmd_complex(args, inputs):
-    data, digest = _read_json(_require(args, "faces"))
-    inputs["faces"] = {"path": args.faces, "sha256": digest}
-    cx = complexes.complex_from_json(data)
+    cx = complexes.complex_from_json(_input(args, "faces", inputs))
     coeff_field = field_from_name(args.field)
     if args.complex_op == "homology":
         table = homology.reduced_homology(cx, coeff_field)
@@ -159,9 +165,7 @@ def _cmd_complex(args, inputs):
 
 
 def _cmd_sr(args, inputs):
-    data, digest = _read_json(_require(args, "config"))
-    inputs["config"] = {"path": args.config, "sha256": digest}
-    config = stratum.configuration_from_json(data)
+    config = stratum.configuration_from_json(_input(args, "config", inputs))
     if args.sr_op == "multiply":
         lhs = sr_algebra.parse_theta_expression(_require(args, "lhs"), config)
         rhs = sr_algebra.parse_theta_expression(_require(args, "rhs"), config)
@@ -190,9 +194,7 @@ def _cmd_ring(args, inputs):
         basis = groebner.groebner_basis(gens, order)
         return {"basis": [g.to_string(order) for g in basis]}
 
-    data, digest = _read_json(_require(args, "pres"))
-    inputs["pres"] = {"path": args.pres, "sha256": digest}
-    pres = rees.presentation_from_json(data)
+    pres = rees.presentation_from_json(_input(args, "pres", inputs))
 
     if args.ring_op == "gr":
         graded = rees.associated_graded(pres)
@@ -229,9 +231,7 @@ def _cmd_ring(args, inputs):
 def _cmd_ring_degenerate(args, inputs, pres):
     """Full pipeline: gr, Rees fiber checks, Hilbert comparison against a
     configuration's theta basis, and the Gorenstein transfer report."""
-    config_data, digest = _read_json(_require(args, "sr-config"))
-    inputs["sr-config"] = {"path": args.sr_config, "sha256": digest}
-    config = stratum.configuration_from_json(config_data)
+    config = stratum.configuration_from_json(_input(args, "sr-config", inputs))
     bound = parse_rational(_require(args, "bound"))
 
     graded = rees.associated_graded(pres)
@@ -269,9 +269,7 @@ def _cmd_ring_degenerate(args, inputs, pres):
 
 
 def _cmd_tree(args, inputs):
-    data, digest = _read_json(_require(args, "tree"))
-    inputs["tree"] = {"path": args.tree, "sha256": digest}
-    tree = trees.tree_from_json(data)
+    tree = trees.tree_from_json(_input(args, "tree", inputs))
     if args.tree_op == "validate":
         violations = tree.validate()
         return {"valid": not violations,
@@ -296,11 +294,8 @@ def _cmd_tree(args, inputs):
 
 
 def _cmd_energy(args, inputs):
-    params_data, digest = _read_json(_require(args, "params"))
-    inputs["params"] = {"path": args.params, "sha256": digest}
-    params = energy.parameters_from_json(params_data)
-    data, digest = _read_json(_require(args, "input"))
-    inputs["input"] = {"path": args.input, "sha256": digest}
+    params = energy.parameters_from_json(_input(args, "params", inputs))
+    data = _input(args, "input", inputs)
     validate(data, _energy_input_schema(args.energy_op))
 
     if args.energy_op == "winding":
@@ -336,13 +331,12 @@ def _cmd_example(args, inputs):
         n = _require(args, "n")
         fixture = mirror.ConicBundleFixture(
             n, args.na, args.nb,
-            (parse_rational(args.kappa1) if args.kappa1 is not None
-             else min(Fraction(2), Fraction(2 * n - 1, 2))),
+            parse_rational(args.kappa1) if args.kappa1 is not None else None,
             parse_rational(args.kappa2) if args.kappa2 is not None else Fraction(1))
         pres = mirror.conic_bundle_presentation(fixture)
         payload = {"presentation": pres.to_json()}
         if args.smooth:
-            verdicts = mirror.conic_bundle_smooth_check(fixture, n_max=n)
+            verdicts = mirror.conic_bundle_smooth_check(fixture)
             payload["smooth"] = {str(dim): ok for dim, (ok, _) in sorted(verdicts.items())}
         if args.gr:
             sr_fixture = mirror.conic_bundle_sr_fixture(fixture)
@@ -397,8 +391,7 @@ def _cmd_example(args, inputs):
 
 
 def _cmd_batch(args, inputs):
-    data, digest = _read_json(_require(args, "manifest"))
-    inputs["manifest"] = {"path": args.manifest, "sha256": digest}
+    data = _input(args, "manifest", inputs)
     validate(data, MANIFEST_SCHEMA)
     job_args = [job["args"] for job in data["jobs"]]
     for idx, argv in enumerate(job_args):
@@ -454,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "degenerations, trees, and action filtrations over JSON files.")
     top = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(sub, name, flags):
-        p = sub.add_parser(name)
+    def leaf(sub, command, flags):
+        p = sub.add_parser(command.rpartition(" ")[2])
+        p.set_defaults(command=command)
         p.add_argument("--schema", action="store_true", help="print the input JSON schema")
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
         for flag, kwargs in flags.items():
@@ -467,38 +461,38 @@ def build_parser() -> argparse.ArgumentParser:
         if op == "link":
             flags["--face"] = {}
             flags["--local-homology"] = {"action": "store_true"}
-        leaf(cx, op, flags)
+        leaf(cx, f"complex {op}", flags)
 
     sr = top.add_parser("sr").add_subparsers(dest="sr_op", required=True)
-    leaf(sr, "multiply", {"--config": {}, "--lhs": {}, "--rhs": {}})
-    leaf(sr, "hilbert", {"--config": {}, "--bound": {}})
-    leaf(sr, "present", {"--config": {}, "--use-kappa": {"action": "store_true"}})
+    leaf(sr, "sr multiply", {"--config": {}, "--lhs": {}, "--rhs": {}})
+    leaf(sr, "sr hilbert", {"--config": {}, "--bound": {}})
+    leaf(sr, "sr present", {"--config": {}, "--use-kappa": {"action": "store_true"}})
 
     ring = top.add_parser("ring").add_subparsers(dest="ring_op", required=True)
-    leaf(ring, "grob", {"--vars": {}, "--weights": {}, "--gens": {"nargs": "+"}})
-    leaf(ring, "gr", {"--pres": {}, "--bound": {}})
-    leaf(ring, "rees", {"--pres": {}})
-    leaf(ring, "fiber", {"--pres": {}, "--t": {}})
-    leaf(ring, "smooth", {"--pres": {}, "--codim": {"type": int}})
-    leaf(ring, "degenerate", {"--pres": {}, "--sr-config": {}, "--bound": {},
-                              "--require-degree-one": {"action": "store_true"}})
+    leaf(ring, "ring grob", {"--vars": {}, "--weights": {}, "--gens": {"nargs": "+"}})
+    leaf(ring, "ring gr", {"--pres": {}, "--bound": {}})
+    leaf(ring, "ring rees", {"--pres": {}})
+    leaf(ring, "ring fiber", {"--pres": {}, "--t": {}})
+    leaf(ring, "ring smooth", {"--pres": {}, "--codim": {"type": int}})
+    leaf(ring, "ring degenerate", {"--pres": {}, "--sr-config": {}, "--bound": {},
+                                   "--require-degree-one": {"action": "store_true"}})
 
     tree = top.add_parser("tree").add_subparsers(dest="tree_op", required=True)
     for op in ("validate", "rho", "vdim", "feasible"):
-        leaf(tree, op, {"--tree": {}})
+        leaf(tree, f"tree {op}", {"--tree": {}})
 
     en = top.add_parser("energy").add_subparsers(dest="energy_op", required=True)
     for op in _ENERGY_INPUT_KEYS:
-        leaf(en, op, {"--params": {}, "--input": {}})
+        leaf(en, f"energy {op}", {"--params": {}, "--input": {}})
 
     ex = top.add_parser("example").add_subparsers(dest="example_op", required=True)
-    leaf(ex, "conic", {"--n": {"type": int}, "--na": {"type": int, "default": 1},
-                       "--nb": {"type": int, "default": 1}, "--kappa1": {}, "--kappa2": {},
-                       "--smooth": {"action": "store_true"}, "--gr": {"action": "store_true"},
-                       "--bound": {}})
-    leaf(ex, "appc", {"--mode": {"choices": ["symbolic", "numeric"]}, "--coeffs": {},
-                      "--check": {"choices": ["admissible", "singular-line", "sr"]},
-                      "--bound": {}})
+    leaf(ex, "example conic", {"--n": {"type": int}, "--na": {"type": int, "default": 1},
+                               "--nb": {"type": int, "default": 1}, "--kappa1": {},
+                               "--kappa2": {}, "--smooth": {"action": "store_true"},
+                               "--gr": {"action": "store_true"}, "--bound": {}})
+    leaf(ex, "example appc", {"--mode": {"choices": ["symbolic", "numeric"]}, "--coeffs": {},
+                              "--check": {"choices": ["admissible", "singular-line", "sr"]},
+                              "--bound": {}})
 
     leaf(top, "batch", {"--manifest": {}})
     return parser
@@ -525,15 +519,6 @@ _HANDLERS = {
 }
 
 
-def _command_name(args) -> str:
-    parts = [args.group]
-    for attr in ("complex_op", "sr_op", "ring_op", "tree_op", "energy_op", "example_op"):
-        op = getattr(args, attr, None)
-        if op:
-            parts.append(op)
-    return " ".join(parts)
-
-
 def run(argv):
     """Execute one subcommand; returns (exit_code, report dict)."""
     code, report, _ = _run(argv)
@@ -550,7 +535,7 @@ def _run(argv, in_batch=False):
             raise argparse.ArgumentError(None, "unrecognized arguments")
     except argparse.ArgumentError as exc:
         return EXIT_INPUT, {"error": {"type": "usage", "message": str(exc)}}, None
-    command = _command_name(args)
+    command = args.command
     if in_batch and args.out is not None:
         message = "--out is not supported in a batch job; its report is in the batch report"
         return EXIT_INPUT, {"command": command, "inputs": {},

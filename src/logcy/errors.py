@@ -1,6 +1,10 @@
 """Exception hierarchy shared by all modules, and their one work budget.
 
-Exit-code mapping used by the CLI: InputError -> 2, UnsupportedStructureError -> 3.
+Exit-code mapping used by the CLI: InputError -> 2, UnsupportedStructureError -> 3,
+and any other exception -> 4, an internal error: a fault of logcy itself.  A
+self-check that fails (a certificate that does not replay or re-verify, the
+rank-nullity cross-check, an unbounded phase-1 LP) raises AssertionError
+explicitly, never by an assert statement, which -O strips.
 Mathematical "false" verdicts are ordinary return values, never exceptions.
 """
 

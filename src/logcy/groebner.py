@@ -314,19 +314,19 @@ def hilbert_function_up_to(basis, order: WeightedOrder, bound) -> dict:
     leads = [g.leading(order)[0] for g in basis]
     counts = {}
     nvars = len(weights)
-
-    def walk(idx, exps, weight):
+    stack = [((), 0)]  # exponents of the first variables and their weight
+    while stack:
+        exps, weight = stack.pop()
+        idx = len(exps)
         if idx == nvars:
             counts.setdefault(weight, 0)
             if not any(all(map(le, lead, exps)) for lead in leads):
                 counts[weight] += 1
-            return
-        e = 0
-        while weight + weights[idx] * e <= top:
-            walk(idx + 1, exps + (e,), weight + weights[idx] * e)
-            e += 1
-
-    walk(0, (), 0)
+            continue
+        step = weights[idx]
+        # pushed from the largest exponent down, so the smallest is walked first
+        for e in range((top - weight) // step, -1, -1):
+            stack.append((exps + (e,), weight + step * e))
     return {Fraction(weight, order.scale): n for weight, n in counts.items()}
 
 
@@ -393,6 +393,6 @@ def jacobian_smooth(relations, expected_codim: int):
         # basis[0] is monic, hence exactly 1
         cert = SmoothnessCertificate(tuple(augmented), tuple(traces[0]))
         if not (cert.replay() - Polynomial.constant(variables, 1)).is_zero():
-            raise InputError("internal error: smoothness certificate failed to replay")
+            raise AssertionError("smoothness certificate failed to replay")
         return True, cert
     return False, None

@@ -61,7 +61,7 @@ def solve_max(objective, a_matrix, b_vector):
     for row, col in zip(tableau, basis):
         subtract_row(cost, row, col)
     if not _simplex_iterate(tableau, basis, cost, rhs):
-        raise InputError("phase-1 LP unbounded (impossible)")
+        raise AssertionError("phase-1 LP unbounded (impossible)")
     if cost.get(rhs, 0) != 0:
         return INFEASIBLE, None, None
     for i, row in enumerate(tableau):

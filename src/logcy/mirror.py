@@ -4,7 +4,9 @@ hypersurface family with a persistent singular line.
 Every polynomial here has rational coefficients.  The conic-bundle ring is
 Q[u_1..u_n, w1, w2] / (u_1...u_n - Na - Nb*w1, w1*w2 - 1) with weights 1 on
 the u's and ample weights on w1, w2; its degeneration and smoothness
-behavior are exercised against the polynomial engine.  The hypersurface
+behavior are exercised against the polynomial engine.  The ring its gr is
+compared with is computed, not written: sr_algebra.sr_presentation of the
+complex that the boundary divisors' facets generate.  The hypersurface
 family deforms u(x1*x2*x3 - u) by the seven admissible monomials and is
 singular along a line for every parameter value.  Its symbolic coefficients
 are the polynomial variables a1..a7, so the symbolic family lives in
@@ -14,7 +16,7 @@ Q[x1, x2, x3, u, a1, ..., a7].
 from fractions import Fraction
 from itertools import product
 
-from . import complexes, groebner, poly, rees, stratum
+from . import complexes, groebner, poly, rees, sr_algebra, stratum
 from .errors import COUNT_LIMIT, InputError
 
 APPENDIX_C_PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
@@ -27,19 +29,25 @@ SMOOTH_LIMIT = 40
 # -- conic bundle ------------------------------------------------------------------
 
 
+def _w1_weight(n: int, kappa) -> Fraction:
+    """The w1 weight in dimension n: kappa, capped at (2n - 1)/2, below n."""
+    return min(Fraction(kappa), Fraction(2 * n - 1, 2))
+
+
 class ConicBundleFixture:
-    """Mirror ring data: dimension n and the two curve-count coefficients."""
+    """Mirror ring data: dimension n and the two curve-count coefficients.
+    The w1 weight defaults to 2, capped in dimension n as _w1_weight caps it."""
 
     __slots__ = ("n", "na", "nb", "kappa_w1", "kappa_w2")
 
-    def __init__(self, n: int, na: int = 1, nb: int = 1, kappa_w1=Fraction(2),
+    def __init__(self, n: int, na: int = 1, nb: int = 1, kappa_w1=None,
                  kappa_w2=Fraction(1)):
         if n < 2:
             raise InputError("the conic bundle fixture needs n >= 2")
         self.n = n
         self.na = na
         self.nb = nb
-        self.kappa_w1 = Fraction(kappa_w1)
+        self.kappa_w1 = _w1_weight(n, 2) if kappa_w1 is None else Fraction(kappa_w1)
         self.kappa_w2 = Fraction(kappa_w2)
         if not 0 < self.kappa_w1 < n:
             raise InputError("the w1 weight must lie strictly between 0 and n")
@@ -60,19 +68,19 @@ def conic_bundle_presentation(fixture: ConicBundleFixture) -> "rees.WeightedPres
     return rees.WeightedPresentation(names, weights, [rel1, rel2])
 
 
-def conic_bundle_smooth_check(fixture: ConicBundleFixture, n_max: int = 3) -> dict:
-    """Jacobian-criterion verdict per dimension 2..n_max (certificates included);
-    n_max above SMOOTH_LIMIT is refused before any Groebner work."""
+def conic_bundle_smooth_check(fixture: ConicBundleFixture) -> dict:
+    """Jacobian-criterion verdict per dimension 2..fixture.n (certificates
+    included), the w1 weight capped per dimension by _w1_weight; n above
+    SMOOTH_LIMIT is refused before any Groebner work."""
     if fixture.na == 0 and fixture.nb == 0:
         raise InputError("at least one of Na, Nb must be nonzero")
-    if n_max > SMOOTH_LIMIT:
+    if fixture.n > SMOOTH_LIMIT:
         raise InputError(f"--n is too large for the smoothness check: it computes a Groebner "
                          f"basis per dimension 2..n, and n above {SMOOTH_LIMIT} is refused")
     results = {}
-    for n in range(2, n_max + 1):
+    for n in range(2, fixture.n + 1):
         sub = ConicBundleFixture(n, fixture.na, fixture.nb,
-                                 min(fixture.kappa_w1, Fraction(2 * n - 1, 2)),
-                                 fixture.kappa_w2)
+                                 _w1_weight(n, fixture.kappa_w1), fixture.kappa_w2)
         pres = conic_bundle_presentation(sub)
         smooth, cert = groebner.jacobian_smooth(pres.relations, expected_codim=2)
         results[n] = (smooth, cert)
@@ -100,28 +108,21 @@ def conic_bundle_dual_complex_facets(n: int) -> list:
 
 
 def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> "rees.WeightedPresentation":
-    """Stanley-Reisner presentation of the facet fixture, with matching weights
-    and variables aligned to the mirror ring's generators.
+    """Stanley-Reisner presentation of the facet fixture's complex, weighted 1
+    on the u's and by the fixture's weights on w1 and w2.  Its variables are
+    x<label> in sorted label order (xu1, xu10, xu2, ... once n >= 10), so only
+    its Hilbert function is comparable with the mirror ring's.
 
-    Checking the written relations against the facets generates about
-    n * 2^(n+1) vertex subsets; when that is more than
-    logcy.errors.COUNT_LIMIT, it raises InputError first.
+    Building the complex from its 2n facets generates n * 2^(n+1) vertex
+    subsets; when that is more than logcy.errors.COUNT_LIMIT, it raises
+    InputError first.
     """
     if fixture.n * 2 ** (fixture.n + 1) > COUNT_LIMIT:
         raise InputError(f"--n is too large for the Stanley-Reisner fixture: checking it "
                          f"generates n * 2^(n+1) vertex subsets, more than {COUNT_LIMIT}")
-    names = tuple(f"u{i}" for i in range(1, fixture.n + 1)) + ("w1", "w2")
-    weights = [Fraction(1)] * fixture.n + [fixture.kappa_w1, fixture.kappa_w2]
-    facets = conic_bundle_dual_complex_facets(fixture.n)
-    # minimal non-faces of the fixture complex, written directly
-    all_u = poly.Polynomial.monomial(names, (1,) * fixture.n + (0, 0), 1)
-    w1w2 = poly.Polynomial.monomial(names, (0,) * fixture.n + (1, 1), 1)
-    pres = rees.WeightedPresentation(names, weights, [all_u, w1w2])
-    # sanity: the written relations are exactly the fixture's minimal non-faces
-    declared = {frozenset(names[:fixture.n]), frozenset(("w1", "w2"))}
-    if set(complexes.SimplicialComplex.from_facets(facets).minimal_nonfaces()) != declared:
-        raise InputError("internal error: fixture facets contain a declared non-face")
-    return pres
+    cx = complexes.SimplicialComplex.from_facets(conic_bundle_dual_complex_facets(fixture.n))
+    special = {"w1": fixture.kappa_w1, "w2": fixture.kappa_w2}
+    return sr_algebra.sr_presentation(cx, [special.get(v, 1) for v in cx.vertices])
 
 
 # -- the three-divisor hypersurface family ------------------------------------------
@@ -146,7 +147,8 @@ def admissible_deformation_monomials(search_bound: int = 6) -> set:
     return out
 
 
-EXPECTED_ADMISSIBLE = {
+# the seven admissible monomials; a_i is the coefficient of the i-th
+ADMISSIBLE_MONOMIALS = (
     (1, 1, 0, 0),  # x1*x2
     (2, 0, 0, 0),  # x1^2
     (0, 2, 0, 0),  # x2^2
@@ -154,7 +156,8 @@ EXPECTED_ADMISSIBLE = {
     (1, 2, 1, 0),  # x1*x2^2*x3
     (1, 0, 0, 1),  # x1*u
     (0, 1, 0, 1),  # x2*u
-}
+)
+EXPECTED_ADMISSIBLE = frozenset(ADMISSIBLE_MONOMIALS)
 
 
 class HypersurfaceFamily:
@@ -178,13 +181,9 @@ class HypersurfaceFamily:
 
     def deformation(self) -> "poly.Polynomial":
         """g_a: the combination of the seven admissible monomials."""
-        ordered = [
-            (1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0),
-            (2, 1, 1, 0), (1, 2, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1),
-        ]
         padding = (0,) * (len(self.vars) - len(APPENDIX_C_VARS))
         total = poly.Polynomial.zero(self.vars)
-        for exps, coeff in zip(ordered, self.coefficients):
+        for exps, coeff in zip(ADMISSIBLE_MONOMIALS, self.coefficients):
             total = total + coeff * poly.Polynomial.monomial(self.vars, exps + padding, 1)
         return total
 

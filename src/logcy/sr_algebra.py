@@ -15,10 +15,9 @@ import re
 from fractions import Fraction
 from math import ceil, floor
 
-from . import complexes, poly, rees
+from . import complexes, poly, rees, stratum
 from .errors import FACE_LIMIT, InputError
 from .rationals import format_rational
-from .stratum import DivisorConfiguration
 
 
 class ThetaBasisElement:
@@ -26,14 +25,14 @@ class ThetaBasisElement:
 
     __slots__ = ("v", "component")
 
-    def __init__(self, config: DivisorConfiguration, v, component):
+    def __init__(self, config: "stratum.DivisorConfiguration", v, component):
         v = config.check_vector(v)
         if not config.in_basis(v):
             raise InputError(f"vector {v} does not index a basis element")
-        comps = config.components(DivisorConfiguration.support(v))
+        comps = config.components(stratum.DivisorConfiguration.support(v))
         if component not in comps:
             raise InputError(f"{component} is not a component of stratum "
-                             f"{sorted(DivisorConfiguration.support(v))}")
+                             f"{sorted(stratum.DivisorConfiguration.support(v))}")
         self.v = v
         self.component = component
 
@@ -45,7 +44,7 @@ class ThetaBasisElement:
         obj.component = component
         return obj
 
-    def key(self, config: DivisorConfiguration):
+    def key(self, config: "stratum.DivisorConfiguration"):
         return (config.weight(self.v), self.v, self.component)
 
     def __eq__(self, other):
@@ -93,10 +92,10 @@ class ThetaElement:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def sorted_terms(self, config: DivisorConfiguration):
+    def sorted_terms(self, config: "stratum.DivisorConfiguration"):
         return sorted(self.coeffs.items(), key=lambda item: item[0].key(config))
 
-    def to_json(self, config: DivisorConfiguration) -> list:
+    def to_json(self, config: "stratum.DivisorConfiguration") -> list:
         return [
             {"v": list(elem.v), "component": elem.component, "coeff": format_rational(c)}
             for elem, c in self.sorted_terms(config)
@@ -110,7 +109,7 @@ class ThetaElement:
         return " + ".join(parts)
 
 
-def multiply_basis(config: DivisorConfiguration, x: ThetaBasisElement,
+def multiply_basis(config: "stratum.DivisorConfiguration", x: ThetaBasisElement,
                    y: ThetaBasisElement) -> ThetaElement:
     """Product of two basis symbols.
 
@@ -121,9 +120,9 @@ def multiply_basis(config: DivisorConfiguration, x: ThetaBasisElement,
     total = tuple(a + b for a, b in zip(x.v, y.v))
     if not config.in_basis(total):
         return ThetaElement.zero()
-    support = DivisorConfiguration.support(total)
-    to_x = config.component_map(support, DivisorConfiguration.support(x.v))
-    to_y = config.component_map(support, DivisorConfiguration.support(y.v))
+    support = stratum.DivisorConfiguration.support(total)
+    to_x = config.component_map(support, stratum.DivisorConfiguration.support(x.v))
+    to_y = config.component_map(support, stratum.DivisorConfiguration.support(y.v))
     out = {}
     for comp in config.components(support):
         if to_x[comp] == x.component and to_y[comp] == y.component:
@@ -131,7 +130,8 @@ def multiply_basis(config: DivisorConfiguration, x: ThetaBasisElement,
     return ThetaElement(out)
 
 
-def multiply(config: DivisorConfiguration, f: ThetaElement, g: ThetaElement) -> ThetaElement:
+def multiply(config: "stratum.DivisorConfiguration", f: ThetaElement,
+             g: ThetaElement) -> ThetaElement:
     """Bilinear extension of the basis product."""
     result = ThetaElement.zero()
     for ex, cx in f.coeffs.items():
@@ -140,13 +140,13 @@ def multiply(config: DivisorConfiguration, f: ThetaElement, g: ThetaElement) -> 
     return result
 
 
-def unit_element(config: DivisorConfiguration) -> ThetaElement:
+def unit_element(config: "stratum.DivisorConfiguration") -> ThetaElement:
     zero_vec = (0,) * config.k
     comp = config.components(frozenset())[0]
     return ThetaElement.basis(ThetaBasisElement(config, zero_vec, comp))
 
 
-def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
+def graded_dimension(config: "stratum.DivisorConfiguration", weight_bound) -> dict:
     """Count of basis symbols per weight level up to the bound.
 
     Keys are every weight value realized by a nonnegative multiplicity vector
@@ -178,20 +178,23 @@ def graded_dimension(config: DivisorConfiguration, weight_bound) -> dict:
     span = high - low + 1
     poly.require_countable((top + 1) * span)
     totals = [0] * (top + 1)
-
-    def grow(support, table, start):
-        # cell w * span + p - low holds f_support(w, p)
+    # cell w * span + p - low of a table holds f_support(w, p).  A stack entry
+    # (support, table, i) stands for support + {i + 1}, whose table is made
+    # from f_support's when it is popped: only one branch's tables are alive
+    support, table, start = frozenset(), [0] * ((top + 1) * span), 0
+    table[-low] = 1
+    stack = []
+    while True:
         components = len(config.components(support))
         for w, n in enumerate(table[-low::span]):
             totals[w] += n * components
-        for i in range(start, config.k):
-            grown = support | {i + 1}
-            if config.components(grown):
-                grow(grown, _add_index(table, steps[i], poles[i], span), i + 1)
-
-    empty = [0] * ((top + 1) * span)
-    empty[-low] = 1
-    grow(frozenset(), empty, 0)
+        stack += [(support, table, i) for i in range(config.k - 1, start - 1, -1)
+                  if config.components(support | {i + 1})]
+        if not stack:
+            break
+        support, table, i = stack.pop()
+        support, table, start = (support | {i + 1},
+                                 _add_index(table, steps[i], poles[i], span), i + 1)
     return {Fraction(w, order.scale): totals[w]
             for w, n in enumerate(levels) if n}
 
@@ -273,7 +276,7 @@ _THETA_TERM = re.compile(
     r"theta\[(?P<vec>\s*(?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)(?:;(?P<comp>\d+))?\]\s*$")
 
 
-def parse_theta_expression(text: str, config: DivisorConfiguration) -> ThetaElement:
+def parse_theta_expression(text: str, config: "stratum.DivisorConfiguration") -> ThetaElement:
     """Parse expressions like "theta[1,0,0;0] + 2*theta[0,1,0]".
 
     The component may be omitted when the indexed stratum is connected.
@@ -296,10 +299,10 @@ def parse_theta_expression(text: str, config: DivisorConfiguration) -> ThetaElem
             raise InputError(f"theta vector {vec} has length {len(vec)}, expected {config.k}")
         comp_text = match.group("comp")
         if comp_text is None:
-            comps = config.components(DivisorConfiguration.support(vec))
+            comps = config.components(stratum.DivisorConfiguration.support(vec))
             if len(comps) > 1:
                 raise InputError(
-                    f"stratum {sorted(DivisorConfiguration.support(vec))} has "
+                    f"stratum {sorted(stratum.DivisorConfiguration.support(vec))} has "
                     f"{len(comps)} components; specify one as theta[...;c]")
             component = comps[0] if comps else None  # empty: ThetaBasisElement refuses vec
         else:

@@ -297,34 +297,27 @@ class RhoMap:
 
 
 def build_rho(tree: LogPssTree) -> RhoMap:
-    """Assemble the incidence matrix for the tree's stored edge orientations."""
+    """Assemble the incidence matrix for the tree's stored edge orientations.
+    Row (e, i) is edge e's alone: its contact at e's column, +1 at column
+    (e.a, i) when i is in e.a's depth and -1 at (e.b, i) when i is in e.b's."""
     tree.require_valid()
-    row_labels = []
-    row_index = {}
-    for e in tree.edges:
-        for i in sorted(e.depth):
-            row_index[(e.a, e.b, i)] = len(row_labels)
-            row_labels.append(((e.a, e.b), i))
-    col_labels = [("edge", (e.a, e.b)) for e in tree.edges]
-    for v in sorted(tree.vertices):
-        for i in sorted(tree.vertices[v]):
-            col_labels.append(("vertex", v, i))
-    matrix = [[0] * len(col_labels) for _ in row_labels]
+    vertex_cols = [("vertex", v, i)
+                   for v in sorted(tree.vertices) for i in sorted(tree.vertices[v])]
+    ncols = len(tree.edges) + len(vertex_cols)
+    vertex_col = {label[1:]: col for col, label in enumerate(vertex_cols, len(tree.edges))}
+    edge_cols, row_labels, matrix = [], [], []
     for col, e in enumerate(tree.edges):
+        edge_cols.append(("edge", (e.a, e.b)))
         for i in sorted(e.depth):
-            if e.contact[i - 1] != 0:
-                matrix[row_index[(e.a, e.b, i)]][col] = e.contact[i - 1]
-    col = len(tree.edges)
-    for v in sorted(tree.vertices):
-        for i in sorted(tree.vertices[v]):
-            for e in tree.edges:
-                if v == e.a:
-                    matrix[row_index[(e.a, e.b, i)]][col] = 1
-                elif v == e.b:
-                    matrix[row_index[(e.a, e.b, i)]][col] = -1
-            col += 1
-    return RhoMap(tuple(tuple(row) for row in matrix),
-                  tuple(row_labels), tuple(col_labels))
+            row = [0] * ncols
+            row[col] = e.contact[i - 1]
+            if i in tree.vertices[e.a]:
+                row[vertex_col[e.a, i]] = 1
+            if i in tree.vertices[e.b]:
+                row[vertex_col[e.b, i]] = -1
+            row_labels.append(((e.a, e.b), i))
+            matrix.append(tuple(row))
+    return RhoMap(tuple(matrix), tuple(row_labels), tuple(edge_cols + vertex_cols))
 
 
 def kernel_dim(tree: LogPssTree) -> int:
@@ -343,8 +336,8 @@ def obstruction_dim(tree: LogPssTree, rho: RhoMap | None = None,
 
     The direct formula uses the depth counts plus the kernel dimension; the
     rank route uses the target dimension minus the matrix rank.  They must
-    coincide by rank-nullity, and disagreement is reported as an error
-    rather than silently picking one.  A caller that already holds
+    coincide by rank-nullity, and disagreement raises AssertionError, a
+    fault of logcy, rather than silently picking one.  A caller that already holds
     build_rho(tree), or also its kernel_dim(), passes them in.
     """
     if rho is None:
@@ -355,7 +348,7 @@ def obstruction_dim(tree: LogPssTree, rho: RhoMap | None = None,
     via_kernel = 2 * (edge_sum - vertex_sum + kernel)
     via_rank = 2 * (sum(len(e.depth) for e in tree.edges) - rho.rank())
     if via_kernel != via_rank:
-        raise InputError("rank-nullity cross-check failed for the obstruction dimension")
+        raise AssertionError("rank-nullity cross-check failed for the obstruction dimension")
     return via_kernel
 
 
@@ -468,7 +461,7 @@ def balancing_feasible(tree: LogPssTree):
     vertex_values = {v: tuple(vec) for v, vec in vertex_values.items()}
     cert = BalancingCertificate(vertex_values, edge_scalars)
     if not cert.verify(tree):
-        raise InputError("internal error: balancing certificate failed re-verification")
+        raise AssertionError("balancing certificate failed re-verification")
     return cert
 
 

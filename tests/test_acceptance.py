@@ -102,7 +102,7 @@ def test_criterion_03_singular_line_symbolic():
 def test_criterion_04_conic_smoothness(n, kappa1):
     start = time.monotonic()
     fixture = mirror.ConicBundleFixture(n, 1, 1, kappa1, F(1))
-    results = mirror.conic_bundle_smooth_check(fixture, n_max=n)
+    results = mirror.conic_bundle_smooth_check(fixture)
     smooth, cert = results[n]
     assert smooth
     replay = cert.replay()

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON reports, schemas, batch determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import tracemalloc
 
 import pytest
 
-from logcy import cli, groebner, mirror
+from logcy import cli, groebner, linprog, mirror, trees
 from logcy.errors import COUNT_LIMIT, FACE_LIMIT
+from logcy.poly import Polynomial
 from logcy.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED, main,
                        render_report, run)
 
@@ -764,6 +766,71 @@ def test_an_unexpected_exception_is_an_internal_error_alone_and_in_a_batch(
     jobs = json.loads(out)["result"]["jobs"]
     assert [job["exit"] for job in jobs] == [EXIT_INTERNAL, EXIT_OK]
     assert [job["report"] for job in jobs] == [internal, run(sibling)[1]]
+
+
+# each self-check of logcy's own results, made to fail: (object, attribute,
+# replacement, argv, message)
+_FAILED_SELF_CHECKS = {
+    "balancing-certificate": (
+        trees.BalancingCertificate, "verify", lambda self, tree: False,
+        ["tree", "feasible", "--tree", "tree.json"],
+        "balancing certificate failed re-verification"),
+    "rank-nullity": (
+        trees.RhoMap, "rank", lambda self: -1, ["tree", "vdim", "--tree", "tree.json"],
+        "rank-nullity cross-check failed for the obstruction dimension"),
+    "smoothness-certificate": (
+        groebner.SmoothnessCertificate, "replay",
+        lambda self: Polynomial.zero(self.generators[0].vars),
+        ["ring", "smooth", "--pres", "circle_pres.json", "--codim", "1"],
+        "smoothness certificate failed to replay"),
+    "phase-1": (
+        linprog, "_simplex_iterate", lambda *args: False,
+        ["tree", "feasible", "--tree", "tree.json"], "phase-1 LP unbounded (impossible)"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_FAILED_SELF_CHECKS))
+def test_a_failed_self_check_is_an_internal_error_alone_and_in_a_batch(
+        fixtures, tmp_path, monkeypatch, check):
+    target, name, replacement, argv, message = _FAILED_SELF_CHECKS[check]
+    argv = [fixtures.get(arg, arg) for arg in argv]
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    expected_sibling = run(sibling)
+    monkeypatch.setattr(target, name, replacement)
+    code, report = run(argv)
+    assert code == EXIT_INTERNAL
+    assert report["error"] == {"type": "internal", "message": f"AssertionError: {message}"}
+    assert list(report["inputs"]) == [argv[2][2:]]  # the input read before the check
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+    code, batch = run(["batch", "--manifest", str(manifest)])
+    assert code == EXIT_INTERNAL
+    jobs = batch["result"]["jobs"]
+    assert [job["exit"] for job in jobs] == [EXIT_INTERNAL, EXIT_OK]
+    assert [job["report"] for job in jobs] == [report, expected_sibling[1]]
+
+
+# sha256 of each report of the built-in fixtures, as rendered
+PINNED_EXAMPLES = {
+    "example conic --n 2 --gr":
+        "59ceb9cc0f33098d8d7bed696fee8ce5d330f7ca77b0457c523f54fbdb3adbbe",
+    "example conic --n 10 --gr --bound 3":
+        "b539d9b5c883bf8dd3c4e4c41d68c4690af5fd6a497374ab99adf20cfdb58760",
+    "example conic --n 13 --gr --bound 2":
+        "f65b3c483d2f4fc64c495d8e37d5fcb8d9b7a44a9cef342005c0526c16cd7d7e",
+    "example conic --n 4 --smooth":
+        "d21edf0d50fb85f052d83f0248acd105afc57104b3f60c26ed80686c2c3df327",
+    "example appc --check admissible":
+        "c0045023fc9809614489c5f7656ebf47a887b125a92b22dfa7778643fe8b8d97",
+    "example appc --check singular-line --mode numeric --coeffs 1,2,3,4,5,6,7":
+        "7dbb04dd46efbe5dcd0ec9632265742f4fec2cacdb5c3a79471ff18f0484a063",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_EXAMPLES)
+def test_example_reports_are_pinned(command):
+    text = render_report(run(command.split())[1])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXAMPLES[command]
 
 
 @pytest.mark.parametrize("manifest, named", [

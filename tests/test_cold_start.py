@@ -147,3 +147,13 @@ def test_example_and_sr_multiply_execute_only_the_modules_they_read(fixtures):  
     assert multiply["exit"] == 0
     assert set(multiply["modules"]) - set(admissible["modules"]) == {
         "logcy.sr_algebra", "logcy.stratum"}
+
+
+def test_conic_gr_executes_sr_algebra_but_not_stratum():
+    # the Stanley-Reisner side is sr_algebra.sr_presentation, and sr_algebra
+    # binds stratum as a module: the conic fixture reads nothing from it
+    _, conic_gr = _probe([["example", "conic", "--n", "3", "--gr"]])
+    assert conic_gr["exit"] == 0
+    assert conic_gr["modules"] == sorted(PLUMBING + [
+        "logcy.complexes", "logcy.groebner", "logcy.mirror", "logcy.poly", "logcy.rees",
+        "logcy.sr_algebra"])

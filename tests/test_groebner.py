@@ -1,5 +1,6 @@
 """Groebner bases, normal forms, Hilbert counting, Jacobian certificates."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcy.errors import InputError, UnsupportedStructureError
+from logcy.mirror import appendix_c_sr_presentation
 from logcy.groebner import groebner_basis, hilbert_function_up_to, jacobian_smooth, reduce_modulo
 from logcy.poly import Polynomial, WeightedOrder, parse_polynomial, unit_order
 from logcy.rees import WeightedPresentation, presentations_ideal_equal
@@ -328,3 +330,18 @@ def test_integer_kernel_matches_the_fraction_oracle(system):
         remainder = reduce_modulo(dividend, divisors, order)
         assert remainder == reduce_modulo_oracle(dividend, divisors, order)
         assert _all_fractions([remainder])
+
+
+def test_hilbert_function_leaves_no_reference_cycle():
+    # the monomial walk keeps its partial exponent vectors on an explicit
+    # stack; a recursive closure would be a cycle, left to the next collection
+    pres = appendix_c_sr_presentation().presentation
+    basis = pres.basis()
+    expected = hilbert_function_up_to(basis, pres.order, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        assert hilbert_function_up_to(basis, pres.order, 5) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import substitute
 from logcy import mirror
+from logcy.complexes import SimplicialComplex
 from logcy.errors import InputError
 from logcy.groebner import jacobian_smooth
 from logcy.poly import Polynomial, parse_polynomial
@@ -47,7 +48,7 @@ def test_conic_weight_window_enforced():
 
 def test_conic_smooth_for_unit_counts():
     fixture = mirror.ConicBundleFixture(3, 1, 1, F(2), 1)
-    results = mirror.conic_bundle_smooth_check(fixture, n_max=3)
+    results = mirror.conic_bundle_smooth_check(fixture)
     for n, (smooth, cert) in results.items():
         assert smooth, n
         assert cert.replay() == Polynomial.constant(cert.generators[0].vars, 1)
@@ -55,7 +56,7 @@ def test_conic_smooth_for_unit_counts():
 
 def test_conic_torus_is_smooth():
     fixture = mirror.ConicBundleFixture(2, 1, 0, F(3, 2), 1)
-    results = mirror.conic_bundle_smooth_check(fixture, n_max=2)
+    results = mirror.conic_bundle_smooth_check(fixture)
     assert results[2][0]
 
 
@@ -82,6 +83,29 @@ def test_conic_facet_fixture_shape():
         assert not {"u1", "u2", "u3"} <= set(facet)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_conic_facet_fixture_has_the_two_written_nonfaces(n):
+    # the Stanley-Reisner fixture is computed from these facets; its two
+    # relations are all the u's and w1*w2
+    cx = SimplicialComplex.from_facets(mirror.conic_bundle_dual_complex_facets(n))
+    assert set(cx.minimal_nonfaces()) == {frozenset(f"u{i}" for i in range(1, n + 1)),
+                                          frozenset({"w1", "w2"})}
+
+
+def test_conic_sr_fixture_weights_follow_its_vertices():
+    fixture = mirror.ConicBundleFixture(10, 1, 1, F(5, 2), F(3))
+    sr_pres = mirror.conic_bundle_sr_fixture(fixture)
+    assert sr_pres.vars[:3] == ("xu1", "xu10", "xu2")
+    assert dict(zip(sr_pres.vars, sr_pres.weights)) == {
+        **{f"xu{i}": 1 for i in range(1, 11)}, "xw1": F(5, 2), "xw2": F(3)}
+
+
+def test_conic_w1_weight_defaults_to_2_capped_below_n():
+    assert mirror.ConicBundleFixture(2).kappa_w1 == F(3, 2)
+    assert mirror.ConicBundleFixture(3).kappa_w1 == 2
+    assert mirror.ConicBundleFixture(3, kappa_w1=F(1, 2)).kappa_w1 == F(1, 2)
+
+
 def test_conic_rees_fiber_roundtrip():
     fixture = mirror.ConicBundleFixture(2, 1, 1, F(3, 2), 1)
     pres = mirror.conic_bundle_presentation(fixture)
@@ -94,6 +118,12 @@ def test_admissible_monomials_exact_set():
     found = mirror.admissible_deformation_monomials()
     assert found == mirror.EXPECTED_ADMISSIBLE
     assert len(found) == 7
+
+
+def test_deformation_coefficient_i_multiplies_the_ith_admissible_monomial():
+    g = mirror.HypersurfaceFamily().deformation()
+    assert g.terms == {exps + tuple(int(j == i) for j in range(7)): 1
+                       for i, exps in enumerate(mirror.ADMISSIBLE_MONOMIALS)}
 
 
 def test_admissible_monomials_stable_under_bigger_box():

@@ -1,5 +1,6 @@
 """Theta-basis ring: products, truncation, presentations, graded counts."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -246,3 +247,16 @@ def test_parse_theta_expression(appc):
         parse_theta_expression("theta[1,0]", appc)  # wrong length
     with pytest.raises(InputError):
         parse_theta_expression("junk", appc)
+
+
+def test_graded_dimension_leaves_no_reference_cycle(appc):
+    # the counting walk keeps its tables on an explicit stack; a recursive
+    # closure would be a cycle holding them until the next garbage collection
+    expected = graded_dimension(appc, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        assert graded_dimension(appc, 5) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
