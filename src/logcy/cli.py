@@ -120,6 +120,9 @@ def _input(args, flag, inputs):
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"malformed JSON in {path}: byte {exc.start} is not "
+                         f"{exc.encoding} text ({exc.reason})") from None
     inputs[flag] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
     return data
 
@@ -332,7 +335,7 @@ def _cmd_example(args, inputs):
         fixture = mirror.ConicBundleFixture(
             n, args.na, args.nb,
             parse_rational(args.kappa1) if args.kappa1 is not None else None,
-            parse_rational(args.kappa2) if args.kappa2 is not None else Fraction(1))
+            parse_rational(args.kappa2) if args.kappa2 is not None else None)
         pres = mirror.conic_bundle_presentation(fixture)
         payload = {"presentation": pres.to_json()}
         if args.smooth:

@@ -17,11 +17,14 @@ The links are visited depth first as links of links, from lk {} = the complex
 through lk(F + v) = lk(lk F, v) for the vertices v of lk F above the largest
 vertex of F, so each face is reached once.  A link is built on its own
 vertices (complexes.py), so two links that differ by an order-preserving
-renaming of their vertices have equal masks.  Such links are isomorphic
-complexes, and reduced homology depends on the complex only up to
-isomorphism, so one verdict eliminates each set of masks once and reuses its
-Betti numbers for every link of that shape.  The memo lives only for that
-verdict.
+renaming of their vertices have equal masks: they are one shape.  The link of
+the vertex at bit i of a shape depends only on the shape and i, so one verdict
+builds it once per (shape, i) and renames its vertices for each face it
+serves.  Reduced homology depends on the complex only up to isomorphism, so
+each shape is eliminated once, and the sphere test, which reads only the Betti
+numbers and the codimension, runs once per (Betti numbers, codimension);
+witness faces are listed only for the tests that fail.  The memos live only
+for that verdict.
 """
 
 from bisect import bisect_right
@@ -117,15 +120,15 @@ def local_homology_at_face(cx: SimplicialComplex, face, coeff_field=QQ) -> Betti
     return BettiTable(coeff_field.name, link_h.offset + len(face), link_h.ranks)
 
 
-def _sphere_failures(table: BettiTable, d: int, where) -> list:
-    """Witnesses against 'reduced homology of a d-sphere'."""
+def _sphere_failures(table: BettiTable, d: int) -> list:
+    """(expected, found) pairs against 'reduced homology of a d-sphere'."""
     failures = []
     degrees = set(table.degrees()) | {d}
     for deg in sorted(degrees):
         expected = 1 if deg == d else 0
         found = table.rank(deg)
         if found != expected:
-            failures.append((where, f"b~_{deg} = {expected}", f"b~_{deg} = {found}"))
+            failures.append((f"b~_{deg} = {expected}", f"b~_{deg} = {found}"))
     return failures
 
 
@@ -152,20 +155,28 @@ class GorensteinReport:
 
 def _link_tables(cx: SimplicialComplex, coeff_field) -> dict:
     """{sorted labels of F: reduced homology of lk F} for every face F, from a
-    depth-first sweep of links of links that starts at lk {} = cx; the links of
-    one shape (one set of own-vertex masks) share one elimination.  The sweep
-    keeps a stack, not a recursive closure: a closure refers to itself, and the
-    cycle would hold the memo after the verdict until the next collection."""
-    shapes, tables, todo = {}, {}, [(cx, ())]
+    depth-first sweep of links of links that starts at lk {} = cx.  A shape's
+    link at bit i is built once, by `link` on the shape's complex over bit
+    positions, and its vertices are then the kept positions; the links of one
+    shape share one elimination.  The sweep keeps a stack, not a recursive
+    closure: a closure refers to itself, and the cycle would hold the memos
+    after the verdict until the next collection."""
+    shapes, links, tables = {}, {}, {}
+    todo = [(cx.masks, cx.vertices, ())]
     while todo:
-        link, face = todo.pop()
-        table = shapes.get(link.masks)
+        masks, labels, face = todo.pop()
+        table = shapes.get(masks)
         if table is None:
-            table = shapes[link.masks] = reduced_homology(link, coeff_field)
+            table = shapes[masks] = reduced_homology(SimplicialComplex(labels, masks),
+                                                     coeff_field)
         tables[face] = table
-        verts = link.vertices
-        start = bisect_right(verts, face[-1]) if face else 0
-        todo.extend((link.link((v,)), face + (v,)) for v in verts[start:])
+        for i in range(bisect_right(labels, face[-1]) if face else 0, len(labels)):
+            child = links.get((masks, i))
+            if child is None:
+                positions = SimplicialComplex(tuple(range(len(labels))), masks)
+                child = links[masks, i] = positions.link((i,))
+            todo.append((child.masks, tuple(labels[j] for j in child.vertices),
+                         face + (labels[i],)))
     return tables
 
 
@@ -188,10 +199,17 @@ def gorenstein_verdict(cx: SimplicialComplex, coeff_field=QQ) -> GorensteinRepor
         raise InputError(f"the complex is too large for the Gorenstein test: it has "
                          f"{len(cx.masks)} faces, and the test takes the link of each, "
                          f"so more than {FACE_LIMIT} faces are refused")
-    d, failures = cx.dim(), []
-    tables = _link_tables(cx, coeff_field)
-    for face in sorted(tables, key=lambda f: (len(f), f)):  # {} first, then by size
-        failures.extend(_sphere_failures(tables[face], d - len(face), frozenset(face)))
+    d, tests, failing = cx.dim(), {}, []
+    for face, table in _link_tables(cx, coeff_field).items():
+        key = (table.ranks, len(face))
+        pairs = tests.get(key)
+        if pairs is None:
+            pairs = tests[key] = _sphere_failures(table, d - len(face))
+        if pairs:
+            failing.append((face, pairs))
+    failing.sort(key=lambda item: (len(item[0]), item[0]))  # {} first, then by size
+    failures = [(frozenset(face), expected, found)
+                for face, pairs in failing for expected, found in pairs]
     core_ok = cx.cone_mask() == 0
     return GorensteinReport(
         verdict=(not failures) and core_ok,

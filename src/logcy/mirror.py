@@ -36,19 +36,20 @@ def _w1_weight(n: int, kappa) -> Fraction:
 
 class ConicBundleFixture:
     """Mirror ring data: dimension n and the two curve-count coefficients.
-    The w1 weight defaults to 2, capped in dimension n as _w1_weight caps it."""
+    The w1 weight defaults to 2, capped in dimension n as _w1_weight caps it,
+    and the w2 weight to 1."""
 
     __slots__ = ("n", "na", "nb", "kappa_w1", "kappa_w2")
 
     def __init__(self, n: int, na: int = 1, nb: int = 1, kappa_w1=None,
-                 kappa_w2=Fraction(1)):
+                 kappa_w2=None):
         if n < 2:
             raise InputError("the conic bundle fixture needs n >= 2")
         self.n = n
         self.na = na
         self.nb = nb
         self.kappa_w1 = _w1_weight(n, 2) if kappa_w1 is None else Fraction(kappa_w1)
-        self.kappa_w2 = Fraction(kappa_w2)
+        self.kappa_w2 = Fraction(1) if kappa_w2 is None else Fraction(kappa_w2)
         if not 0 < self.kappa_w1 < n:
             raise InputError("the w1 weight must lie strictly between 0 and n")
         if self.kappa_w2 <= 0:

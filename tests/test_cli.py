@@ -93,6 +93,27 @@ def test_malformed_json_exit_two_with_position(fixtures):
     assert "column" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"facets": [["\xff"]]}'])
+def test_undecodable_json_is_an_input_error_alone_and_in_a_batch(fixtures, tmp_path, raw):
+    # json.loads reads a leading \xff\xfe as UTF-16 and then finds an odd byte
+    # count; \xff inside UTF-8 text is no character at all
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(raw)
+    argv = ["complex", "homology", "--faces", str(path)]
+    code, report = run(argv)
+    assert code == EXIT_INPUT
+    assert report["error"]["type"] == "input"
+    assert f"malformed JSON in {path}" in report["error"]["message"]
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+    code, batch = run(["batch", "--manifest", str(manifest)])
+    assert code == EXIT_INPUT
+    assert [job["exit"] for job in batch["result"]["jobs"]] == [EXIT_INPUT, EXIT_OK]
+    assert batch["result"]["jobs"][0]["report"] == report
+    assert batch["result"]["jobs"][1]["report"] == run(sibling)[1]
+
+
 def test_disconnected_config_present_exit_three(fixtures):
     code, report = run(["sr", "present", "--config", fixtures["appc.json"]])
     assert code == EXIT_UNSUPPORTED

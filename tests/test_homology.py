@@ -28,7 +28,7 @@ RP2 = SimplicialComplex.from_facets([[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6],
 
 def _is_sphere(cx):
     """The reduced homology of a dim(cx)-sphere, with no witness against it."""
-    return not _sphere_failures(reduced_homology(cx), cx.dim(), frozenset())
+    return not _sphere_failures(reduced_homology(cx), cx.dim())
 
 
 def test_three_cycle_homology():
@@ -263,13 +263,21 @@ def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
     # links are one shape when an order-preserving renaming of vertices maps
     # one onto the other.  A link with n faces and boundary ranks summing to r
     # hands n - r rows to the kernel (clearing), and a facet's link, the empty
-    # face alone, hands none
-    built, eliminated, handed = [], [], []
+    # face alone, hands none.  The link at each vertex of a shape is built once:
+    # the shapes of the boundary of the 7-simplex are the boundaries of the
+    # simplices on 8, 7, ..., 2 vertices, so 8 + 7 + ... + 2 = 35 links serve
+    # its 254 nonempty faces; the cross-polytope's 242 take 30
+    built, eliminated, handed, links = [], [], [], []
     from_facets = SimplicialComplex.from_facets.__func__
+    build_link = SimplicialComplex.link
 
     def counting_from_facets(cls, facets):
         built.append(facets)
         return from_facets(cls, facets)
+
+    def counting_link(self, face):
+        links.append(face)
+        return build_link(self, face)
 
     def counting_reduced_homology(cx, coeff_field):
         eliminated.append(_shape(cx))
@@ -280,7 +288,8 @@ def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
         handed.append(len(rows))
         return pivot_columns(rows, field)
 
-    for cx, rows in ((sphere_boundary(6), 254), (cross_polytope_boundary(5), 184)):
+    for cx, rows, built_links in ((sphere_boundary(6), 254, 35),
+                                  (cross_polytope_boundary(5), 184, 30)):
         shapes = {}
         for face in cx.faces:
             link = link_oracle(cx, face)
@@ -288,16 +297,18 @@ def test_the_gorenstein_sweep_builds_its_links_from_masks(monkeypatch):
         needed = sum(len(link.faces) - sum(rank_int_bareiss(boundary_matrix(link, j))
                                            for j in range(link.dim() + 1))
                      for link in shapes.values() if link.dim() >= 0)
-        for log in (built, eliminated, handed):
+        for log in (built, eliminated, handed, links):
             log.clear()
         with monkeypatch.context() as patch:
             patch.setattr(SimplicialComplex, "from_facets", classmethod(counting_from_facets))
+            patch.setattr(SimplicialComplex, "link", counting_link)
             patch.setattr(homology, "reduced_homology", counting_reduced_homology)
             patch.setattr(homology, "pivot_columns", counting_pivot_columns)
             assert gorenstein_verdict(cx).verdict
         assert built == []
         assert len(eliminated) == len(shapes) and set(eliminated) == shapes.keys()
         assert sum(handed) == needed == rows
+        assert len(links) == built_links
 
 
 def test_the_verdict_leaves_no_reference_cycle():
@@ -308,6 +319,23 @@ def test_the_verdict_leaves_no_reference_cycle():
     gc.disable()
     try:
         assert gorenstein_verdict(cx).verdict
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_verdict_frees_its_memos_when_it_returns():
+    # besides the shape memo, a verdict keeps every link it built and every
+    # sphere test it ran until it returns (near FACE_LIMIT, megabytes); on a
+    # random complex whose links take many shapes and whose faces fail, the
+    # memos must go by reference counting alone
+    rng = random.Random(5)
+    cx = SimplicialComplex.from_facets(rng.sample(range(12), 4) for _ in range(40))
+    gc.collect()
+    gc.disable()
+    try:
+        report = gorenstein_verdict(cx)
+        assert not report.verdict and len(report.failures) > 100
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -106,6 +106,13 @@ def test_conic_w1_weight_defaults_to_2_capped_below_n():
     assert mirror.ConicBundleFixture(3, kappa_w1=F(1, 2)).kappa_w1 == F(1, 2)
 
 
+def test_conic_w2_weight_defaults_to_1():
+    # cli passes None for an absent --kappa2, as for --kappa1
+    assert mirror.ConicBundleFixture(3).kappa_w2 == 1
+    assert mirror.ConicBundleFixture(3, kappa_w2=None).kappa_w2 == 1
+    assert mirror.ConicBundleFixture(3, kappa_w2=F(1, 2)).kappa_w2 == F(1, 2)
+
+
 def test_conic_rees_fiber_roundtrip():
     fixture = mirror.ConicBundleFixture(2, 1, 1, F(3, 2), 1)
     pres = mirror.conic_bundle_presentation(fixture)
