@@ -123,6 +123,11 @@ def _input(args, flag, inputs):
     except UnicodeDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: byte {exc.start} is not "
                          f"{exc.encoding} text ({exc.reason})") from None
+    except ValueError:  # the only other one: int()'s digit limit, met by a long integer
+        raise InputError(f"unreadable JSON in {path}: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise InputError(f"unreadable JSON in {path}: nested too deeply to parse") from None
     inputs[flag] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
     return data
 
@@ -256,8 +261,6 @@ def _cmd_ring_degenerate(args, inputs, pres):
         "grMatchesTheta": hilbert_gr == theta_counts,
         "flatShadow": hilbert_gr == hilbert_generic,
     }
-    if args.require_degree_one:
-        payload["generatedInDegreeOne"] = all(w == 1 for w in pres.weights)
 
     # Gorenstein transfer: only when gr is visibly a Stanley-Reisner ring
     cx = sr_algebra.stanley_reisner_complex(graded) if graded.relations else None
@@ -477,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(ring, "ring rees", {"--pres": {}})
     leaf(ring, "ring fiber", {"--pres": {}, "--t": {}})
     leaf(ring, "ring smooth", {"--pres": {}, "--codim": {"type": int}})
-    leaf(ring, "ring degenerate", {"--pres": {}, "--sr-config": {}, "--bound": {},
-                                   "--require-degree-one": {"action": "store_true"}})
+    leaf(ring, "ring degenerate", {"--pres": {}, "--sr-config": {}, "--bound": {}})
 
     tree = top.add_parser("tree").add_subparsers(dest="tree_op", required=True)
     for op in ("validate", "rho", "vdim", "feasible"):

@@ -10,10 +10,12 @@ Mathematical "false" verdicts are ordinary return values, never exceptions.
 
 # The most table cells, monomials walked or faces built that one step may take
 # before it raises InputError: a count up to --bound (graded_dimension,
-# hilbert_function_up_to), the conic fixture, a complex read from JSON and a
-# Stanley-Reisner complex.  The largest --bound count the tests and benchmark
-# inputs make is under 1% of it; the largest complex the benchmark reads,
-# 64 facets of 6 vertices, is under 2%.
+# hilbert_function_up_to), the conic fixture's Stanley-Reisner check, a complex
+# read from JSON and a Stanley-Reisner complex.  It also bounds the sizes that
+# allocations follow: a tree's k + kPrime (tree_from_json) and the conic
+# fixture's n (ConicBundleFixture).  The largest --bound count the tests and
+# benchmark inputs make is under 1% of it; the largest complex the benchmark
+# reads, 64 facets of 6 vertices, is under 2%.
 COUNT_LIMIT = 250_000
 
 # The most faces the Gorenstein test takes (homology.gorenstein_verdict), and

@@ -37,7 +37,7 @@ def _w1_weight(n: int, kappa) -> Fraction:
 class ConicBundleFixture:
     """Mirror ring data: dimension n and the two curve-count coefficients.
     The w1 weight defaults to 2, capped in dimension n as _w1_weight caps it,
-    and the w2 weight to 1."""
+    and the w2 weight to 1.  n above logcy.errors.COUNT_LIMIT is refused."""
 
     __slots__ = ("n", "na", "nb", "kappa_w1", "kappa_w2")
 
@@ -45,6 +45,9 @@ class ConicBundleFixture:
                  kappa_w2=None):
         if n < 2:
             raise InputError("the conic bundle fixture needs n >= 2")
+        if n > COUNT_LIMIT:
+            raise InputError(f"--n is too large for the conic bundle fixture: its ring has "
+                             f"n + 2 variables, and n above {COUNT_LIMIT} is refused")
         self.n = n
         self.na = na
         self.nb = nb

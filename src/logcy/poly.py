@@ -8,6 +8,7 @@ order used here is a total order refining the weight filtration.  The one
 map between rings is Polynomial.evaluate; there is no composition.
 """
 
+import sys
 from fractions import Fraction
 from math import floor, lcm
 from operator import mul
@@ -316,11 +317,15 @@ class _Parser:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch.isdigit():
+            elif ch.isdecimal():  # exactly the digits int() reads
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
-                tokens.append(("num", int(text[i:j])))
+                try:
+                    tokens.append(("num", int(text[i:j])))
+                except ValueError:  # int()'s digit limit
+                    raise InputError(f"the number at position {i} in polynomial has more "
+                                     f"than {sys.get_int_max_str_digits()} digits") from None
                 i = j
             elif ch.isalpha() or ch == "_":
                 j = i

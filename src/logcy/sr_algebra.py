@@ -12,6 +12,7 @@ stanley_reisner_complex.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import ceil, floor
 
@@ -288,16 +289,21 @@ def parse_theta_expression(text: str, config: "stratum.DivisorConfiguration") ->
         raise InputError("empty theta expression")
     if text == "0":
         return result
-    for raw in text.split("+"):
+    for term, raw in enumerate(text.split("+"), 1):
         match = _THETA_TERM.match(raw)
         if not match:
             raise InputError(f"malformed theta term {raw.strip()!r}")
-        coeff = int(match.group("coeff") or 1)
         vec_text = match.group("vec").strip()
-        vec = tuple(int(x) for x in vec_text.split(",")) if vec_text else ()
+        comp_text = match.group("comp")
+        try:  # \d matches only digits that int() reads, so only its digit limit fails
+            coeff = int(match.group("coeff") or 1)
+            vec = tuple(int(x) for x in vec_text.split(",")) if vec_text else ()
+            component = None if comp_text is None else int(comp_text)
+        except ValueError:
+            raise InputError(f"theta term {term} has an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
         if len(vec) != config.k:
             raise InputError(f"theta vector {vec} has length {len(vec)}, expected {config.k}")
-        comp_text = match.group("comp")
         if comp_text is None:
             comps = config.components(stratum.DivisorConfiguration.support(vec))
             if len(comps) > 1:
@@ -305,8 +311,6 @@ def parse_theta_expression(text: str, config: "stratum.DivisorConfiguration") ->
                     f"stratum {sorted(stratum.DivisorConfiguration.support(vec))} has "
                     f"{len(comps)} components; specify one as theta[...;c]")
             component = comps[0] if comps else None  # empty: ThetaBasisElement refuses vec
-        else:
-            component = int(comp_text)
         elem = ThetaBasisElement(config, vec, component)
         result = result + ThetaElement({elem: Fraction(coeff)})
     return result

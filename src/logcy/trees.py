@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linprog
-from .errors import InputError
+from .errors import COUNT_LIMIT, InputError
 from .exactlin import nullspace_dimension, rank_int_bareiss
 from .schema import require_distinct, validate
 
@@ -62,54 +62,42 @@ class LogPssTree:
     def index_range(self) -> int:
         return self.k + self.k_prime
 
-    def marked_legs(self):
-        return [(v, label) for v, label in self.legs if label is not None]
-
-    def neighbors(self, vertex):
-        out = []
-        for e in self.edges:
-            if e.a == vertex:
-                out.append(e.b)
-            elif e.b == vertex:
-                out.append(e.a)
-        return out
-
     def validate(self) -> list:
-        """All invariant violations, each naming the offending vertex or edge."""
+        """All invariant violations, each naming the offending vertex or edge.
+        The edges are read once, into the adjacency map the later clauses read."""
         bad = []
-        verts = set(self.vertices)
-        if self.root not in verts:
+        if self.root not in self.vertices:
             bad.append(Violation("tree", "root", f"root {self.root} is not a vertex"))
             return bad
-        full_range = set(range(1, self.index_range + 1))
+        n = self.index_range
         for v, depth in sorted(self.vertices.items()):
-            if not depth <= full_range:
+            if not all(1 <= i <= n for i in depth):
                 bad.append(Violation(f"vertex {v}", "depth-range",
-                                     f"depth {sorted(depth)} leaves 1..{self.index_range}"))
+                                     f"depth {sorted(depth)} leaves 1..{n}"))
         if self.vertices[self.root]:
             bad.append(Violation(f"vertex {self.root}", "root-depth",
                                  "the root depth set must be empty"))
 
-        seen_pairs = set()
+        adjacent = {v: set() for v in self.vertices}
         structural = False
-        for idx, e in enumerate(self.edges):
+        for e in self.edges:
             name = f"edge {e.a}-{e.b}"
-            if e.a not in verts or e.b not in verts or e.a == e.b:
+            if e.a not in adjacent or e.b not in adjacent or e.a == e.b:
                 bad.append(Violation(name, "incidence", "edge endpoints must be distinct vertices"))
                 structural = True
                 continue
-            pair = frozenset((e.a, e.b))
-            if pair in seen_pairs:
+            if e.b in adjacent[e.a]:
                 bad.append(Violation(name, "multi-edge", "duplicate edge"))
                 structural = True
-            seen_pairs.add(pair)
-            if len(e.contact) != self.index_range:
+            adjacent[e.a].add(e.b)
+            adjacent[e.b].add(e.a)
+            if len(e.contact) != n:
                 bad.append(Violation(name, "contact-length",
                                      f"contact vector has length {len(e.contact)}, "
-                                     f"expected {self.index_range}"))
+                                     f"expected {n}"))
                 structural = True
                 continue
-            union = self.vertices.get(e.a, frozenset()) | self.vertices.get(e.b, frozenset())
+            union = self.vertices[e.a] | self.vertices[e.b]
             if union != e.depth:
                 bad.append(Violation(name, "depth-union",
                                      f"vertex depths union to {sorted(union)} "
@@ -122,13 +110,19 @@ class LogPssTree:
         if structural:
             return bad
 
-        if len(self.edges) != len(verts) - 1 or not self._connected_among(verts):
+        reached, frontier = {self.root}, [self.root]
+        while frontier:
+            for u in adjacent[frontier.pop()]:
+                if u not in reached:
+                    reached.add(u)
+                    frontier.append(u)
+        if len(self.edges) != len(adjacent) - 1 or len(reached) != len(adjacent):
             bad.append(Violation("tree", "tree-shape",
                                  "the underlying graph must be a connected tree"))
             return bad
 
-        non_root = verts - {self.root}
-        if non_root and not self._connected_among(non_root):
+        # a tree falls apart into one piece per edge at the vertex removed
+        if len(adjacent[self.root]) > 1:
             bad.append(Violation("tree", "root-removal",
                                  "removing the root must leave a connected tree"))
 
@@ -136,37 +130,21 @@ class LogPssTree:
         if len(unlabeled) != 1:
             bad.append(Violation("tree", "output-leg",
                                  f"exactly one distinguished leg required, found {len(unlabeled)}"))
+        leg_count = {}
         for v, label in self.legs:
-            if v not in verts:
+            leg_count[v] = leg_count.get(v, 0) + 1
+            if v not in adjacent:
                 bad.append(Violation(f"leg at {v}", "leg-vertex", "leg attaches to a missing vertex"))
             if label is not None and not 1 <= label <= self.k_prime:
                 bad.append(Violation(f"leg at {v}", "leg-label",
                                      f"label {label} leaves 1..{self.k_prime}"))
-        if self.marked_legs():
-            leg_count = {}
-            for v, _ in self.legs:
-                leg_count[v] = leg_count.get(v, 0) + 1
-            for v in sorted(non_root):
-                valence = len(self.neighbors(v)) + leg_count.get(v, 0)
-                if valence < 3:
+        if any(label is not None for _, label in self.legs):
+            for v in sorted(adjacent):
+                valence = len(adjacent[v]) + leg_count.get(v, 0)
+                if v != self.root and valence < 3:
                     bad.append(Violation(f"vertex {v}", "stability",
                                          f"edge+leg valence {valence} < 3 in the marked case"))
         return bad
-
-    def _connected_among(self, subset) -> bool:
-        subset = set(subset)
-        if not subset:
-            return True
-        start = next(iter(sorted(subset)))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in self.neighbors(v):
-                if u in subset and u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return seen == subset
 
     def require_valid(self):
         bad = self.validate()
@@ -176,7 +154,13 @@ class LogPssTree:
 
 
 def tree_from_json(data) -> LogPssTree:
+    """The tree of a tree JSON.  Its contact vectors, and the certificate of
+    balancing_feasible, have k + kPrime entries, so more than
+    logcy.errors.COUNT_LIMIT is refused."""
     validate(data, TREE_SCHEMA)
+    if data["k"] + data.get("kPrime", 0) > COUNT_LIMIT:
+        raise InputError(f"k + kPrime is too large: contact vectors and certificates have "
+                         f"k + kPrime entries, and more than {COUNT_LIMIT} are refused")
     require_distinct([entry["id"] for entry in data["vertices"]],
                      "tree JSON", "vertices", "id")
     vertices = {}

@@ -114,6 +114,30 @@ def test_undecodable_json_is_an_input_error_alone_and_in_a_batch(fixtures, tmp_p
     assert batch["result"]["jobs"][1]["report"] == run(sibling)[1]
 
 
+@pytest.mark.parametrize("raw, named", [
+    ('{"facets": [[' + "1" * 5000 + "]]}",
+     f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+    ('{"facets": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply to parse"),
+], ids=["integer-of-5000-digits", "nested-100000-deep"])
+def test_unreadable_json_is_an_input_error_alone_and_in_a_batch(fixtures, tmp_path, raw, named):
+    # well-formed JSON that json.loads still cannot return: int()'s digit limit
+    # and the interpreter's recursion limit
+    path = tmp_path / "unreadable.json"
+    path.write_text(raw)
+    argv = ["complex", "homology", "--faces", str(path)]
+    code, report = run(argv)
+    assert code == EXIT_INPUT
+    assert report["error"]["message"] == f"unreadable JSON in {path}: {named}"
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+    code, batch = run(["batch", "--manifest", str(manifest)])
+    assert code == EXIT_INPUT
+    assert [job["exit"] for job in batch["result"]["jobs"]] == [EXIT_INPUT, EXIT_OK]
+    assert batch["result"]["jobs"][0]["report"] == report
+    assert batch["result"]["jobs"][1]["report"] == run(sibling)[1]
+
+
 def test_disconnected_config_present_exit_three(fixtures):
     code, report = run(["sr", "present", "--config", fixtures["appc.json"]])
     assert code == EXIT_UNSUPPORTED
@@ -376,6 +400,37 @@ def test_polynomial_powers_have_a_budget(gens, code):
     if code == EXIT_INPUT:
         message = json.loads(proc.stdout)["error"]["message"]
         assert f"more than {COUNT_LIMIT} term pairs" in message
+
+
+def test_a_result_past_the_digit_limit_is_unsupported():
+    code, report = run(["ring", "grob", "--vars", "x", "--weights", "1",
+                        "--gens", "x - 7^6000"])
+    assert code == EXIT_UNSUPPORTED
+    assert report["error"]["message"] == (
+        f"a rational in the result has more than {sys.get_int_max_str_digits()} digits, "
+        f"the most a report prints")
+
+
+def _one_vertex_tree(tmp_path, k, k_prime):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"k": k, "kPrime": k_prime, "root": 0, "deg_x0": 1,
+                                "vertices": [{"id": 0}], "edges": [], "legs": [{"vertex": 0}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("op", ["validate", "rho", "vdim", "feasible"])
+def test_a_tree_past_the_count_limit_is_refused_at_once(tmp_path, op):
+    code, report = run(["tree", op, "--tree", _one_vertex_tree(tmp_path, COUNT_LIMIT, 1)])
+    assert code == EXIT_INPUT
+    assert f"k + kPrime entries, and more than {COUNT_LIMIT} are refused" in (
+        report["error"]["message"])
+
+
+def test_a_tree_at_the_count_limit_is_read(tmp_path):
+    code, report = run(["tree", "validate", "--tree",
+                        _one_vertex_tree(tmp_path, COUNT_LIMIT - 1, 1)])
+    assert code == EXIT_OK
+    assert report["result"] == {"valid": True, "violations": []}
 
 
 def test_schema_flags(fixtures):
@@ -714,6 +769,24 @@ _BAD_ARGV = {
     "complex-link-face-not-a-face": (["complex", "link", "--faces", "cycle.json",
                                       "--face", "1,2,3", "--local-homology"],
                                      "link: [1, 2, 3] is not a face"),
+    "ring-grob-superscript-digit": (["ring", "grob", "--vars", "x", "--weights", "1",
+                                     "--gens", "x^\u00b2"], "unexpected character '\u00b2'"),
+    "ring-grob-literal-past-the-digit-limit": (
+        ["ring", "grob", "--vars", "x", "--weights", "1", "--gens", "x - 1" + "0" * 5000],
+        f"the number at position 4 in polynomial has more than "
+        f"{sys.get_int_max_str_digits()} digits"),
+    "sr-multiply-coefficient-past-the-digit-limit": (
+        ["sr", "multiply", "--config", "appc.json", "--lhs", "1" * 5000 + "*theta[1,0,0]",
+         "--rhs", "theta[0,0,1]"],
+        f"theta term 1 has an integer of more than {sys.get_int_max_str_digits()} digits"),
+    "ring-fiber-t-exponent-past-the-digit-limit": (
+        ["ring", "fiber", "--pres", "pres.json", "--t", "1e5000"],
+        "rational '1e5000' is too large: 10 to the power of its exponent"),
+    "sr-hilbert-bound-exponent-past-the-digit-limit": (
+        ["sr", "hilbert", "--config", "appc.json", "--bound", "1e3000000"],
+        "rational '1e3000000' is too large: 10 to the power of its exponent"),
+    "example-conic-n-past-the-count-limit": (["example", "conic", "--n", str(COUNT_LIMIT + 1)],
+                                             f"n above {COUNT_LIMIT} is refused"),
 }
 
 

@@ -97,6 +97,64 @@ def test_marked_stability():
     assert stable.validate() == []
 
 
+def _edge(a, b, depth=(), contact=(0,)):
+    return TreeEdge(a, b, frozenset(depth), tuple(contact))
+
+
+def _tree(vertices, edges, legs=((0, None),), k=1, k_prime=0, root=0):
+    return LogPssTree(k, {v: frozenset(d) for v, d in vertices.items()}, edges,
+                      root=root, legs=list(legs), deg_x0=0, k_prime=k_prime)
+
+
+# clause -> (a tree that breaks it and no other clause, its violations in report order)
+_ONE_CLAUSE_TREES = {
+    "root": (_tree({0: ()}, [], root=5),
+             [("tree", "root 5 is not a vertex")]),
+    "depth-range": (_tree({0: (), 1: (0,), 2: (2, 3)},
+                          [_edge(1, 0, (0,), (0, 0)), _edge(2, 1, (0, 2, 3), (0, 0))],
+                          legs=[(2, None)], k_prime=1),
+                    [("vertex 1", "depth [0] leaves 1..2"),
+                     ("vertex 2", "depth [2, 3] leaves 1..2")]),
+    "root-depth": (_tree({0: (1,)}, []),
+                   [("vertex 0", "the root depth set must be empty")]),
+    "incidence": (_tree({0: (), 1: ()}, [_edge(0, 0), _edge(1, 7), _edge(1, 0)]),
+                  [("edge 0-0", "edge endpoints must be distinct vertices"),
+                   ("edge 1-7", "edge endpoints must be distinct vertices")]),
+    "multi-edge": (_tree({0: (), 1: ()}, [_edge(1, 0), _edge(0, 1)]),
+                   [("edge 0-1", "duplicate edge")]),
+    "contact-length": (_tree({0: (), 1: ()}, [_edge(1, 0, (), (0, 0))]),
+                       [("edge 1-0", "contact vector has length 2, expected 1")]),
+    "depth-union": (_tree({0: (), 1: (1,)}, [_edge(1, 0, (), (0,))]),
+                    [("edge 1-0", "vertex depths union to [1] but the edge carries []")]),
+    "contact-support": (_tree({0: (), 1: (1,)}, [_edge(1, 0, (1,), (1, 1))], k=2),
+                        [("edge 1-0", "contact support [1, 2] leaves edge depth [1]")]),
+    # as many edges as a tree on four vertices, but a triangle leaves the root out
+    "tree-shape": (_tree({0: (), 1: (), 2: (), 3: ()},
+                         [_edge(1, 2), _edge(2, 3), _edge(3, 1)]),
+                   [("tree", "the underlying graph must be a connected tree")]),
+    "root-removal": (_tree({0: (), 1: (1,), 2: (1,)},
+                           [_edge(1, 0, (1,), (1,)), _edge(2, 0, (1,), (1,))]),
+                     [("tree", "removing the root must leave a connected tree")]),
+    "output-leg": (_tree({0: ()}, [], legs=[]),
+                   [("tree", "exactly one distinguished leg required, found 0")]),
+    "leg-vertex": (_tree({0: ()}, [], legs=[(0, None), (9, 1)], k_prime=1),
+                   [("leg at 9", "leg attaches to a missing vertex")]),
+    "leg-label": (_tree({0: ()}, [], legs=[(0, None), (0, 0), (0, 2)], k_prime=1),
+                  [("leg at 0", "label 0 leaves 1..1"), ("leg at 0", "label 2 leaves 1..1")]),
+    "stability": (_tree({0: (), 1: (1,), 2: (1,)},
+                        [_edge(1, 0, (1,), (1, 0)), _edge(2, 1, (1,), (0, 0))],
+                        legs=[(0, None), (2, 1), (2, 1)], k_prime=1),
+                  [("vertex 1", "edge+leg valence 2 < 3 in the marked case")]),
+}
+
+
+@pytest.mark.parametrize("clause", list(_ONE_CLAUSE_TREES))
+def test_each_clause_reports_its_exact_violations(clause):
+    tree, expected = _ONE_CLAUSE_TREES[clause]
+    assert [v.to_json() for v in tree.validate()] == [
+        {"where": where, "clause": clause, "detail": detail} for where, detail in expected]
+
+
 def test_rho_single_edge_example():
     tree = two_vertex((3,))
     rho = build_rho(tree)
