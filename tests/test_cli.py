@@ -918,6 +918,10 @@ PINNED_EXAMPLES = {
         "c0045023fc9809614489c5f7656ebf47a887b125a92b22dfa7778643fe8b8d97",
     "example appc --check singular-line --mode numeric --coeffs 1,2,3,4,5,6,7":
         "7dbb04dd46efbe5dcd0ec9632265742f4fec2cacdb5c3a79471ff18f0484a063",
+    "example appc --check sr":
+        "47979d33367bfd5e74ce6d2e85071d6182dbd0720cfd7579f018289ac9b92949",
+    "example appc --check sr --bound 7":
+        "de2fe1440aa5bfb167c3b102ef13854911c0a6d8567cee4c927e0b641a182484",
 }
 
 
