@@ -367,29 +367,27 @@ def _cmd_example(args, inputs):
             return {
                 "count": len(found),
                 "monomials": [list(e) for e in sorted(found)],
-                "matchesExpected": found == mirror.EXPECTED_ADMISSIBLE,
+                "matchesExpected": found == set(mirror.ADMISSIBLE_MONOMIALS),
             }
         if check == "singular-line":
+            coeffs = None
             if args.mode == "numeric":
                 text = "0,0,0,0,0,0,0" if args.coeffs is None else args.coeffs
                 coeffs = [parse_rational(x) for x in text.split(",")]
-                family = mirror.HypersurfaceFamily(coeffs)
-            else:
-                family = mirror.HypersurfaceFamily()
-            ok, residuals = mirror.singular_line_check(family)
+            residuals = mirror.singular_line_residuals(mirror.hypersurface_family(coeffs))
             return {
-                "singularAlongLine": ok,
+                "singularAlongLine": not residuals,
                 "residuals": [{"at": label, "value": residual.to_string()}
                               for label, residual in residuals],
             }
         if check == "sr":
-            fixture = mirror.appendix_c_sr_presentation()
+            pres = mirror.appendix_c_sr_presentation()
             bound = parse_rational(args.bound) if args.bound is not None else Fraction(5)
-            quotient_levels = fixture.presentation.hilbert_up_to(bound)
+            quotient_levels = pres.hilbert_up_to(bound)
             theta_levels = sr_algebra.graded_dimension(mirror.appendix_c_configuration(), bound)
             return {
-                "presentation": fixture.presentation.to_json(),
-                "hypersurface": fixture.hypersurface.to_string(),
+                "presentation": pres.to_json(),
+                "hypersurface": mirror.hypersurface_family([0] * 7).to_string(),
                 "quotientLevels": _levels(quotient_levels),
                 "thetaLevels": _levels(theta_levels),
                 "quotientMatchesTheta": quotient_levels == theta_levels,

@@ -1,17 +1,21 @@
-"""Built-in fixtures: the conic-bundle mirror ring and the three-divisor
-hypersurface family with a persistent singular line.
+"""Built-in fixtures: the conic-bundle mirror ring and Appendix C's
+three-divisor example.
 
 Every polynomial here has rational coefficients.  The conic-bundle ring is
 Q[u_1..u_n, w1, w2] / (u_1...u_n - Na - Nb*w1, w1*w2 - 1) with weights 1 on
 the u's and ample weights on w1, w2; its degeneration and smoothness
 behavior are exercised against the polynomial engine.  The ring its gr is
 compared with is computed, not written: sr_algebra.sr_presentation of the
-complex that the boundary divisors' facets generate.  The hypersurface
-family deforms u(x1*x2*x3 - u) by the seven admissible monomials and is
-singular along a line for every parameter value.  Its symbolic coefficients
-are the polynomial variables a1..a7, so the symbolic family lives in
-Q[x1, x2, x3, u, a1, ..., a7].
-"""
+complex that the boundary divisors' facets generate.
+
+Appendix C has one definition per object.  Its filtered presentation
+Q[x1,x2,x3,u,v] / (x1*x2*x3 - u - v, u*v) is compared with the theta basis
+of appendix_c_configuration.  Its hypersurface family deforms
+u(x1*x2*x3 - u) by the seven admissible monomials and is singular along a
+line for every parameter value.  The family is one polynomial in
+Q[x1, x2, x3, u, a1, ..., a7], its coefficients a1..a7 being variables; a
+numeric member is its evaluation at seven rationals, and the undeformed
+member, at zero, is the presentation with v eliminated."""
 
 from fractions import Fraction
 from itertools import product
@@ -135,16 +139,16 @@ def conic_bundle_sr_fixture(fixture: ConicBundleFixture) -> "rees.WeightedPresen
 APPENDIX_C_VARS = ("x1", "x2", "x3", "u")
 
 
-def admissible_deformation_monomials(search_bound: int = 6) -> set:
+def admissible_deformation_monomials() -> set:
     """Exponent vectors (e1, e2, e3, eu) allowed in the deformation term.
 
     Constraints: e3 + eu <= 1 and e1 + eu <= 2 and e2 + eu <= 2 (filtration
     degrees of the three divisors) and e1 + e2 - e3 + eu = 2 (torus weight).
-    The search box is only a safety net; the constraints themselves bound
-    the solutions.
+    The first three bound e1 and e2 by 2 and e3 and eu by 1, so the 36
+    vectors of that box hold every solution.
     """
     out = set()
-    for exps in product(range(search_bound + 1), repeat=4):
+    for exps in product(range(3), range(3), range(2), range(2)):
         e1, e2, e3, eu = exps
         if e3 + eu <= 1 and e1 + eu <= 2 and e2 + eu <= 2 and e1 + e2 - e3 + eu == 2:
             out.add(exps)
@@ -161,39 +165,25 @@ ADMISSIBLE_MONOMIALS = (
     (1, 0, 0, 1),  # x1*u
     (0, 1, 0, 1),  # x2*u
 )
-EXPECTED_ADMISSIBLE = frozenset(ADMISSIBLE_MONOMIALS)
 
 
-class HypersurfaceFamily:
-    """The deformed hypersurface u(x1*x2*x3 - u) = g_a over Q.
+def hypersurface_family(coefficients=None) -> "poly.Polynomial":
+    """f_a = u(x1*x2*x3 - u) - g_a, where g_a is a1..a7 times the seven
+    admissible monomials.
 
-    In symbolic mode the seven coefficients are the variables a1..a7 and the
-    polynomials live in Q[x1, x2, x3, u, a1, ..., a7]; in numeric mode they
-    are exact rationals and the polynomials live in Q[x1, x2, x3, u].
+    With no coefficients, a1..a7 are variables and f_a lives in
+    Q[x1, x2, x3, u, a1, ..., a7].  Seven rationals give its evaluation at
+    them, in Q[x1, x2, x3, u].
     """
-
-    def __init__(self, coefficients=None):
-        if coefficients is None:
-            self.vars = APPENDIX_C_VARS + APPENDIX_C_PARAMS
-            self.coefficients = [poly.Polynomial.variable(self.vars, a) for a in APPENDIX_C_PARAMS]
-        else:
-            coeffs = [Fraction(c) for c in coefficients]
-            if len(coeffs) != 7:
-                raise InputError("numeric mode needs exactly 7 coefficients")
-            self.vars = APPENDIX_C_VARS
-            self.coefficients = [poly.Polynomial.constant(self.vars, c) for c in coeffs]
-
-    def deformation(self) -> "poly.Polynomial":
-        """g_a: the combination of the seven admissible monomials."""
-        padding = (0,) * (len(self.vars) - len(APPENDIX_C_VARS))
-        total = poly.Polynomial.zero(self.vars)
-        for exps, coeff in zip(ADMISSIBLE_MONOMIALS, self.coefficients):
-            total = total + coeff * poly.Polynomial.monomial(self.vars, exps + padding, 1)
-        return total
-
-    def family_polynomial(self) -> "poly.Polynomial":
-        """f_a = u(x1*x2*x3 - u) - g_a."""
-        return poly.parse_polynomial("u*(x1*x2*x3 - u)", self.vars) - self.deformation()
+    if coefficients is not None and len(coefficients) != 7:
+        raise InputError("numeric mode needs exactly 7 coefficients")
+    names = APPENDIX_C_VARS + APPENDIX_C_PARAMS
+    g = poly.Polynomial(names, {exps + tuple(int(j == i) for j in range(7)): 1
+                                for i, exps in enumerate(ADMISSIBLE_MONOMIALS)})
+    f = poly.parse_polynomial("u*(x1*x2*x3 - u)", names) - g
+    if coefficients is None:
+        return f
+    return f.evaluate(dict(zip(APPENDIX_C_PARAMS, coefficients)))
 
 
 def singular_line_residuals(f: "poly.Polynomial") -> list:
@@ -201,8 +191,8 @@ def singular_line_residuals(f: "poly.Polynomial") -> list:
 
     Returns the labeled nonzero restrictions, as polynomials in the line
     parameter c and the variables of f outside APPENDIX_C_VARS (the
-    coefficients a1..a7 in symbolic mode); an empty list certifies the line
-    lies in the singular locus.
+    coefficients a1..a7 of the symbolic family); an empty list certifies the
+    line lies in the singular locus.
     """
     residuals = []
     for label, g in [("f", f)] + [(f"df/d{v}", f.derivative(v)) for v in APPENDIX_C_VARS]:
@@ -213,37 +203,19 @@ def singular_line_residuals(f: "poly.Polynomial") -> list:
     return residuals
 
 
-def singular_line_check(family: HypersurfaceFamily):
-    """True plus no residuals when the whole family is singular along the line."""
-    residuals = singular_line_residuals(family.family_polynomial())
-    return (not residuals), residuals
-
-
-class ThetaQuotientFixture:
-    """The five-generator presentation plus its hypersurface form."""
-
-    __slots__ = ("presentation", "hypersurface")
-
-    def __init__(self, presentation: "rees.WeightedPresentation", hypersurface: "poly.Polynomial"):
-        self.presentation = presentation
-        self.hypersurface = hypersurface
-
-
-def appendix_c_sr_presentation() -> ThetaQuotientFixture:
+def appendix_c_sr_presentation() -> "rees.WeightedPresentation":
     """Q[x1,x2,x3,u,v] / (x1*x2*x3 - u - v, u*v) with filtration weights.
 
     The x variables sit at weight 1 and the two deep-stratum generators at
     weight 3 = kappa_1 + kappa_2 + kappa_3, matching the graded dimensions of
-    the theta basis.  Eliminating v gives the hypersurface form
-    u(x1*x2*x3 - u).
+    the theta basis.  Eliminating v gives the undeformed member of the
+    family, hypersurface_family([0] * 7).
     """
     names = ("x1", "x2", "x3", "u", "v")
     weights = [Fraction(1)] * 3 + [Fraction(3), Fraction(3)]
     rel1 = poly.parse_polynomial("x1*x2*x3 - u - v", names)
     rel2 = poly.parse_polynomial("u*v", names)
-    pres = rees.WeightedPresentation(names, weights, [rel1, rel2])
-    hyper = poly.parse_polynomial("u*(x1*x2*x3 - u)", APPENDIX_C_VARS)
-    return ThetaQuotientFixture(pres, hyper)
+    return rees.WeightedPresentation(names, weights, [rel1, rel2])
 
 
 def appendix_c_configuration() -> "stratum.DivisorConfiguration":

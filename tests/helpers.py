@@ -22,6 +22,7 @@ from logcy.errors import InputError
 from logcy.exactlin import rank
 from logcy.groebner import reduce_modulo
 from logcy.homology import BettiTable
+from logcy.mirror import ADMISSIBLE_MONOMIALS, APPENDIX_C_VARS
 from logcy.poly import Polynomial
 from logcy.stratum import DivisorConfiguration
 from logcy.trees import LogPssTree, TreeEdge
@@ -62,6 +63,17 @@ def substitute(f, images, ring):
             term = term * image ** e
         result = result + term
     return result
+
+
+def numeric_hypersurface_family(coefficients):
+    """Appendix C's f_a = u(x1*x2*x3 - u) - g_a for seven rationals a_i, built
+    in Q[x1, x2, x3, u] from constant coefficients: an oracle for evaluating
+    the symbolic family at them."""
+    f = Polynomial(APPENDIX_C_VARS, {(1, 1, 1, 1): 1, (0, 0, 0, 2): -1})
+    for exps, a in zip(ADMISSIBLE_MONOMIALS, coefficients, strict=True):
+        f = f - Polynomial.constant(APPENDIX_C_VARS, a) * Polynomial.monomial(
+            APPENDIX_C_VARS, exps, 1)
+    return f
 
 
 def is_groebner(basis, order):

@@ -335,7 +335,7 @@ def test_integer_kernel_matches_the_fraction_oracle(system):
 def test_hilbert_function_leaves_no_reference_cycle():
     # the monomial walk keeps its partial exponent vectors on an explicit
     # stack; a recursive closure would be a cycle, left to the next collection
-    pres = appendix_c_sr_presentation().presentation
+    pres = appendix_c_sr_presentation()
     basis = pres.basis()
     expected = hilbert_function_up_to(basis, pres.order, 5)
     gc.collect()

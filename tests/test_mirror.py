@@ -1,12 +1,13 @@
 """The two built-in mirror fixtures and their verifications."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import substitute
+from helpers import numeric_hypersurface_family, substitute
 from logcy import mirror
 from logcy.complexes import SimplicialComplex
 from logcy.errors import InputError
@@ -123,19 +124,24 @@ def test_conic_rees_fiber_roundtrip():
 
 def test_admissible_monomials_exact_set():
     found = mirror.admissible_deformation_monomials()
-    assert found == mirror.EXPECTED_ADMISSIBLE
+    assert found == set(mirror.ADMISSIBLE_MONOMIALS)
     assert len(found) == 7
 
 
 def test_deformation_coefficient_i_multiplies_the_ith_admissible_monomial():
-    g = mirror.HypersurfaceFamily().deformation()
+    f = mirror.hypersurface_family()
+    g = parse_polynomial("u*(x1*x2*x3 - u)", f.vars) - f
     assert g.terms == {exps + tuple(int(j == i) for j in range(7)): 1
                        for i, exps in enumerate(mirror.ADMISSIBLE_MONOMIALS)}
 
 
 def test_admissible_monomials_stable_under_bigger_box():
-    assert mirror.admissible_deformation_monomials(6) == \
-        mirror.admissible_deformation_monomials(12)
+    # the constraints bound the search box: the 13^4 box finds nothing more
+    wide = set()
+    for e1, e2, e3, eu in product(range(13), repeat=4):
+        if e3 + eu <= 1 and e1 + eu <= 2 and e2 + eu <= 2 and e1 + e2 - e3 + eu == 2:
+            wide.add((e1, e2, e3, eu))
+    assert mirror.admissible_deformation_monomials() == wide
 
 
 def test_admissible_excludes_specific_monomials():
@@ -145,28 +151,23 @@ def test_admissible_excludes_specific_monomials():
 
 
 def test_singular_line_symbolic():
-    family = mirror.HypersurfaceFamily()
-    ok, residuals = mirror.singular_line_check(family)
-    assert ok and residuals == []
+    assert mirror.singular_line_residuals(mirror.hypersurface_family()) == []
 
 
 def test_singular_line_numeric_and_rescaling_invariance():
     base = [F(1), F(-2), F(3), F(1, 2), F(0), F(5), F(-1)]
-    ok, _ = mirror.singular_line_check(mirror.HypersurfaceFamily(base))
-    assert ok
+    assert mirror.singular_line_residuals(mirror.hypersurface_family(base)) == []
     scaled = [F(7, 3) * c for c in base]
-    ok, _ = mirror.singular_line_check(mirror.HypersurfaceFamily(scaled))
-    assert ok
+    assert mirror.singular_line_residuals(mirror.hypersurface_family(scaled)) == []
 
 
 def test_singular_line_zero_coefficients():
-    ok, _ = mirror.singular_line_check(mirror.HypersurfaceFamily([0] * 7))
-    assert ok
+    assert mirror.singular_line_residuals(mirror.hypersurface_family([0] * 7)) == []
 
 
 def test_singular_line_perturbation_detected():
-    family = mirror.HypersurfaceFamily([1, 0, 0, 0, 0, 0, 0])
-    broken = family.family_polynomial() - parse_polynomial("x3^2", mirror.APPENDIX_C_VARS)
+    family = mirror.hypersurface_family([1, 0, 0, 0, 0, 0, 0])
+    broken = family - parse_polynomial("x3^2", mirror.APPENDIX_C_VARS)
     residuals = mirror.singular_line_residuals(broken)
     labels = {label for label, _ in residuals}
     assert labels == {"f", "df/dx3"}
@@ -176,8 +177,7 @@ def test_singular_line_perturbation_detected():
 
 
 def test_family_polynomial_symbolic_shape():
-    family = mirror.HypersurfaceFamily()
-    f = family.family_polynomial()
+    f = mirror.hypersurface_family()
     # u*x1*x2*x3 and -u^2 are present alongside the seven deformation terms
     assert (1, 1, 1, 1) + (0,) * 7 in f.terms
     assert (0, 0, 0, 2) + (0,) * 7 in f.terms
@@ -187,13 +187,14 @@ def test_family_polynomial_symbolic_shape():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.fractions(max_denominator=12), min_size=7, max_size=7))
 def test_symbolic_family_specializes_to_the_numeric_family(coefficients):
-    f = mirror.HypersurfaceFamily().family_polynomial()
+    f = mirror.hypersurface_family()
     specialized = f.evaluate(dict(zip(mirror.APPENDIX_C_PARAMS, coefficients)))
-    assert specialized == mirror.HypersurfaceFamily(coefficients).family_polynomial()
+    assert specialized == numeric_hypersurface_family(coefficients)
+    assert mirror.hypersurface_family(coefficients) == specialized
 
 
 def test_singular_line_residuals_carry_the_parameters():
-    f = mirror.HypersurfaceFamily().family_polynomial()
+    f = mirror.hypersurface_family()
     broken = f - parse_polynomial("a1*x3^2", f.vars)
     line_vars = ("c",) + mirror.APPENDIX_C_PARAMS
     assert mirror.singular_line_residuals(broken) == [
@@ -204,27 +205,25 @@ def test_singular_line_residuals_carry_the_parameters():
 
 def test_numeric_mode_needs_seven_coefficients():
     with pytest.raises(InputError):
-        mirror.HypersurfaceFamily([1, 2, 3])
+        mirror.hypersurface_family([1, 2, 3])
 
 
 def test_appendix_c_presentation_matches_theta_counts():
-    fixture = mirror.appendix_c_sr_presentation()
+    pres = mirror.appendix_c_sr_presentation()
     config = mirror.appendix_c_configuration()
-    assert fixture.presentation.hilbert_up_to(5) == graded_dimension(config, 5)
+    assert pres.hilbert_up_to(5) == graded_dimension(config, 5)
 
 
 def test_appendix_c_eliminating_v_gives_hypersurface():
-    fixture = mirror.appendix_c_sr_presentation()
     ring = mirror.APPENDIX_C_VARS
     images = {"v": parse_polynomial("x1*x2*x3 - u", ring)}
-    rel1, rel2 = fixture.presentation.relations
+    rel1, rel2 = mirror.appendix_c_sr_presentation().relations
     assert substitute(rel1, images, ring).is_zero()
-    assert substitute(rel2, images, ring) == fixture.hypersurface
+    assert substitute(rel2, images, ring) == mirror.hypersurface_family([0] * 7)
 
 
 def test_appendix_c_quotient_not_verified_smooth():
-    fixture = mirror.appendix_c_sr_presentation()
-    smooth, cert = jacobian_smooth(fixture.presentation.relations, 2)
+    smooth, cert = jacobian_smooth(mirror.appendix_c_sr_presentation().relations, 2)
     assert not smooth and cert is None
 
 

@@ -207,8 +207,7 @@ def test_graded_dimension_single_divisor_line():
 def test_graded_dimension_matches_appendix_c_quotient(appc):
     from logcy.mirror import appendix_c_sr_presentation
     counts = graded_dimension(appc, 3)
-    fixture = appendix_c_sr_presentation()
-    assert fixture.presentation.hilbert_up_to(3) == counts
+    assert appendix_c_sr_presentation().hilbert_up_to(3) == counts
 
 
 def test_graded_dimension_rejects_negative_bound(appc):
