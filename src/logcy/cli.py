@@ -43,7 +43,7 @@ from . import (complexes, energy, groebner, homology, mirror, poly, rees, sr_alg
                trees)
 from .errors import InputError, UnsupportedStructureError
 from .fields import field_from_name
-from .rationals import RATIONAL, format_rational, parse_rational
+from .rationals import RATIONAL, checked_integer, format_rational, parse_rational
 from .schema import render_report, require_distinct, validate
 
 EXIT_OK = 0
@@ -153,8 +153,12 @@ def _parse_face(text: str):
 
 
 def _cmd_complex(args, inputs):
+    if args.complex_op == "link" and args.field is not None and not args.local_homology:
+        raise InputError("--field is not used by complex link without --local-homology")
     cx = complexes.complex_from_json(_input(args, "faces", inputs))
-    coeff_field = field_from_name(args.field)
+    if args.complex_op == "core":
+        return cx.core().to_json()
+    coeff_field = field_from_name("Q" if args.field is None else args.field)
     if args.complex_op == "homology":
         table = homology.reduced_homology(cx, coeff_field)
         return {"field": coeff_field.name, "betti": table.to_json()}
@@ -168,8 +172,6 @@ def _cmd_complex(args, inputs):
             table = homology.local_homology_at_face(cx, face, coeff_field)
             payload["localHomology"] = table.to_json()
         return payload
-    if args.complex_op == "core":
-        return cx.core().to_json()
 
 
 def _cmd_sr(args, inputs):
@@ -288,8 +290,8 @@ def _cmd_tree(args, inputs):
         rho = trees.build_rho(tree)  # one incidence map and kernel for all four numbers
         kernel = rho.kernel_dim()
         return {
-            "vdimPrelog": trees.vdim_prelog(tree),
-            "vdimLog": tree.deg_x0 - 2 * kernel,  # as trees.vdim_log
+            "vdimPrelog": checked_integer(trees.vdim_prelog(tree)),
+            "vdimLog": checked_integer(tree.deg_x0 - 2 * kernel),  # as trees.vdim_log
             "kernelDim": kernel,
             "obstructionDim": trees.obstruction_dim(tree, rho, kernel),
         }
@@ -334,6 +336,8 @@ _APPC_FLAGS = {"admissible": (), "singular-line": ("mode", "coeffs"), "sr": ("bo
 
 def _cmd_example(args, inputs):
     if args.example_op == "conic":
+        if args.bound is not None and not args.gr:
+            raise InputError("--bound is not used by example conic without --gr")
         n = _require(args, "n")
         fixture = mirror.ConicBundleFixture(
             n, args.na, args.nb,
@@ -460,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
 
     cx = top.add_parser("complex").add_subparsers(dest="complex_op", required=True)
-    for op in ("homology", "gorenstein", "link", "core"):
-        flags = {"--faces": {}, "--field": {"default": "Q"}}
+    leaf(cx, "complex core", {"--faces": {}})
+    for op in ("homology", "gorenstein", "link"):
+        flags = {"--faces": {}, "--field": {}}
         if op == "link":
             flags["--face"] = {}
             flags["--local-homology"] = {"action": "store_true"}

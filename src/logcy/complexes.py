@@ -44,12 +44,15 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets):
-        """Build the complex generated by the given facets (downward closure)."""
+        """Build the complex generated by the given facets (downward closure).
+        The largest are closed first, so that a given face inside one of them
+        is skipped: a downward-closed family costs one step per face."""
         facets = list(map(frozenset, facets))
         vertices = tuple(sorted(frozenset().union(*facets)))
         bit = {v: 1 << i for i, v in enumerate(vertices)}
         masks = {0} if facets else set()
-        for top in {sum(map(bit.__getitem__, facet)) for facet in facets}:
+        tops = {sum(map(bit.__getitem__, facet)) for facet in facets}
+        for top in sorted(tops, key=int.bit_count, reverse=True):
             sub = 0 if top in masks else top  # a face already in brought its faces
             while sub:
                 masks.add(sub)

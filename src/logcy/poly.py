@@ -14,7 +14,7 @@ from math import floor, lcm
 from operator import mul
 
 from .errors import COUNT_LIMIT, InputError
-from .rationals import format_rational
+from .rationals import checked_integer, format_rational
 
 
 def require_countable(size):
@@ -279,7 +279,7 @@ class Polynomial:
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
-                    factors.append(f"{name}^{e}")
+                    factors.append(f"{name}^{checked_integer(e)}")
             cstr = format_rational(coeff)
             if factors and cstr == "1":
                 pieces.append("*".join(factors))

@@ -44,9 +44,24 @@ def format_rational(q: Fraction) -> str:
             return str(q.numerator)
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
-        raise UnsupportedStructureError(
-            f"a rational in the result has more than {sys.get_int_max_str_digits()} digits, "
-            f"the most a report prints") from None
+        raise _too_many_digits("a rational") from None
+
+
+def checked_integer(n: int) -> int:
+    """n itself, when a report can print it: an integer of more digits than
+    int() converts to text (sys.get_int_max_str_digits()) raises
+    UnsupportedStructureError, as format_rational does.  Below 8^limit, all
+    but the largest integers, only its bit length is read."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+        raise _too_many_digits("an integer")
+    return n
+
+
+def _too_many_digits(what: str) -> UnsupportedStructureError:
+    return UnsupportedStructureError(
+        f"{what} in the result has more than {sys.get_int_max_str_digits()} digits, "
+        f"the most a report prints")
 
 
 def parse_rational_vector(values) -> tuple:

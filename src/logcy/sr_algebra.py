@@ -18,7 +18,7 @@ from math import ceil, floor
 
 from . import complexes, poly, rees, stratum
 from .errors import FACE_LIMIT, InputError
-from .rationals import format_rational
+from .rationals import checked_integer, format_rational
 
 
 class ThetaBasisElement:
@@ -98,7 +98,8 @@ class ThetaElement:
 
     def to_json(self, config: "stratum.DivisorConfiguration") -> list:
         return [
-            {"v": list(elem.v), "component": elem.component, "coeff": format_rational(c)}
+            {"v": [checked_integer(m) for m in elem.v], "component": elem.component,
+             "coeff": format_rational(c)}
             for elem, c in self.sorted_terms(config)
         ]
 

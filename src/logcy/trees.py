@@ -280,14 +280,23 @@ class RhoMap:
         }
 
 
+def _require_cells(matrix: str, nrows: int, ncols: int):
+    """Refuse, before allocating, a dense matrix of more than COUNT_LIMIT cells."""
+    if nrows * ncols > COUNT_LIMIT:
+        raise InputError(f"the tree is too large: its {matrix} has {nrows} x {ncols} cells, "
+                         f"and more than {COUNT_LIMIT} are refused")
+
+
 def build_rho(tree: LogPssTree) -> RhoMap:
     """Assemble the incidence matrix for the tree's stored edge orientations.
     Row (e, i) is edge e's alone: its contact at e's column, +1 at column
-    (e.a, i) when i is in e.a's depth and -1 at (e.b, i) when i is in e.b's."""
+    (e.a, i) when i is in e.a's depth and -1 at (e.b, i) when i is in e.b's.
+    A matrix of more than logcy.errors.COUNT_LIMIT cells is refused first."""
     tree.require_valid()
     vertex_cols = [("vertex", v, i)
                    for v in sorted(tree.vertices) for i in sorted(tree.vertices[v])]
     ncols = len(tree.edges) + len(vertex_cols)
+    _require_cells("incidence map", sum(len(e.depth) for e in tree.edges), ncols)
     vertex_col = {label[1:]: col for col, label in enumerate(vertex_cols, len(tree.edges))}
     edge_cols, row_labels, matrix = [], [], []
     for col, e in enumerate(tree.edges):
@@ -408,7 +417,8 @@ def balancing_feasible(tree: LogPssTree):
     Maximizes the margin delta subject to the difference equations, all
     lower bounds lambda_e >= delta and v_{nu,i} >= delta, and the
     normalization that all variables sum to 1 (valid because the system is
-    homogeneous).  Returns a re-verified certificate, or None.
+    homogeneous).  Returns a re-verified certificate, or None.  An LP of
+    more than logcy.errors.COUNT_LIMIT cells is refused before it is built.
     """
     rho = build_rho(tree)
     n = tree.index_range
@@ -418,6 +428,7 @@ def balancing_feasible(tree: LogPssTree):
     # columns: rho's columns, then delta, then one slack per lower bound;
     # rho's rows with the edge columns negated read v_a - v_b - lambda_e * contact_e = 0
     delta = rho.ncols
+    _require_cells("balancing LP", len(rho.matrix) + delta + 1, 2 * delta + 1)
     nedges = len(tree.edges)
     pad = [0] * (delta + 1)
     rows = [[-x for x in row[:nedges]] + list(row[nedges:]) + pad for row in rho.matrix]

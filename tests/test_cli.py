@@ -433,6 +433,121 @@ def test_a_tree_at_the_count_limit_is_read(tmp_path):
     assert report["result"] == {"valid": True, "violations": []}
 
 
+def _deep_edge_tree(m):
+    """Root 0 and vertex 1 of depth {1..m}, one edge of contact 1: rho is m x (m + 1)."""
+    depth = list(range(1, m + 1))
+    return {"k": m, "root": 0, "deg_x0": 0, "legs": [{"vertex": 0}],
+            "vertices": [{"id": 0}, {"id": 1, "depth": depth}],
+            "edges": [{"a": 1, "b": 0, "depthE": depth, "contact": {"1->0": [1] * m}}]}
+
+
+def _empty_star_tree(n):
+    """n edges of empty depth, n - 1 of them at vertex 1: rho has no rows and
+    n columns, the balancing LP (n + 1) x (2n + 1) cells."""
+    parents = {v: 1 if v > 1 else 0 for v in range(1, n + 1)}
+    return {"k": 1, "root": 0, "deg_x0": 0, "legs": [{"vertex": 0}],
+            "vertices": [{"id": v} for v in range(n + 1)],
+            "edges": [{"a": v, "b": b, "contact": {f"{v}->{b}": [0]}} for v, b in parents.items()]}
+
+
+# kind -> (tree operation, tree JSON, text the error must name); 500 x 501 and
+# 354 x 707 are the smallest of each shape past COUNT_LIMIT = 250 000
+_TOO_MANY_CELLS = {
+    f"{op}-rho-500x501": (op, _deep_edge_tree(500),
+                          f"its incidence map has 500 x 501 cells, and more than {COUNT_LIMIT} "
+                          f"are refused")
+    for op in ("rho", "vdim", "feasible")}
+_TOO_MANY_CELLS["feasible-lp-354x707"] = (
+    "feasible", _empty_star_tree(353),
+    f"its balancing LP has 354 x 707 cells, and more than {COUNT_LIMIT} are refused")
+
+
+@pytest.mark.parametrize("kind", sorted(_TOO_MANY_CELLS))
+def test_a_tree_past_the_cell_limit_is_refused_alone_and_in_a_batch(fixtures, tmp_path, kind):
+    op, tree, named = _TOO_MANY_CELLS[kind]
+    path = tmp_path / "big_tree.json"
+    path.write_text(json.dumps(tree))
+    argv = ["tree", op, "--tree", str(path)]
+    code, report = run(argv)
+    assert code == EXIT_INPUT
+    assert report["error"] == {"type": "input", "message": f"the tree is too large: {named}"}
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+    code, batch = run(["batch", "--manifest", str(manifest)])
+    assert code == EXIT_INPUT
+    assert [job["exit"] for job in batch["result"]["jobs"]] == [EXIT_INPUT, EXIT_OK]
+    assert batch["result"]["jobs"][0]["report"] == report
+    assert batch["result"]["jobs"][1]["report"] == run(sibling)[1]
+
+
+@pytest.mark.parametrize("op, tree", [("rho", _deep_edge_tree(499)),
+                                      ("feasible", _empty_star_tree(352))],
+                         ids=["rho-499x500", "feasible-lp-353x705"])
+def test_a_tree_at_the_cell_limit_is_computed(tmp_path, op, tree):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    code, report = run(["tree", op, "--tree", str(path)])
+    assert code == EXIT_OK
+    if op == "rho":
+        assert report["result"]["rank"] == 499
+    else:
+        assert report["result"]["feasible"] is True
+
+
+_DIGITS = sys.get_int_max_str_digits()
+_NINES = int("9" * _DIGITS)  # the largest integer that int() writes
+
+
+def _nines_tree(deg_x0):
+    """Root, a centre of depth {1, 2, 3} and three leaves of empty depth, zero
+    contacts: vdimPrelog is deg_x0 + 10 and vdimLog is deg_x0 - 8."""
+    parents = {1: 0, 2: 1, 3: 1, 4: 1}
+    edges = [{"a": v, "b": b, "depthE": [1, 2, 3], "contact": {f"{v}->{b}": [0, 0, 0]}}
+             for v, b in parents.items()]
+    return {"k": 3, "root": 0, "deg_x0": deg_x0, "legs": [{"vertex": 0}],
+            "vertices": [{"id": 0}, {"id": 1, "depth": [1, 2, 3]}, {"id": 2}, {"id": 3},
+                         {"id": 4}], "edges": edges}
+
+
+# kind -> (argv, with "tree.json" and fixture names standing for their paths;
+# the tree JSON, if any); each result holds an integer of more digits than
+# int() writes, from inputs within the digit limit
+_REPORT_INTEGER_PAST_THE_DIGIT_LIMIT = {
+    "tree-vdim-prelog": (["tree", "vdim", "--tree", "tree.json"], _nines_tree(_NINES)),
+    "tree-vdim-log": (["tree", "vdim", "--tree", "tree.json"], _nines_tree(-_NINES)),
+    "sr-multiply-theta-vector": (["sr", "multiply", "--config", "appc.json",
+                                  "--lhs", f"theta[{_NINES},0,0]",
+                                  "--rhs", f"theta[{_NINES},0,0]"], None),
+    "ring-grob-exponent": (["ring", "grob", "--vars", "x", "--weights", "1",
+                            "--gens", f"x^{10 ** (_DIGITS - 1)}^10"], None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPORT_INTEGER_PAST_THE_DIGIT_LIMIT))
+def test_a_report_integer_past_the_digit_limit_is_unsupported_alone_and_in_a_batch(
+        fixtures, tmp_path, kind):
+    template, tree = _REPORT_INTEGER_PAST_THE_DIGIT_LIMIT[kind]
+    if tree is not None:
+        fixtures = dict(fixtures, **{"tree.json": str(tmp_path / "tree.json")})
+        (tmp_path / "tree.json").write_text(json.dumps(tree))
+    argv = [fixtures.get(arg, arg) for arg in template]
+    code, report = run(argv)
+    assert code == EXIT_UNSUPPORTED
+    assert report["error"] == {"type": "unsupported", "message": (
+        f"an integer in the result has more than {_DIGITS} digits, the most a report prints")}
+    render_report(report)  # the report itself prints
+    sibling = ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"jobs": [{"args": argv}, {"args": sibling}]}))
+    code, batch = run(["batch", "--manifest", str(manifest)])
+    assert code == EXIT_UNSUPPORTED
+    assert [job["exit"] for job in batch["result"]["jobs"]] == [EXIT_UNSUPPORTED, EXIT_OK]
+    assert batch["result"]["jobs"][0]["report"] == report
+    assert batch["result"]["jobs"][1]["report"] == run(sibling)[1]
+    render_report(batch)
+
+
 def test_schema_flags(fixtures):
     for argv in (["complex", "homology", "--schema"],
                  ["sr", "multiply", "--schema"],
@@ -760,6 +875,13 @@ _BAD_ARGV = {
                                 "--coeffs", "1,2,3,4,5,6,7"], "--mode"),
     "example-appc-singular-line-bound": (["example", "appc", "--check", "singular-line",
                                           "--bound", "3"], "--bound"),
+    "complex-core-field": (["complex", "core", "--faces", "cycle.json", "--field", "F3"],
+                           "unrecognized arguments"),
+    "complex-link-field-without-local-homology": (
+        ["complex", "link", "--faces", "cycle.json", "--face", "1", "--field", "F3"],
+        "--field is not used by complex link without --local-homology"),
+    "example-conic-bound-without-gr": (["example", "conic", "--n", "3", "--bound", "4"],
+                                       "--bound is not used by example conic without --gr"),
     "complex-link-face-vertex-repeated": (["complex", "link", "--faces", "cycle.json",
                                            "--face", "2,2"],
                                           "--face [1] repeats the vertex of [0]"),

@@ -165,6 +165,19 @@ def test_links_of_links_and_their_equality_match_the_oracles(cx):
             assert link.link(inner) == link_oracle(expected, inner)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7)), max_size=8).flatmap(
+    lambda facets: st.tuples(st.just(facets), st.permutations(facets))))
+@example(([set(), {1}, {2}, {1, 2}], [{1, 2}, {2}, {1}, set()]))
+@example(([{1}, {1, 2}, {2, 3}, {1, 2, 3}], [{1, 2, 3}, {2, 3}, {1}, {1, 2}]))
+def test_a_complex_does_not_depend_on_the_order_of_its_facets(facets_and_shuffled):
+    facets, shuffled = facets_and_shuffled
+    cx = SimplicialComplex.from_facets(facets)
+    assert SimplicialComplex.from_facets(shuffled) == cx
+    assert cx.faces == {frozenset(face) for facet in facets
+                        for n in range(len(facet) + 1) for face in combinations(facet, n)}
+
+
 def test_stanley_reisner_complex_needs_squarefree_monomials():
     names, weights = ("x1", "x2"), [1, 1]
     assert stanley_reisner_complex(WeightedPresentation(names, weights, ["x1^2"])) is None
