@@ -464,9 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
 
     cx = top.add_parser("complex").add_subparsers(dest="complex_op", required=True)
-    leaf(cx, "complex core", {"--faces": {}})
-    for op in ("homology", "gorenstein", "link"):
-        flags = {"--faces": {}, "--field": {}}
+    for op in ("homology", "gorenstein", "link", "core"):
+        flags = {"--faces": {}} if op == "core" else {"--faces": {}, "--field": {}}
         if op == "link":
             flags["--face"] = {}
             flags["--local-homology"] = {"action": "store_true"}
