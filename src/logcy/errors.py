@@ -13,12 +13,11 @@ Mathematical "false" verdicts are ordinary return values, never exceptions.
 # hilbert_function_up_to), the conic fixture's Stanley-Reisner check, a complex
 # read from JSON and a Stanley-Reisner complex.  It also bounds the sizes that
 # allocations follow: a tree's k + kPrime (tree_from_json), the conic
-# fixture's n (ConicBundleFixture), and the dense cells of a tree's incidence
-# map (build_rho, whose rank obstruction_dim also takes by dense Bareiss) and
-# of its balancing LP (balancing_feasible).  The largest --bound count the
-# tests and benchmark inputs make is under 1% of it; the largest complex the
-# benchmark reads, 64 facets of 6 vertices, is under 2%; its largest tree has
-# 480 incidence cells and 2 205 LP cells, under 1%.
+# fixture's n (ConicBundleFixture) and the dense cells of a tree's incidence
+# map and balancing LP (build_rho, balancing_feasible).  The largest --bound
+# count the tests and benchmark inputs make is under 1% of it; the largest
+# complex the benchmark reads, 64 facets of 6 vertices, is under 2%, and its
+# largest tree has 480 and 2 205 such cells.
 COUNT_LIMIT = 250_000
 
 # The most faces the Gorenstein test takes (homology.gorenstein_verdict), and

@@ -6,16 +6,13 @@ Q[u_1..u_n, w1, w2] / (u_1...u_n - Na - Nb*w1, w1*w2 - 1) with weights 1 on
 the u's and ample weights on w1, w2; its degeneration and smoothness
 behavior are exercised against the polynomial engine.  The ring its gr is
 compared with is computed, not written: sr_algebra.sr_presentation of the
-complex that the boundary divisors' facets generate.
-
-Appendix C has one definition per object.  Its filtered presentation
-Q[x1,x2,x3,u,v] / (x1*x2*x3 - u - v, u*v) is compared with the theta basis
-of appendix_c_configuration.  Its hypersurface family deforms
-u(x1*x2*x3 - u) by the seven admissible monomials and is singular along a
-line for every parameter value.  The family is one polynomial in
-Q[x1, x2, x3, u, a1, ..., a7], its coefficients a1..a7 being variables; a
-numeric member is its evaluation at seven rationals, and the undeformed
-member, at zero, is the presentation with v eliminated."""
+complex that the boundary divisors' facets generate.  Appendix C's filtered
+presentation Q[x1,x2,x3,u,v] / (x1*x2*x3 - u - v, u*v) is compared with the
+theta basis of appendix_c_configuration.  Its hypersurface family, one
+polynomial in Q[x1, x2, x3, u, a1, ..., a7], deforms u(x1*x2*x3 - u) by the
+seven admissible monomials and is singular along a line for every a; a
+numeric member is its evaluation at seven rationals.
+"""
 
 from fractions import Fraction
 from itertools import product
@@ -168,13 +165,9 @@ ADMISSIBLE_MONOMIALS = (
 
 
 def hypersurface_family(coefficients=None) -> "poly.Polynomial":
-    """f_a = u(x1*x2*x3 - u) - g_a, where g_a is a1..a7 times the seven
-    admissible monomials.
-
-    With no coefficients, a1..a7 are variables and f_a lives in
-    Q[x1, x2, x3, u, a1, ..., a7].  Seven rationals give its evaluation at
-    them, in Q[x1, x2, x3, u].
-    """
+    """f_a = u(x1*x2*x3 - u) - g_a in Q[x1, x2, x3, u, a1, ..., a7], g_a being
+    a1..a7 times the seven admissible monomials; given seven rationals, its
+    evaluation at them, in Q[x1, x2, x3, u]."""
     if coefficients is not None and len(coefficients) != 7:
         raise InputError("numeric mode needs exactly 7 coefficients")
     names = APPENDIX_C_VARS + APPENDIX_C_PARAMS

@@ -48,10 +48,9 @@ def format_rational(q: Fraction) -> str:
 
 
 def checked_integer(n: int) -> int:
-    """n itself, when a report can print it: an integer of more digits than
-    int() converts to text (sys.get_int_max_str_digits()) raises
-    UnsupportedStructureError, as format_rational does.  Below 8^limit, all
-    but the largest integers, only its bit length is read."""
+    """n, when a report can print it; past int()'s digit limit it raises
+    UnsupportedStructureError, as format_rational does.  Below 8^limit only
+    its bit length is read."""
     limit = sys.get_int_max_str_digits()
     if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
         raise _too_many_digits("an integer")
