@@ -31,7 +31,8 @@ _input, which requires its flag, reads and parses the file and records its
 path and sha256 in the report's inputs.  Each JSON file is checked by
 schema.validate, against the dict that --schema prints, first thing in its
 *_from_json parser (here for the energy input and the batch manifest).
-Errors name the flag or JSON path.
+--schema reads no flag but --out, and refuses any other.  Errors name the
+flag or JSON path.
 """
 
 import argparse
@@ -70,7 +71,7 @@ def _energy_input_schema(op: str) -> dict:
             "v": {"type": "array", "items": {"type": "integer"}},
             "x0": {"type": "object", "required": ["v"], "properties": {
                 "v": {"type": "array", "items": {"type": "integer"}},
-                "component": {"type": "integer"}}},
+                "component": {"type": "integer"}}},  # accepted, not read
             "orbitAction": RATIONAL,
             "chord": energy.CHORD_SCHEMA,
             "fromWeight": RATIONAL,
@@ -213,15 +214,12 @@ def _cmd_ring(args, inputs):
             payload["levels"] = _levels(graded.hilbert_up_to(parse_rational(args.bound)))
         return payload
     if args.ring_op == "rees":
-        family = rees.rees_algebra(pres)
-        return {"presentation": family.presentation.to_json(),
-                "rescale": family.rescale}
+        return {"presentation": rees.rees_algebra(pres).to_json(),
+                "rescale": pres.order.scale}
     if args.ring_op == "fiber":
-        family = rees.rees_algebra(pres)
         value = parse_rational(_require(args, "t"))
-        fiber = rees.fiber_at(family, value)
         return {"t": format_rational(value),
-                "presentation": fiber.to_json()}
+                "presentation": rees.fiber_at(pres, value).to_json()}
     if args.ring_op == "smooth":
         codim = _require(args, "codim")
         if codim < 1:
@@ -245,9 +243,8 @@ def _cmd_ring_degenerate(args, inputs, pres):
     bound = parse_rational(_require(args, "bound"))
 
     graded = rees.associated_graded(pres)
-    family = rees.rees_algebra(pres)
-    special = rees.fiber_at(family, 0)
-    generic = rees.fiber_at(family, 1)
+    special = rees.fiber_at(pres, 0)
+    generic = rees.fiber_at(pres, 1)
 
     special_ok = rees.presentations_ideal_equal(special, graded)
     hilbert_gr = graded.hilbert_up_to(bound)
@@ -311,7 +308,7 @@ def _cmd_energy(args, inputs):
     if args.energy_op == "orbit-action":
         return {"action": format_rational(energy.orbit_action_approx(params, data["v"]))}
     if args.energy_op == "pss":
-        orbit = energy.OrbitLabel(tuple(data["x0"]["v"]), data["x0"].get("component", 0))
+        orbit = energy.OrbitLabel(tuple(data["x0"]["v"]))
         approx = energy.pss_energy_approx(params, data["v"], orbit)
         if "orbitAction" in data:
             action = parse_rational(data["orbitAction"])
@@ -537,9 +534,7 @@ def _run(argv, in_batch=False):
     may not give --out, in any spelling argparse accepts: its report goes
     into the batch report."""
     try:
-        args, unknown = _parser().parse_known_args(argv)
-        if unknown:
-            raise argparse.ArgumentError(None, "unrecognized arguments")
+        args = _parser().parse_args(argv)
     except argparse.ArgumentError as exc:
         return EXIT_INPUT, {"error": {"type": "usage", "message": str(exc)}}, None
     command = args.command
@@ -547,7 +542,14 @@ def _run(argv, in_batch=False):
         message = "--out is not supported in a batch job; its report is in the batch report"
         return EXIT_INPUT, {"command": command, "inputs": {},
                             "error": {"type": "input", "message": message}}, args
-    if getattr(args, "schema", False):
+    if args.schema:
+        alone = vars(_parser().parse_args(command.split() + ["--schema"]))
+        given = ["--" + key.replace("_", "-") for key, value in vars(args).items()
+                 if key != "out" and value != alone[key]]
+        if given:
+            message = f"--schema reads no flag but --out; got {', '.join(given)}"
+            return EXIT_INPUT, {"command": command, "inputs": {},
+                                "error": {"type": "input", "message": message}}, args
         return EXIT_OK, {"command": command, "schema": _schema(command)}, args
     inputs = {}
     try:

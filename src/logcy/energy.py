@@ -7,7 +7,7 @@ of the closed-form right-hand sides, with no error terms modeled.
 
 from fractions import Fraction
 
-from .errors import DegenerateChordError, InputError
+from .errors import InputError
 from .rationals import RATIONAL, parse_rational, parse_rational_vector
 from .schema import validate
 
@@ -59,15 +59,14 @@ PARAMETERS_SCHEMA = {
 
 
 class OrbitLabel:
-    """A family of Hamiltonian orbits: winding vector plus stratum component."""
+    """A family of Hamiltonian orbits, by its winding vector."""
 
-    __slots__ = ("v", "component")
+    __slots__ = ("v",)
 
-    def __init__(self, v, component=0):
+    def __init__(self, v):
         if any((not isinstance(x, int)) or x < 0 for x in v):
             raise InputError("orbit winding vectors are nonnegative integer tuples")
         self.v = v
-        self.component = component
 
 
 class ChordLabel:
@@ -78,10 +77,9 @@ class ChordLabel:
     f1 are the primitive values at the endpoints.
     """
 
-    __slots__ = ("point_id", "indices", "alpha0", "alpha1", "v", "f0", "f1")
+    __slots__ = ("indices", "alpha0", "alpha1", "v", "f0", "f1")
 
-    def __init__(self, point_id, indices, alpha0, alpha1, v, f0, f1):
-        self.point_id = point_id
+    def __init__(self, indices, alpha0, alpha1, v, f0, f1):
         self.indices = tuple(int(i) for i in indices)  # sorted subset I of 1..k
         self.alpha0 = tuple(Fraction(x) for x in alpha0)
         self.alpha1 = tuple(Fraction(x) for x in alpha1)
@@ -108,7 +106,6 @@ def chord_from_json(data, k: int) -> ChordLabel:
     if len(v) != k:
         raise InputError(f"chord winding vector has length {len(v)}, expected {k}")
     return ChordLabel(
-        point_id=data.get("y", 0),
         indices=tuple(data["I"]),
         alpha0=parse_rational_vector(data["alpha0"]),
         alpha1=parse_rational_vector(data["alpha1"]),
@@ -123,7 +120,7 @@ CHORD_SCHEMA = {
     "type": "object",
     "required": ["I", "alpha0", "alpha1"],
     "properties": {
-        "y": {"type": "integer"},
+        "y": {"type": "integer"},  # the chord's point: accepted, not read
         "I": {"type": "array", "items": {"type": "integer"}},
         "alpha0": {"type": "array", "items": RATIONAL},
         "alpha1": {"type": "array", "items": RATIONAL},
@@ -163,7 +160,7 @@ def short_chord_winding(chord: ChordLabel) -> tuple:
     out = []
     for i, a0, a1 in zip(chord.indices, chord.alpha0, chord.alpha1):
         if a0 == a1:
-            raise DegenerateChordError(f"chord angles coincide at index {i}")
+            raise InputError(f"chord angles coincide at index {i}")
         out.append(1 if a1 > a0 else 0)
     return tuple(out)
 

@@ -45,7 +45,3 @@ class UnsupportedStructureError(LogcyError):
     The canonical case is a divisor configuration with a disconnected stratum
     handed to an operation that requires a simplicial dual complex.
     """
-
-
-class DegenerateChordError(InputError):
-    """A chord label with coinciding endpoint angles at some index."""

@@ -10,8 +10,10 @@ between the ring and its graded degeneration.
 
 A presentation builds its WeightedOrder once and owns its reduced Groebner
 basis in that order, computed on first use and kept; an associated graded
-presentation is handed its basis when it is made.  The Rees family is
-homogenized in the order's integer degrees; a fiber evaluates t.
+presentation is handed its basis when it is made.  The Rees family is a
+plain presentation over t and the original variables, homogenized in the
+order's integer degrees; a fiber is taken from the presentation it deforms,
+by evaluating t in its family.
 """
 
 from . import groebner
@@ -71,20 +73,6 @@ class WeightedPresentation:
         return f"WeightedPresentation(vars={self.vars}, weights={self.weights}, relations={rels})"
 
 
-class ReesPresentation:
-    """A weight-homogeneous presentation over {t} + the original variables.
-
-    rescale is the factor by which the original weights were multiplied to
-    make them integral; reported filtration levels divide it back out.
-    """
-
-    __slots__ = ("presentation", "rescale")
-
-    def __init__(self, presentation: WeightedPresentation, rescale: int):
-        self.presentation = presentation
-        self.rescale = rescale
-
-
 def presentation_from_json(data) -> WeightedPresentation:
     validate(data, PRESENTATION_SCHEMA)
     weights = [parse_rational(w) for w in data["weights"]]
@@ -127,13 +115,13 @@ def associated_graded(pres: WeightedPresentation) -> WeightedPresentation:
     return graded
 
 
-def rees_algebra(pres: WeightedPresentation) -> ReesPresentation:
-    """Homogenize a weighted Groebner basis by a degree-one parameter t.
+def rees_algebra(pres: WeightedPresentation) -> WeightedPresentation:
+    """The Rees family: a weighted Groebner basis homogenized by a degree-one
+    parameter t, over ("t",) + pres.vars.
 
     The homogenization works in the integer degrees of the presentation's
-    order, whose weights are the original ones times order.scale (recorded
-    in the result as rescale); each basis element gains t powers filling
-    every term up to the relation's top degree.
+    order, whose weights are the original ones times order.scale; each basis
+    element gains t powers filling every term up to the relation's top degree.
     """
     if "t" in pres.vars:
         raise InputError("variable name 't' collides with the presentation")
@@ -145,22 +133,21 @@ def rees_algebra(pres: WeightedPresentation) -> ReesPresentation:
         top = max(degrees.values())
         homogenized.append(Polynomial(new_vars, {(top - degree,) + exps: g.terms[exps]
                                                  for exps, degree in degrees.items()}))
-    rees_pres = WeightedPresentation(new_vars, (1,) + order.int_weights, homogenized)
-    return ReesPresentation(rees_pres, order.scale)
+    return WeightedPresentation(new_vars, (1,) + order.int_weights, homogenized)
 
 
-def fiber_at(rees: ReesPresentation, value) -> WeightedPresentation:
-    """Evaluate the family parameter t at value, over the original variables.
+def fiber_at(pres: WeightedPresentation, value) -> WeightedPresentation:
+    """The fiber at t = value of the Rees family of pres, in pres's variables
+    and weights.
 
     value 0 gives the associated-graded candidate; any nonzero value gives a
-    presentation isomorphic to the original ring (witnessed by rescaling each
-    variable by value^weight).  Weights are reported in original units.  No
-    image is zero: each term keeps its own monomial, and the top-degree ones carry no t.
+    presentation isomorphic to pres (witnessed by rescaling each variable by
+    value^weight).  No image is zero: each term keeps its own monomial, and
+    the top-degree ones carry no t.
     """
-    pres = rees.presentation
-    original_weights = [w / rees.rescale for w in pres.weights[1:]]
-    return WeightedPresentation(pres.vars[1:], original_weights,
-                                [rel.evaluate({"t": value}) for rel in pres.relations])
+    return WeightedPresentation(pres.vars, pres.weights,
+                                [rel.evaluate({"t": value})
+                                 for rel in rees_algebra(pres).relations])
 
 
 def presentations_ideal_equal(first: WeightedPresentation,

@@ -527,8 +527,7 @@ def gorenstein_oracle(cx, coeff_field):
 
 def winding(chord, v):
     """The chord with its winding vector replaced by v."""
-    return ChordLabel(chord.point_id, chord.indices, chord.alpha0, chord.alpha1,
-                      tuple(v), chord.f0, chord.f1)
+    return ChordLabel(chord.indices, chord.alpha0, chord.alpha1, tuple(v), chord.f0, chord.f1)
 
 
 def random_tree(rng: random.Random, k_max=3, max_vertices=6):

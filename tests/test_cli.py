@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -177,6 +176,21 @@ def test_ring_pipeline(fixtures):
     assert code == EXIT_OK
     assert report["result"]["smooth"] is True
     assert report["result"]["certificate"]["cofactors"]
+
+
+@pytest.mark.parametrize("pres, t_flag, named", [
+    ({"vars": ["t", "x"], "weights": ["1", "1"], "relations": ["x^2 - t"]}, [],
+     "missing required argument --t"),
+    ({"vars": ["x"], "weights": ["1"], "relations": ["x", "x - 1"]}, ["--t", "abc"],
+     "malformed rational 'abc'"),
+], ids=["variable-t-and-no-t", "unit-ideal-and-bad-t"])
+def test_ring_fiber_reports_t_before_the_family(tmp_path, pres, t_flag, named):
+    # the presentation's Rees family is refused too, but --t is read first
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(pres))
+    code, report = run(["ring", "fiber", "--pres", str(path), *t_flag])
+    assert code == EXIT_INPUT
+    assert report["error"]["message"].startswith(named)
 
 
 def test_ring_grob_inline():
@@ -594,7 +608,7 @@ def test_batch_rejects_nested_batch(tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_batch_deterministic_across_worker_counts(fixtures, tmp_path):
+def test_batch_deterministic_across_runs(fixtures, tmp_path):
     jobs = []
     for _ in range(6):
         jobs.append({"args": ["complex", "gorenstein", "--faces", fixtures["cycle.json"]]})
@@ -603,11 +617,10 @@ def test_batch_deterministic_across_worker_counts(fixtures, tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"jobs": jobs}))
     outputs = []
-    for workers in ("1", "8"):
-        env = dict(os.environ, LOGCY_WORKERS=workers)
+    for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "logcy.cli", "batch", "--manifest", str(manifest)],
-            capture_output=True, env=env)
+            capture_output=True)
         assert proc.returncode == EXIT_OK
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
@@ -647,6 +660,16 @@ def test_out_flag_writes_file(fixtures, tmp_path):
     assert proc.stdout == b""
     payload = json.loads(out.read_text())
     assert payload["result"]["facets"] == [[2], [3]]
+
+
+def test_schema_out_flag_writes_the_schema(tmp_path):
+    out = tmp_path / "schema.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "logcy.cli", "tree", "vdim", "--schema", "--out", str(out)],
+        capture_output=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == b""
+    assert json.loads(out.read_text()) == run(["tree", "vdim", "--schema"])[1]
 
 
 def test_render_report_trailing_newline():
@@ -808,7 +831,7 @@ def test_usage_error_reports_repeat_with_the_shared_parser(fixtures):
     first = run(bad)
     run(["complex", "homology", "--faces", fixtures["cycle.json"]])
     assert run(bad) == first == (EXIT_INPUT, {"error": {
-        "type": "usage", "message": "unrecognized arguments"}})
+        "type": "usage", "message": "unrecognized arguments: --bogus"}})
 
 
 # kind -> (argv, with fixture names standing for their paths; text the error must name)
@@ -876,7 +899,10 @@ _BAD_ARGV = {
     "example-appc-singular-line-bound": (["example", "appc", "--check", "singular-line",
                                           "--bound", "3"], "--bound"),
     "complex-core-field": (["complex", "core", "--faces", "cycle.json", "--field", "F3"],
-                           "unrecognized arguments"),
+                           "unrecognized arguments: --field F3"),
+    "complex-homology-schema-with-other-flags": (
+        ["complex", "homology", "--schema", "--field", "F4", "--faces", "nothere.json"],
+        "--schema reads no flag but --out; got --faces, --field"),
     "complex-link-field-without-local-homology": (
         ["complex", "link", "--faces", "cycle.json", "--face", "1", "--field", "F3"],
         "--field is not used by complex link without --local-homology"),

@@ -9,7 +9,7 @@ from logcy.energy import (ChordLabel, EnergyParameters, OrbitLabel, chord_action
                           chord_weight, filtration_monotone_check, orbit_action_approx,
                           parameters_from_json, pss_energy, pss_energy_approx,
                           short_chord_winding, weighted_winding)
-from logcy.errors import DegenerateChordError, InputError
+from logcy.errors import InputError
 
 from helpers import winding
 
@@ -44,7 +44,7 @@ def random_chord(rng, p):
         v[i - 1] = rng.randint(0, 3)
     f0 = F(rng.randint(-5, 5), rng.randint(1, 4))
     f1 = F(rng.randint(-5, 5), rng.randint(1, 4))
-    return ChordLabel(rng.randint(0, 99), indices, alpha0, alpha1, tuple(v), f0, f1)
+    return ChordLabel(indices, alpha0, alpha1, tuple(v), f0, f1)
 
 
 def test_parameter_validation():
@@ -121,25 +121,25 @@ def test_pss_energy_positive_under_strict_weight_increase():
 
 
 def test_short_chord_winding_cases():
-    chord = ChordLabel(0, (1,), (F(3, 10),), (F(7, 10),), (0, 0, 0), 0, 0)
+    chord = ChordLabel((1,), (F(3, 10),), (F(7, 10),), (0, 0, 0), 0, 0)
     assert short_chord_winding(chord) == (1,)
-    chord = ChordLabel(0, (1,), (F(7, 10),), (F(3, 10),), (0, 0, 0), 0, 0)
+    chord = ChordLabel((1,), (F(7, 10),), (F(3, 10),), (0, 0, 0), 0, 0)
     assert short_chord_winding(chord) == (0,)
-    degenerate = ChordLabel(0, (1,), (F(1, 2),), (F(1, 2),), (0, 0, 0), 0, 0)
-    with pytest.raises(DegenerateChordError):
+    degenerate = ChordLabel((1,), (F(1, 2),), (F(1, 2),), (0, 0, 0), 0, 0)
+    with pytest.raises(InputError, match="chord angles coincide at index 1"):
         short_chord_winding(degenerate)
 
 
 def test_chord_weight_interior_chord():
     p = params()
-    chord = ChordLabel(3, (), (), (), (0, 0, 0), F(5, 7), F(5, 7))
+    chord = ChordLabel((), (), (), (0, 0, 0), F(5, 7), F(5, 7))
     assert chord_weight(p, chord) == 0
     assert chord_action_approx(p, chord) == 0
 
 
 def test_chord_weight_worked_example():
     p = params(kappa=(1,))
-    chord = ChordLabel(0, (1,), (F(0),), (F(1, 2),), (0,), 0, 0)
+    chord = ChordLabel((1,), (F(0),), (F(1, 2),), (0,), 0, 0)
     assert chord_weight(p, chord) == F(1, 2)
 
 
@@ -205,11 +205,11 @@ def test_filtration_monotone_on_generated_chords():
 
 def test_chord_label_validation():
     with pytest.raises(InputError):
-        ChordLabel(0, (2, 1), (F(0), F(0)), (F(1, 2), F(1, 2)), (0, 0), 0, 0)
+        ChordLabel((2, 1), (F(0), F(0)), (F(1, 2), F(1, 2)), (0, 0), 0, 0)
     with pytest.raises(InputError):
-        ChordLabel(0, (1,), (F(3, 2),), (F(0),), (0,), 0, 0)
+        ChordLabel((1,), (F(3, 2),), (F(0),), (0,), 0, 0)
     with pytest.raises(InputError):
-        ChordLabel(0, (1,), (F(0),), (F(1, 2),), (0, 1), 0, 0)
+        ChordLabel((1,), (F(0),), (F(1, 2),), (0, 1), 0, 0)
 
 
 def test_parameters_from_json():

@@ -13,7 +13,7 @@ from logcy.complexes import SimplicialComplex
 from logcy.errors import InputError
 from logcy.groebner import jacobian_smooth
 from logcy.poly import Polynomial, parse_polynomial
-from logcy.rees import associated_graded, fiber_at, presentations_ideal_equal, rees_algebra
+from logcy.rees import associated_graded, fiber_at, presentations_ideal_equal
 from logcy.sr_algebra import graded_dimension
 
 F = Fraction
@@ -117,9 +117,8 @@ def test_conic_w2_weight_defaults_to_1():
 def test_conic_rees_fiber_roundtrip():
     fixture = mirror.ConicBundleFixture(2, 1, 1, F(3, 2), 1)
     pres = mirror.conic_bundle_presentation(fixture)
-    family = rees_algebra(pres)
-    assert presentations_ideal_equal(fiber_at(family, 0), associated_graded(pres))
-    assert presentations_ideal_equal(fiber_at(family, 1), pres)
+    assert presentations_ideal_equal(fiber_at(pres, 0), associated_graded(pres))
+    assert presentations_ideal_equal(fiber_at(pres, 1), pres)
 
 
 def test_admissible_monomials_exact_set():

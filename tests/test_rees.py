@@ -11,9 +11,8 @@ from helpers import substitute
 from logcy.errors import InputError
 from logcy.groebner import groebner_basis, reduce_modulo
 from logcy.poly import Polynomial, WeightedOrder, parse_polynomial
-from logcy.rees import (ReesPresentation, WeightedPresentation, associated_graded,
-                        fiber_at, presentation_from_json, presentations_ideal_equal,
-                        rees_algebra)
+from logcy.rees import (WeightedPresentation, associated_graded, fiber_at,
+                        presentation_from_json, presentations_ideal_equal, rees_algebra)
 
 
 def pres(variables, weights, relations):
@@ -72,33 +71,35 @@ def test_gr_idempotent_random():
 
 
 def test_rees_single_relation():
-    family = rees_algebra(pres(("x",), [1], ["x^2 - x"]))
-    assert family.presentation.vars == ("t", "x")
+    p = pres(("x",), [1], ["x^2 - x"])
+    family = rees_algebra(p)
+    assert family.vars == ("t", "x")
     expected = parse_polynomial("x^2 - t*x", ("t", "x"))
-    assert [r.terms for r in family.presentation.relations] == [expected.terms]
-    assert family.rescale == 1
+    assert [r.terms for r in family.relations] == [expected.terms]
+    assert p.order.scale == 1
 
 
 def test_rees_homogeneous_input_keeps_relations():
     family = rees_algebra(pres(("x", "y"), [1, 2], ["x^2 - y"]))
-    rel = family.presentation.relations[0]
+    rel = family.relations[0]
     # t does not occur
     assert all(exps[0] == 0 for exps in rel.terms)
 
 
 def test_rees_relations_are_weight_homogeneous():
     family = rees_algebra(pres(("x", "y"), [1, 2], ["x^2 - y", "y^2 - x"]))
-    order = family.presentation.order
-    for rel in family.presentation.relations:
+    order = family.order
+    for rel in family.relations:
         degrees = {Fraction(order.int_degree(e), order.scale) for e in rel.terms}
         assert len(degrees) == 1
 
 
 def test_rees_rational_weights_rescaled():
-    family = rees_algebra(pres(("x", "y"), [Fraction(1, 2), Fraction(1, 3)], ["x^2 - y"]))
-    assert family.rescale == 6
-    assert family.presentation.weights == (Fraction(1), Fraction(3), Fraction(2))
-    fiber = fiber_at(family, 1)
+    p = pres(("x", "y"), [Fraction(1, 2), Fraction(1, 3)], ["x^2 - y"])
+    family = rees_algebra(p)
+    assert p.order.scale == 6
+    assert family.weights == (Fraction(1), Fraction(3), Fraction(2))
+    fiber = fiber_at(p, 1)
     assert fiber.weights == (Fraction(1, 2), Fraction(1, 3))
 
 
@@ -108,13 +109,12 @@ def test_rees_name_collision():
 
 
 def test_fiber_examples():
-    family = rees_algebra(pres(("x",), [1], ["x^2 - x"]))
-    special = fiber_at(family, 0)
-    assert [r.to_string() for r in special.relations] == ["x^2"]
-    generic = fiber_at(family, 1)
     original = pres(("x",), [1], ["x^2 - x"])
+    special = fiber_at(original, 0)
+    assert [r.to_string() for r in special.relations] == ["x^2"]
+    generic = fiber_at(original, 1)
     assert presentations_ideal_equal(generic, original)
-    other = fiber_at(family, 2)
+    other = fiber_at(original, 2)
     assert other.hilbert_up_to(6) == generic.hilbert_up_to(6)
 
 
@@ -129,12 +129,11 @@ def test_special_fiber_equals_gr_random():
         p = pres(("x", "y"), weights, chosen)
         try:
             graded = associated_graded(p)
-            family = rees_algebra(p)
+            special = fiber_at(p, 0)
         except InputError:
             continue
-        special = fiber_at(family, 0)
         assert presentations_ideal_equal(special, graded)
-        assert special.hilbert_up_to(6) == fiber_at(family, 1).hilbert_up_to(6)
+        assert special.hilbert_up_to(6) == fiber_at(p, 1).hilbert_up_to(6)
         checked += 1
 
 
@@ -164,12 +163,12 @@ def test_fibers_are_the_substitution_the_ring_and_its_graded_ring(data):
         assume(False)
     value = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
     t_image = {"t": Polynomial.constant(names, value)}
-    fiber = fiber_at(family, value)
+    fiber = fiber_at(p, value)
     assert fiber.weights == p.weights
     assert fiber.relations == tuple(substitute(rel, t_image, names)
-                                    for rel in family.presentation.relations)
-    assert fiber_at(family, 1).relations == tuple(p.basis())
-    assert fiber_at(family, 0).relations == associated_graded(p).relations
+                                    for rel in family.relations)
+    assert fiber_at(p, 1).relations == tuple(p.basis())
+    assert fiber_at(p, 0).relations == associated_graded(p).relations
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,9 +240,8 @@ def test_unit_weight_zero_piece_is_one_dimensional():
     for _ in range(10):
         chosen = rng.sample(texts, rng.randint(1, 2))
         p = pres(("x", "y"), [1, 1], chosen)
-        family = rees_algebra(p)
         for value in (0, 1, 3):
-            fiber = fiber_at(family, value)
+            fiber = fiber_at(p, value)
             assert fiber.hilbert_up_to(0) == {Fraction(0): 1}
 
 
